@@ -18,7 +18,6 @@ from .distributions import (
     loglik_value,
     pdf,
     sample_data,
-    sample_std_normal,
 )
 from .engine import (
     DivergenceError,
@@ -88,7 +87,6 @@ __all__ = [
     "make_batches",
     "pdf",
     "sample_data",
-    "sample_std_normal",
     "sample_theta",
     "write_trace_csv",
     "__version__",

@@ -104,12 +104,6 @@ class Tape:
     def mul(self, a: NodeId, b: NodeId) -> NodeId:
         return self._push("mul", (a, b), self._operand(a) * self._operand(b))
 
-    def div(self, a: NodeId, b: NodeId) -> NodeId:
-        den = self._operand(b)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return self._push("div", (a, b), self._operand(a) / den)
-
     def neg(self, a: NodeId) -> NodeId:
         return self._push("neg", (a,), -self._operand(a))
 
@@ -130,14 +124,6 @@ class Tape:
     def square(self, a: NodeId) -> NodeId:
         x = self._operand(a)
         return self._push("square", (a,), x * x)
-
-    def cosh(self, a: NodeId) -> NodeId:
-        x = self._operand(a)
-        try:
-            value = math.cosh(x)
-        except OverflowError as err:
-            raise DomainError(f"cosh overflow at {x!r}") from err
-        return self._push("cosh", (a,), value)
 
     def sum_many(self, terms: Sequence[NodeId]) -> NodeId:
         """Left-to-right sum of any number of nodes as a single n-ary node."""
@@ -177,11 +163,6 @@ class Tape:
             elif op == "mul":
                 adj[args[0]] += w * self._nodes[args[1]].value
                 adj[args[1]] += w * self._nodes[args[0]].value
-            elif op == "div":
-                num = self._nodes[args[0]].value
-                den = self._nodes[args[1]].value
-                adj[args[0]] += w / den
-                adj[args[1]] -= w * num / (den * den)
             elif op == "neg":
                 adj[args[0]] -= w
             elif op == "log":
@@ -190,8 +171,6 @@ class Tape:
                 adj[args[0]] += w * node.value
             elif op == "square":
                 adj[args[0]] += w * 2.0 * self._nodes[args[0]].value
-            elif op == "cosh":
-                adj[args[0]] += w * math.sinh(self._nodes[args[0]].value)
             elif op == "sum":
                 for a in args:
                     adj[a] += w

@@ -1,15 +1,17 @@
 """Likelihood models: Gaussian and Folded Normal measurements.
 
-Two surfaces for each model share one parameterization.  Plain-number
-(log-)densities are vectorized numpy functions used by the grid oracle,
-data generation and final objective evaluation.  Tape-expressed
-log-likelihoods build the same quantities as autodiff nodes so gradients
-flow to the inference parameters.
-
 Inference runs in theta space: theta1 is the measurement mean mu and
 theta2 is the log variance, so the precision is beta = exp(-theta2).
 Mini-batch evaluations keep the full-count normalizer N/2 * log(beta/2pi)
 and rescale only the per-point data terms by N/M.
+
+Three surfaces share that parameterization.  Elementwise numpy
+(log-)densities serve the grid oracle and data generation.
+:func:`loglik_and_grad` evaluates the rescaled batch log-likelihood at a
+whole matrix of theta points together with its closed-form partials; the
+fit loop and the final free-energy re-estimate run on it.  The
+tape-expressed builders (:func:`loglik_node`) compute the same quantity as
+autodiff nodes and are kept as the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -143,13 +145,6 @@ def loglik_value(kind: ModelKind, data: np.ndarray, theta: np.ndarray) -> float:
 # -- samplers --------------------------------------------------------------
 
 
-def sample_std_normal(dim: int, rng: Rng) -> np.ndarray:
-    """`dim` independent standard-normal draws from a seeded generator."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return rng.standard_normals(dim)
-
-
 def sample_data(kind: ModelKind, params: NaturalParams, n: int, seed: int) -> Dataset:
     """n i.i.d. draws from the model, deterministic given the seed.
 
@@ -165,7 +160,7 @@ def sample_data(kind: ModelKind, params: NaturalParams, n: int, seed: int) -> Da
     return Dataset(values)
 
 
-# -- tape-expressed log-likelihoods ----------------------------------------
+# -- batch log-likelihood with closed-form partials --------------------------
 
 
 def _check_batch(data, n_total: int, batch_size: int | None) -> int:
@@ -179,6 +174,60 @@ def _check_batch(data, n_total: int, batch_size: int | None) -> int:
     if n_total < batch_size:
         raise ValueError(f"n_total={n_total} smaller than batch_size={batch_size}")
     return batch_size
+
+
+def loglik_and_grad(
+    kind: ModelKind, y, theta, n_total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rescaled batch log-likelihood at L theta points, with its partials.
+
+    `y` holds the M batch points and `theta` is an (L, 2) matrix of
+    (mu, log variance) rows.  Returns the values, shape (L,), and their
+    partials with respect to (mu, theta2), shape (L, 2), of
+
+        N/2 log(beta/2pi) + (N/M) sum_m t(y_m; mu, beta),    N = n_total,
+
+    so the normalizer enters once, at full count, whatever M is.  The
+    Gaussian term is t = -beta (y - mu)^2 / 2.  The Folded Normal term is
+    t = -beta (y^2 + mu^2) / 2 + log(2 cosh z) with z = beta mu y, written
+    as |z| + log1p(e^{-2|z|}) so it cannot overflow; its derivative in z is
+    tanh(z).  Overflow and invalid operations follow the caller's numpy
+    error state.
+    """
+    y = np.asarray(y, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != 2:
+        raise ValueError(f"theta must have shape (L, 2), got {theta.shape}")
+    m = _check_batch(y, n_total, None)
+    mu, theta2 = theta[:, 0], theta[:, 1]
+    beta = np.exp(-theta2)
+    # partials of the data sum; beta = exp(-theta2) gives d/dtheta2 = -beta d/dbeta
+    if kind is ModelKind.GAUSSIAN:
+        r = y - mu[:, None]
+        data = -0.5 * beta * np.einsum("lm,lm->l", r, r)
+        d_mu = beta * r.sum(axis=1)
+        d_theta2 = -data  # linear in beta
+    elif kind is ModelKind.FOLDED_NORMAL:
+        if not np.all(y > 0.0):
+            raise DomainError("folded normal support is y > 0")
+        z = (beta * mu)[:, None] * y
+        az = np.abs(z)
+        tanh_y = np.tanh(z) @ y
+        sumsq = y @ y + m * mu * mu
+        data = (az + np.log1p(np.exp(-2.0 * az))).sum(axis=1) - 0.5 * beta * sumsq
+        d_mu = beta * (tanh_y - m * mu)
+        d_theta2 = beta * (0.5 * sumsq - mu * tanh_y)
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    scale = n_total / m
+    value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data
+    grad = np.empty_like(theta)
+    grad[:, 0] = scale * d_mu
+    grad[:, 1] = -0.5 * n_total + scale * d_theta2
+    return value, grad
+
+
+# -- tape-expressed log-likelihoods ----------------------------------------
 
 
 def _normalizer(tape: Tape, theta2: NodeId, n_total: int) -> NodeId:

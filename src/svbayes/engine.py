@@ -1,26 +1,40 @@
 """Free-energy objective assembly and the stochastic training loop.
 
-Each optimizer step rebuilds a fresh tape: reparameterized samples of the
-inference parameters feed the model log-likelihood, the analytic KL to the
-prior is subtracted, and one reverse sweep yields exact gradients of the
-stochastic free-energy estimate.  Maximization runs as Adam descent on the
-negated objective.  Everything downstream of the seed is deterministic.
+Each optimizer step draws L noise vectors, maps them through the Cholesky
+transform theta = m + S eps, and evaluates the stochastic free energy
+F = (1/L) sum_l loglik(theta_l) - KL together with its exact gradient in
+closed form: the batch log-likelihood partials are pulled back through the
+transform (the reparameterization estimator) and the analytic KL gradient
+is subtracted.  Maximization runs as Adam descent on the negated objective.
+Everything downstream of the seed is deterministic.
+
+`estimate_free_energy` builds the same objective on an autodiff tape; it is
+the reference the closed-form gradient is tested against and is not used by
+`fit`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from . import distributions, posterior
-from .autodiff import DomainError, NodeId, Tape
+from .autodiff import DomainError
 from .distributions import Dataset, ModelKind
 from .optimizer import AdamState, adam_step
-from .posterior import PosteriorNodes, PosteriorParams, PriorSpec
+from .posterior import PosteriorParams, PriorSpec
 from .rng import Rng
+
+if TYPE_CHECKING:
+    from .autodiff import NodeId, Tape
+    from .posterior import PosteriorNodes
+
+# Terms (data point x sample) per chunk of the final free-energy re-estimate;
+# bounds its working memory whatever the data size.
+FINAL_FE_CHUNK_TERMS = 16_384
 
 
 class DivergenceError(RuntimeError):
@@ -169,6 +183,52 @@ def estimate_free_energy(
     return FreeEnergyParts(tape.sub(mc, kl), mc, kl)
 
 
+class Objective(NamedTuple):
+    """Free energy, its two parts, and dF/dzeta packed like zeta."""
+
+    free_energy: float
+    mc_loglik: float
+    kl: float
+    grad: np.ndarray
+
+
+def free_energy_and_grad(
+    model: ModelKind,
+    data_batch,
+    n_total: int,
+    zeta: np.ndarray,
+    epsilons: np.ndarray,
+    prior: PriorSpec,
+    correlation_enabled: bool,
+) -> Objective:
+    """Stochastic free energy and its exact gradient, in closed form.
+
+    `zeta` packs (m, v[, u]) in the order the fit loop optimizes them and
+    `epsilons` is the (L, P) noise matrix, so the samples are
+    theta = m + eps S^T.  The batch log-likelihood partials g (L, P) reach
+    m as their mean over samples and the entries of S as (1/L) g^T eps;
+    through S_ii = exp(v_i) the v_i partial picks up eps_i exp(v_i).  The
+    KL gradient comes from `posterior.kl_and_grad`.  Raises OverflowError
+    or, under a raising numpy error state, FloatingPointError.
+    """
+    p = prior.dim
+    m, v = zeta[:p], zeta[p : 2 * p]
+    s = posterior.factor(v, zeta[2 * p :] if correlation_enabled else None)
+    theta = m + epsilons @ s.T
+    ll, g = distributions.loglik_and_grad(model, data_batch, theta, n_total)
+    kl, dkl_dm, dkl_dv, dkl_ds = posterior.kl_and_grad(m, v, s, prior)
+    n_samples = len(ll)
+    dmc_ds = g.T @ epsilons / n_samples
+    parts = [
+        g.sum(axis=0) / n_samples - dkl_dm,
+        dmc_ds.diagonal() * s.diagonal() - dkl_dv,
+    ]
+    if correlation_enabled:
+        parts.append(posterior.lower_entries(dmc_ds - dkl_ds))
+    mc = float(ll.sum() / n_samples)
+    return Objective(mc - kl, mc, kl, np.concatenate(parts))
+
+
 def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
     """Contiguous disjoint batches covering the data in order.
 
@@ -229,40 +289,42 @@ def fit(
     zeta = _pack(params)
     n_total = len(data)
     batch_size = n_total if config.batch_size is None else config.batch_size
+    n_draws = config.mc_samples * p
 
     trace: list[TraceRecord] = []
     global_step = 0
-    for epoch in range(config.epochs):
-        values = rng.shuffle(data.values) if config.shuffle else data.values
-        batches = make_batches(Dataset(values), batch_size)
-        for step, batch in enumerate(batches):
-            epsilons = [rng.standard_normals(p) for _ in range(config.mc_samples)]
-            try:
-                tape = Tape()
-                nodes = posterior.lift(tape, params)
-                parts = estimate_free_energy(
-                    tape, model, batch, n_total, nodes, prior, epsilons
-                )
-                grad = tape.grad(parts.free_energy)
-            except DomainError as err:
-                raise DivergenceError(f"objective failed: {err}", global_step, zeta) from err
-            grad_neg = np.array([-grad[leaf] for leaf in nodes.free_leaves()])
-            if not np.all(np.isfinite(grad_neg)):
-                raise DivergenceError("non-finite gradient", global_step, zeta)
-            trace.append(
-                TraceRecord(
-                    epoch=epoch,
-                    step=step,
-                    free_energy=tape.value(parts.free_energy),
-                    kl=tape.value(parts.kl),
-                    mc_loglik=tape.value(parts.mc_loglik),
-                )
-            )
-            state, zeta = adam_step(state, zeta, grad_neg)
-            params = _unpack(zeta, params)
-            global_step += 1
+    # an overflow or invalid operation anywhere in a step or in the final
+    # estimate makes its numbers meaningless: report it as a divergence
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for epoch in range(config.epochs):
+            values = rng.shuffle(data.values) if config.shuffle else data.values
+            batches = make_batches(Dataset(values), batch_size)
+            for step, batch in enumerate(batches):
+                epsilons = rng.standard_normals(n_draws).reshape(config.mc_samples, p)
+                try:
+                    obj = free_energy_and_grad(
+                        model, batch, n_total, zeta, epsilons, prior,
+                        config.correlation_enabled,
+                    )
+                    # plain-float F = mc - KL can overflow without a numpy fault
+                    if not (math.isfinite(obj.free_energy) and np.all(np.isfinite(obj.grad))):
+                        raise DivergenceError("non-finite objective or gradient", global_step, zeta)
+                    state, updated = adam_step(state, zeta, -obj.grad)
+                except (FloatingPointError, OverflowError) as err:
+                    raise DivergenceError(f"objective failed: {err}", global_step, zeta) from err
+                if not np.all(np.isfinite(updated)):
+                    raise DivergenceError("non-finite parameter update", global_step, zeta)
+                trace.append(TraceRecord(epoch, step, obj.free_energy, obj.kl, obj.mc_loglik))
+                zeta = updated
+                global_step += 1
 
-    final_fe = _final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
+        params = _unpack(zeta, params)
+        try:
+            final_fe = _final_free_energy(
+                model, data, params, prior, config.final_fe_samples, rng
+            )
+        except (FloatingPointError, OverflowError) as err:
+            raise DivergenceError(f"final free energy failed: {err}", global_step, zeta) from err
     return FitResult(
         posterior=posterior.extract_posterior(params),
         params=params,
@@ -281,11 +343,20 @@ def _final_free_energy(
     n_samples: int,
     rng: Rng,
 ) -> tuple[float, float]:
-    """Multi-sample estimate of F on the full data: (mean, standard error)."""
+    """Multi-sample estimate of F on the full data: (mean, standard error).
+
+    The samples are evaluated in chunks of at most FINAL_FE_CHUNK_TERMS
+    likelihood terms (at least one sample per chunk).
+    """
     kl = posterior.kl_value(params, prior)
-    values = np.empty(n_samples)
-    for i in range(n_samples):
-        theta = posterior.sample_theta(params, rng.standard_normals(params.dim))
-        values[i] = distributions.loglik_value(model, data.values, theta) - kl
+    epsilons = rng.standard_normals(n_samples * params.dim).reshape(n_samples, params.dim)
+    thetas = params.m + epsilons @ posterior.cholesky_factor(params).T
+    n = len(data)
+    rows = max(1, FINAL_FE_CHUNK_TERMS // n)
+    loglik = np.concatenate([
+        distributions.loglik_and_grad(model, data.values, thetas[i : i + rows], n)[0]
+        for i in range(0, n_samples, rows)
+    ])
+    values = loglik - kl
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples))
     return float(np.mean(values)), se

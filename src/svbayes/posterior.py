@@ -5,8 +5,10 @@ with S lower triangular: diagonal entries exp(v_i) (always positive), strict
 lower entries u_ij.  Samples are the deterministic transform
 theta = m + S eps of standard-normal noise, so gradients reach (m, v, u)
 while the noise stays outside the differentiated path.  The KL divergence to
-an MVN prior is available in closed form, both as tape nodes and as a plain
-number.
+an MVN prior and its gradient are available in closed form
+(:func:`kl_and_grad`).  The tape side (`lift`, `reparam_sample`,
+`kl_to_prior`) builds the same quantities as autodiff nodes; it is the
+reference the closed-form gradients are tested against.
 """
 
 from __future__ import annotations
@@ -120,15 +122,23 @@ class PriorSpec:
 # -- plain-number side -------------------------------------------------------
 
 
-def cholesky_factor(params: PosteriorParams) -> np.ndarray:
-    """Lower-triangular S with diagonal exp(v) and strict lower part u."""
-    p = params.dim
+def factor(v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """Lower-triangular S with diagonal exp(v) and strict lower part u.
+
+    `u` lists the strict lower triangle in row-major order; None leaves it
+    zero.  Raises OverflowError when an exp(v_i) does not fit a float.
+    """
     # math.exp so the entries match the tape's scalar arithmetic bit for bit
-    s = np.diag([math.exp(x) for x in params.v])
-    if params.correlation_enabled:
-        for k, (i, j) in enumerate(_tril_indices(p)):
-            s[i, j] = params.u[k]
+    s = np.diag([math.exp(x) for x in v])
+    if u is not None:
+        for k, (i, j) in enumerate(_tril_indices(len(v))):
+            s[i, j] = u[k]
     return s
+
+
+def cholesky_factor(params: PosteriorParams) -> np.ndarray:
+    """Lower-triangular S of the posterior covariance C = S S^T."""
+    return factor(params.v, params.u if params.correlation_enabled else None)
 
 
 def sample_theta(params: PosteriorParams, epsilon: np.ndarray) -> np.ndarray:
@@ -152,17 +162,40 @@ def covariance(params: PosteriorParams) -> np.ndarray:
     return s @ s.T
 
 
+def kl_and_grad(
+    m: np.ndarray, v: np.ndarray, s: np.ndarray, prior: PriorSpec
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form KL(q || prior) and its gradient at raw (m, v, S = factor(v, u)).
+
+    KL = 1/2 [ Trace(C0^-1 C) - log|C| + log|C0| - P + (m - m0)^T C0^-1 (m - m0) ]
+    with C = S S^T and log|C| = 2 sum_i v_i.  Returns the KL and its
+    partials dKL/dm = C0^-1 (m - m0), dKL/dv_i = (C0^-1 S)_ii exp(v_i) - 1,
+    and dKL/dS = C0^-1 S in every entry of S, of which the strict lower
+    triangle (u) is read.
+    """
+    p = m.size
+    if prior.dim != p:
+        raise ValueError(f"prior dimension {prior.dim} != posterior dimension {p}")
+    inv0 = prior.C0_inv
+    diff = m - prior.m0
+    inv0_diff = inv0 @ diff
+    inv0_s = inv0 @ s
+    # Trace(C0^-1 S S^T) is the sum of the elementwise product C0^-1 S * S
+    kl = 0.5 * (
+        (inv0_s * s).sum() - 2.0 * v.sum() + (prior.log_det_C0 - p) + diff @ inv0_diff
+    )
+    d_v = inv0_s.diagonal() * s.diagonal() - 1.0
+    return float(kl), inv0_diff, d_v, inv0_s
+
+
+def lower_entries(a: np.ndarray) -> np.ndarray:
+    """Strict lower triangle of a square matrix, in the row-major order of u."""
+    return np.array([a[i, j] for i, j in _tril_indices(a.shape[0])])
+
+
 def kl_value(params: PosteriorParams, prior: PriorSpec) -> float:
     """Closed-form KL(q || prior) as a plain number."""
-    c = covariance(params)
-    diff = params.m - prior.m0
-    log_det_c = 2.0 * float(np.sum(params.v))
-    return 0.5 * (
-        float(np.trace(prior.C0_inv @ c))
-        - (log_det_c - prior.log_det_C0)
-        - params.dim
-        + float(diff @ prior.C0_inv @ diff)
-    )
+    return kl_and_grad(params.m, params.v, cholesky_factor(params), prior)[0]
 
 
 class PosteriorSummary:

@@ -42,18 +42,12 @@ class TestPrimitives:
         x = t.variable(2.0)
         assert t.grad(t.log(x))[x] == 0.5
 
-    def test_cosh_gradient_at_zero(self):
-        t = Tape()
-        x = t.variable(0.0)
-        assert t.grad(t.cosh(x))[x] == 0.0
-
     def test_forward_values(self):
         t = Tape()
         a, b = t.variable(6.0), t.variable(2.0)
         assert t.value(t.add(a, b)) == 8.0
         assert t.value(t.sub(a, b)) == 4.0
         assert t.value(t.mul(a, b)) == 12.0
-        assert t.value(t.div(a, b)) == 3.0
         assert t.value(t.neg(a)) == -6.0
         assert t.value(t.exp(b)) == math.exp(2.0)
         assert t.value(t.sum_many([a, b, a])) == 14.0
@@ -66,13 +60,9 @@ class TestPrimitives:
             t.log(x)
         with pytest.raises(DomainError):
             t.log(zero)
-        with pytest.raises(DomainError):
-            t.div(x, zero)
         big = t.variable(1000.0)
         with pytest.raises(DomainError):
             t.exp(big)
-        with pytest.raises(DomainError):
-            t.cosh(big)
 
     def test_sum_many_rejects_empty(self):
         t = Tape()
@@ -91,12 +81,10 @@ class TestPrimitives:
             ("add", lambda t, x, y: t.add(x, y), -10.0, 10.0),
             ("sub", lambda t, x, y: t.sub(x, y), -10.0, 10.0),
             ("mul", lambda t, x, y: t.mul(x, y), -10.0, 10.0),
-            ("div", lambda t, x, y: t.div(x, y), 0.1, 10.0),
             ("neg", lambda t, x, y: t.neg(x), -10.0, 10.0),
             ("log", lambda t, x, y: t.log(x), 0.01, 10.0),
             ("exp", lambda t, x, y: t.exp(x), -5.0, 5.0),
             ("square", lambda t, x, y: t.square(x), -10.0, 10.0),
-            ("cosh", lambda t, x, y: t.cosh(x), -5.0, 5.0),
             ("sum", lambda t, x, y: t.sum_many([x, y, x]), -10.0, 10.0),
         ],
     )
@@ -133,7 +121,7 @@ class TestBackwardSweep:
     def test_repeated_grad_is_bitwise_identical(self):
         t = Tape()
         x, y = t.variable(0.3), t.variable(-1.2)
-        out = t.mul(t.exp(x), t.cosh(t.mul(x, y)))
+        out = t.mul(t.exp(x), t.square(t.mul(x, y)))
         g1 = t.grad(out)
         g2 = t.grad(out)
         assert g1.adjoints == g2.adjoints

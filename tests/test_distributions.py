@@ -15,9 +15,10 @@ from svbayes.distributions import (
     folded_normal_loglik,
     gaussian_log_pdf,
     gaussian_loglik,
+    log_pdf,
+    loglik_and_grad,
     pdf,
     sample_data,
-    sample_std_normal,
 )
 from svbayes.rng import Rng
 
@@ -194,6 +195,30 @@ class TestFoldedNormal:
             folded_normal_loglik(t, nodes, [0.0], n_total=1)
 
 
+class TestLoglikAndGrad:
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_rows_match_sum_of_log_pdf(self, kind):
+        """Each theta row's full-data value is the density's log sum there."""
+        rng = np.random.default_rng(13)
+        data = np.abs(rng.normal(1.0, 2.0, size=30))
+        thetas = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(6, 2))
+        values, grad = loglik_and_grad(kind, data, thetas, n_total=30)
+        direct = [log_pdf(kind, data, mu, math.exp(-t2)).sum() for mu, t2 in thetas]
+        np.testing.assert_allclose(values, direct, rtol=1e-12)
+        assert grad.shape == (6, 2)
+
+    def test_validation(self):
+        theta = np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            loglik_and_grad(ModelKind.GAUSSIAN, [1.0], np.zeros(2), n_total=1)
+        with pytest.raises(ValueError):
+            loglik_and_grad(ModelKind.GAUSSIAN, [], theta, n_total=5)
+        with pytest.raises(ValueError):
+            loglik_and_grad(ModelKind.GAUSSIAN, [1.0, 2.0], theta, n_total=1)
+        with pytest.raises(DomainError):
+            loglik_and_grad(ModelKind.FOLDED_NORMAL, [1.0, 0.0], theta, n_total=2)
+
+
 class TestPdf:
     def test_gaussian_peak_value(self):
         params = NaturalParams(mu=1.0, beta=0.25)
@@ -251,18 +276,18 @@ class TestSamplers:
 
     def test_standard_normal_moments(self):
         """CLT bounds on 1e5 draws: |mean| < 4/sqrt(1e5), variance in [0.97, 1.03]."""
-        draws = sample_std_normal(100_000, Rng(2024))
+        draws = Rng(2024).standard_normals(100_000)
         assert abs(draws.mean()) < 0.013
         assert 0.97 < draws.var() < 1.03
 
     def test_standard_normal_reproducible(self):
-        a = sample_std_normal(50, Rng(5))
-        b = sample_std_normal(50, Rng(5))
+        a = Rng(5).standard_normals(50)
+        b = Rng(5).standard_normals(50)
         assert np.array_equal(a, b)
 
     def test_dim_validation(self):
         with pytest.raises(ValueError):
-            sample_std_normal(0, Rng(1))
+            Rng(1).standard_normals(0)
 
     def test_uniform_range_and_determinism(self):
         r1, r2 = Rng(123), Rng(123)

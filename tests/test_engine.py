@@ -12,17 +12,144 @@ from svbayes.engine import (
     TrainConfig,
     estimate_free_energy,
     fit,
+    free_energy_and_grad,
     make_batches,
 )
 from svbayes.posterior import PosteriorNodes, PosteriorParams, PriorSpec, lift
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
+TRUE_PARAMS = NaturalParams.from_mean_variance(1.0, 4.0)
+
+
+def model_data(model, seed=42):
+    return sample_data(model, TRUE_PARAMS, 100, seed=seed)
 
 
 def example1_data(seed=42):
-    return sample_data(
-        ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=seed
+    return model_data(ModelKind.GAUSSIAN, seed)
+
+
+# the full data, one batch of 10, and the 2-point remainder batch of size 7
+BATCHES = {
+    "full": lambda values: values,
+    "batch10": lambda values: make_batches(Dataset(values), 10)[3],
+    "remainder": lambda values: make_batches(Dataset(values), 7)[-1],
+}
+
+
+def packed(params):
+    parts = [params.m, params.v]
+    if params.correlation_enabled:
+        parts.append(params.u)
+    return np.concatenate(parts)
+
+
+def tape_objective(model, batch, params, epsilons):
+    """The tape oracle's (F, mc_loglik, KL, dF/dzeta) at frozen noise."""
+    t = Tape()
+    nodes = lift(t, params)
+    parts = estimate_free_energy(t, model, batch, 100, nodes, PRIOR, list(epsilons))
+    grad = t.grad(parts.free_energy)
+    values = [t.value(n) for n in parts]
+    return (*values, np.array([grad[leaf] for leaf in nodes.free_leaves()]))
+
+
+def assert_matches_tape(model, batch, params, epsilons):
+    f, mc, kl, grad = tape_objective(model, batch, params, epsilons)
+    obj = free_energy_and_grad(
+        model, batch, 100, packed(params), epsilons, PRIOR, params.correlation_enabled
     )
+    np.testing.assert_allclose(
+        [obj.free_energy, obj.mc_loglik, obj.kl], [f, mc, kl], rtol=1e-10, atol=0.0
+    )
+    np.testing.assert_allclose(obj.grad, grad, rtol=1e-10, atol=0.0)
+
+
+def central_differences(fn, at):
+    """Central differences with the per-coordinate step of finite_diff_check."""
+    out = np.empty_like(at)
+    for i in range(at.size):
+        h = 1e-6 * max(1.0, abs(at[i]))
+        hi, lo = at.copy(), at.copy()
+        hi[i] += h
+        lo[i] -= h
+        out[i] = (fn(hi) - fn(lo)) / (2.0 * h)
+    return out
+
+
+class TestClosedFormObjective:
+    """`free_energy_and_grad` against the tape oracle and central differences."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    @pytest.mark.parametrize("correlation", [True, False])
+    def test_matches_tape_at_random_points(self, model, batch, n_samples, correlation):
+        batch_values = BATCHES[batch](model_data(model).values)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            params = PosteriorParams(
+                m=rng.uniform(-2, 3, size=2),
+                v=rng.uniform(-2, 1, size=2),
+                u=rng.uniform(-1, 1, size=1),
+                correlation_enabled=correlation,
+            )
+            epsilons = rng.standard_normal((n_samples, 2))
+            assert_matches_tape(model, batch_values, params, epsilons)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("correlation", [True, False])
+    def test_matches_tape_along_training_trajectory(self, model, correlation):
+        data = model_data(model)
+        rng = np.random.default_rng(18)
+        for epochs in (1, 5, 40, 400):
+            params = fit(
+                model, data, PRIOR,
+                TrainConfig(
+                    epochs=epochs, seed=3, correlation_enabled=correlation,
+                    final_fe_samples=2,
+                ),
+            ).params
+            for batch in BATCHES.values():
+                for n_samples in (1, 3):
+                    epsilons = rng.standard_normal((n_samples, 2))
+                    assert_matches_tape(model, batch(data.values), params, epsilons)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("correlation", [True, False])
+    def test_gradient_matches_central_differences(self, model, correlation):
+        """Frozen-noise FD check of the closed-form gradient, rtol 1e-4."""
+        data = model_data(model)
+        rng = np.random.default_rng(19)
+        trajectory = [
+            packed(fit(
+                model, data, PRIOR,
+                TrainConfig(
+                    epochs=epochs, seed=5, correlation_enabled=correlation,
+                    final_fe_samples=2,
+                ),
+            ).params)
+            for epochs in (10, 400)
+        ]
+        random_points = [
+            np.concatenate([
+                rng.uniform(-2, 3, size=2), rng.uniform(-2, 1, size=2),
+                rng.uniform(-1, 1, size=1 if correlation else 0),
+            ])
+            for _ in range(8)
+        ]
+        for at in trajectory + random_points:
+            epsilons = rng.standard_normal((int(rng.integers(1, 4)), 2))
+
+            def objective(zeta):
+                return free_energy_and_grad(
+                    model, data.values, 100, zeta, epsilons, PRIOR, correlation
+                )
+
+            grad = objective(at).grad
+            fd = central_differences(lambda z: objective(z).free_energy, at)
+            rel = np.abs(grad - fd) / np.maximum(np.abs(grad), np.abs(fd))
+            assert rel.max() <= 1e-4, (at, grad, fd)
 
 
 class TestEstimateFreeEnergy:
@@ -245,6 +372,28 @@ class TestFit:
             fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(epochs=1, init=bad_init))
         assert excinfo.value.step == 0
         assert "zeta" in str(excinfo.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize(
+        "prior,init",
+        [
+            (PRIOR, PosteriorParams(m=[0.0, 0.0], v=[700.0, 700.0], u=[0.0])),
+            # a finite likelihood at mu = 1e5, but (m - m0)^T C0^-1 (m - m0) overflows
+            (
+                PriorSpec(m0=[0.0, 0.0], C0=np.diag([1e-300, 1e-300])),
+                PosteriorParams(m=[1e5, 0.0], v=[0.0, 0.0], u=[0.0]),
+            ),
+        ],
+        ids=["scale-overflow", "kl-overflow"],
+    )
+    def test_divergence_raises_without_numpy_warnings(self, model, prior, init):
+        """Overflow aborts at step 0 as a DivergenceError; with RuntimeWarning
+        promoted to an error, no numpy warning escapes the fit."""
+        with pytest.raises(DivergenceError) as excinfo:
+            fit(model, model_data(model), prior, TrainConfig(epochs=1, init=init))
+        assert excinfo.value.step == 0
+        np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
 
     def test_shuffle_is_reproducible_and_changes_order(self):
         data = example1_data()
