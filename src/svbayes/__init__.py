@@ -15,7 +15,6 @@ from .distributions import (
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
-    loglik_value,
     pdf,
     sample_data,
 )
@@ -44,7 +43,6 @@ from .posterior import (
     PriorSpec,
     extract_posterior,
     kl_value,
-    sample_theta,
 )
 from .rng import Rng
 
@@ -83,11 +81,9 @@ __all__ = [
     "grid_posterior",
     "kl_value",
     "log_pdf",
-    "loglik_value",
     "make_batches",
     "pdf",
     "sample_data",
-    "sample_theta",
     "write_trace_csv",
     "__version__",
 ]

@@ -27,7 +27,7 @@ from .autodiff import DomainError
 from .distributions import Dataset, ModelKind, NaturalParams, pdf, sample_data
 from .engine import DivergenceError, FitResult, TrainConfig, write_trace_csv
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
-from .posterior import PriorSpec
+from .posterior import PriorSpec, mvn_log_pdf
 
 EXIT_USAGE = 2
 EXIT_INPUT = 3
@@ -302,16 +302,6 @@ _TRUE_VARIANCE = 4.0
 _N_SAMPLES = 100
 
 
-def _mvn_grid_mass(mean, cov, mu_axis, logvar_axis) -> np.ndarray:
-    """Posterior MVN density on the grid nodes, normalized to unit mass."""
-    inv = np.linalg.inv(cov)
-    d0 = mu_axis[:, None] - mean[0]
-    d1 = logvar_axis[None, :] - mean[1]
-    quad = inv[0, 0] * d0**2 + 2.0 * inv[0, 1] * d0 * d1 + inv[1, 1] * d1**2
-    mass = np.exp(-0.5 * (quad - quad.min()))
-    return mass / mass.sum()
-
-
 def _density_rows(mu_axis, logvar_axis, mass):
     for i, mu in enumerate(mu_axis):
         for j, lv in enumerate(logvar_axis):
@@ -373,9 +363,11 @@ def cmd_figure(args) -> int:
         outputs["panel_b_grid"] = grid_path.name
         outputs["panel_b_summary"] = "panel_b_grid.summary.json"
 
+        nodes = grid_oracle.grid_nodes(grid.mu_axis, grid.logvar_axis)
         for panel, label in (("c", "nocorr"), ("d", "corr")):
             summary = fits[label].posterior
-            mass = _mvn_grid_mass(summary.mean, summary.cov, grid.mu_axis, grid.logvar_axis)
+            log_q = mvn_log_pdf(nodes, summary.mean, summary.cov)
+            mass = grid_oracle.normalize_log_density(log_q)
             path = out_dir / f"panel_{panel}_svb_{label}.csv"
             _write_rows(
                 path,

@@ -6,12 +6,15 @@ Mini-batch evaluations keep the full-count normalizer N/2 * log(beta/2pi)
 and rescale only the per-point data terms by N/M.
 
 Three surfaces share that parameterization.  Elementwise numpy
-(log-)densities serve the grid oracle and data generation.
+(log-)densities serve the figure's true-density panel and the tests.
 :func:`loglik_and_grad` evaluates the rescaled batch log-likelihood at a
 whole matrix of theta points together with its closed-form partials; the
-fit loop and the final free-energy re-estimate run on it.  The
-tape-expressed builders (:func:`loglik_node`) compute the same quantity as
-autodiff nodes and are kept as the reference the tests check it against.
+fit loop runs on it.  :func:`loglik_at` sums the full-data log-likelihood at
+many theta points through the same function, in chunks of at most
+CHUNK_TERMS terms; the final free-energy re-estimate and the grid oracle
+run on it.  The tape-expressed builders (:func:`loglik_node`) compute the
+same quantity as autodiff nodes and are kept as the reference the tests
+check it against.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ from .autodiff import DomainError, NodeId, Tape
 from .rng import Rng
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+
+# Likelihood terms (data point x theta row) per loglik_and_grad call in
+# loglik_at; bounds its working memory whatever the data size.
+CHUNK_TERMS = 16_384
 
 
 class ModelKind(enum.Enum):
@@ -136,12 +143,6 @@ def pdf(kind: ModelKind, y, params: NaturalParams):
     return float(out) if np.isscalar(y) else out
 
 
-def loglik_value(kind: ModelKind, data: np.ndarray, theta: np.ndarray) -> float:
-    """Full-data log-likelihood at a plain theta = (mu, log variance)."""
-    beta = math.exp(-float(theta[1]))
-    return float(np.sum(log_pdf(kind, np.asarray(data), float(theta[0]), beta)))
-
-
 # -- samplers --------------------------------------------------------------
 
 
@@ -225,6 +226,21 @@ def loglik_and_grad(
     grad[:, 0] = scale * d_mu
     grad[:, 1] = -0.5 * n_total + scale * d_theta2
     return value, grad
+
+
+def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
+    """Full-data log-likelihood at every (mu, log variance) row of `thetas`.
+
+    Runs :func:`loglik_and_grad` on chunks of at most CHUNK_TERMS terms (at
+    least one row per chunk), so the working memory is the (L,) result plus
+    one chunk, never an (L, N) array.
+    """
+    n = len(y)
+    rows = max(1, CHUNK_TERMS // n)
+    return np.concatenate([
+        loglik_and_grad(kind, y, thetas[i : i + rows], n)[0]
+        for i in range(0, len(thetas), rows)
+    ])
 
 
 # -- tape-expressed log-likelihoods ----------------------------------------

@@ -6,7 +6,10 @@ F = (1/L) sum_l loglik(theta_l) - KL together with its exact gradient in
 closed form: the batch log-likelihood partials are pulled back through the
 transform (the reparameterization estimator) and the analytic KL gradient
 is subtracted.  Maximization runs as Adam descent on the negated objective.
-Everything downstream of the seed is deterministic.
+Everything downstream of the seed is deterministic.  The batches are cut
+once per fit, and again every epoch only when shuffling.  The final
+free-energy re-estimate evaluates its samples through
+`distributions.loglik_at`, which owns the chunking (`CHUNK_TERMS`).
 
 `estimate_free_energy` builds the same objective on an autodiff tape; it is
 the reference the closed-form gradient is tested against and is not used by
@@ -31,11 +34,6 @@ from .rng import Rng
 if TYPE_CHECKING:
     from .autodiff import NodeId, Tape
     from .posterior import PosteriorNodes
-
-# Terms (data point x sample) per chunk of the final free-energy re-estimate;
-# bounds its working memory whatever the data size.
-FINAL_FE_CHUNK_TERMS = 16_384
-
 
 class DivergenceError(RuntimeError):
     """The objective or its gradient became non-finite during a fit."""
@@ -296,9 +294,10 @@ def fit(
     # an overflow or invalid operation anywhere in a step or in the final
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
+        batches = make_batches(data, batch_size)
         for epoch in range(config.epochs):
-            values = rng.shuffle(data.values) if config.shuffle else data.values
-            batches = make_batches(Dataset(values), batch_size)
+            if config.shuffle:
+                batches = make_batches(Dataset(rng.shuffle(data.values)), batch_size)
             for step, batch in enumerate(batches):
                 epsilons = rng.standard_normals(n_draws).reshape(config.mc_samples, p)
                 try:
@@ -343,20 +342,10 @@ def _final_free_energy(
     n_samples: int,
     rng: Rng,
 ) -> tuple[float, float]:
-    """Multi-sample estimate of F on the full data: (mean, standard error).
-
-    The samples are evaluated in chunks of at most FINAL_FE_CHUNK_TERMS
-    likelihood terms (at least one sample per chunk).
-    """
+    """Multi-sample estimate of F on the full data: (mean, standard error)."""
     kl = posterior.kl_value(params, prior)
     epsilons = rng.standard_normals(n_samples * params.dim).reshape(n_samples, params.dim)
     thetas = params.m + epsilons @ posterior.cholesky_factor(params).T
-    n = len(data)
-    rows = max(1, FINAL_FE_CHUNK_TERMS // n)
-    loglik = np.concatenate([
-        distributions.loglik_and_grad(model, data.values, thetas[i : i + rows], n)[0]
-        for i in range(0, n_samples, rows)
-    ])
-    values = loglik - kl
+    values = distributions.loglik_at(model, data.values, thetas) - kl
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples))
     return float(np.mean(values)), se

@@ -5,26 +5,34 @@ stabilized by subtracting its maximum, exponentiated and normalized to unit
 mass (rectangle rule).  Moments, MAP location and the correlation
 coefficient of the discrete density serve as the reference against which
 stochastic fits are judged.
+
+The likelihood comes from `distributions.loglik_at`, the chunked evaluator
+the fit's final free energy uses, at the flattened (n_mu * n_logvar, 2)
+node matrix, so its working memory is O(grid) plus one chunk of at most
+max(N, `distributions.CHUNK_TERMS`) terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Dataset, ModelKind, log_pdf
+from .distributions import Dataset, ModelKind, loglik_at
 from .engine import FitResult
 from .posterior import PriorSpec
 
 
 class GridUnderflowError(RuntimeError):
-    """Every grid cell carried zero mass; widen or densify the grid."""
+    """The grid carries no mass, or all of it on one node along an axis;
+    widen or densify the grid."""
 
 
 DEFAULT_MU_RANGE = (-1.0, 3.0)
 DEFAULT_LOGVAR_RANGE = (float(np.log(0.5)), float(np.log(16.0)))
 DEFAULT_RESOLUTION = 201
+_WIDEN_HINT = "widen the ranges or increase the resolution"
 
 
 @dataclass(frozen=True)
@@ -90,11 +98,15 @@ def normalize_log_density(log_density: np.ndarray) -> np.ndarray:
     peak = np.max(log_density)
     if not np.isfinite(peak):
         raise GridUnderflowError(
-            "the log posterior has no finite peak on the grid; "
-            "widen the ranges or increase the resolution"
+            f"the log posterior has no finite peak on the grid; {_WIDEN_HINT}"
         )
     mass = np.exp(log_density - peak)
     return mass / mass.sum()
+
+
+def grid_nodes(mu_axis: np.ndarray, logvar_axis: np.ndarray) -> np.ndarray:
+    """(mu, log variance) at every grid node, shape (n_mu, n_logvar, 2)."""
+    return np.stack(np.meshgrid(mu_axis, logvar_axis, indexing="ij"), axis=-1)
 
 
 def grid_posterior(
@@ -106,22 +118,20 @@ def grid_posterior(
     """Evaluate and normalize the posterior over the grid.
 
     With `include_prior` false (or no prior given) the result is the
-    normalized likelihood alone.
+    normalized likelihood alone.  Raises GridUnderflowError when the grid
+    has no finite peak or either marginal variance is exactly zero, and
+    DomainError for data outside the model's support.
     """
     n_mu, n_logvar = spec.axis_counts
     mu_axis = np.linspace(*spec.mu_range, n_mu)
     logvar_axis = np.linspace(*spec.logvar_range, n_logvar)
+    nodes = grid_nodes(mu_axis, logvar_axis).reshape(-1, 2)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        mu = mu_axis[:, None, None]
-        beta = np.exp(-logvar_axis)[None, :, None]
-        log_post = log_pdf(model, data.values[None, None, :], mu, beta).sum(axis=2)
-
+        log_post = loglik_at(model, data.values, nodes)
         if spec.include_prior and prior is not None:
-            pts = np.stack(np.meshgrid(mu_axis, logvar_axis, indexing="ij"), axis=-1)
-            log_post = log_post + prior.log_pdf(pts)
-
-        mass = normalize_log_density(log_post)
+            log_post = log_post + prior.log_pdf(nodes)
+        mass = normalize_log_density(log_post.reshape(n_mu, n_logvar))
 
     mu_marginal = mass.sum(axis=1)
     lv_marginal = mass.sum(axis=0)
@@ -129,10 +139,14 @@ def grid_posterior(
     mean_lv = float(lv_marginal @ logvar_axis)
     var_mu = float(mu_marginal @ (mu_axis - mean_mu) ** 2)
     var_lv = float(lv_marginal @ (logvar_axis - mean_lv) ** 2)
+    if var_mu == 0.0 or var_lv == 0.0:
+        raise GridUnderflowError(
+            f"all posterior mass sits on one node along an axis; {_WIDEN_HINT}"
+        )
     cov = float(
         ((mu_axis - mean_mu)[:, None] * (logvar_axis - mean_lv)[None, :] * mass).sum()
     )
-    rho = cov / np.sqrt(var_mu * var_lv) if var_mu > 0.0 and var_lv > 0.0 else 0.0
+    rho = cov / (math.sqrt(var_mu) * math.sqrt(var_lv))
 
     i_map, j_map = np.unravel_index(np.argmax(mass), mass.shape)
     return GridResult(

@@ -109,10 +109,8 @@ class PriorSpec:
         return float(np.linalg.slogdet(self.C0)[1])
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
-        """MVN log density at `points`, shape (..., P)."""
-        diff = np.asarray(points, dtype=float) - self.m0
-        quad = np.einsum("...i,ij,...j->...", diff, self.C0_inv, diff)
-        return -0.5 * (quad + self.log_det_C0 + self.dim * math.log(2.0 * math.pi))
+        """Prior log density at `points`, shape (..., P)."""
+        return mvn_log_pdf(points, self.m0, self.C0)
 
     @classmethod
     def diagonal(cls, means: Sequence[float], variances: Sequence[float]) -> "PriorSpec":
@@ -120,6 +118,14 @@ class PriorSpec:
 
 
 # -- plain-number side -------------------------------------------------------
+
+
+def mvn_log_pdf(points, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """MVN(mean, cov) log density at `points`, shape (..., P)."""
+    diff = np.asarray(points, dtype=float) - mean
+    quad = np.einsum("...i,ij,...j->...", diff, np.linalg.inv(cov), diff)
+    log_det = float(np.linalg.slogdet(cov)[1])
+    return -0.5 * (quad + log_det + len(mean) * math.log(2.0 * math.pi))
 
 
 def factor(v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
@@ -139,22 +145,6 @@ def factor(v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
 def cholesky_factor(params: PosteriorParams) -> np.ndarray:
     """Lower-triangular S of the posterior covariance C = S S^T."""
     return factor(params.v, params.u if params.correlation_enabled else None)
-
-
-def sample_theta(params: PosteriorParams, epsilon: np.ndarray) -> np.ndarray:
-    """Plain-number m + S eps; matches the tape transform bit for bit."""
-    epsilon = np.asarray(epsilon, dtype=float)
-    if epsilon.shape != (params.dim,):
-        raise ValueError(f"epsilon must have shape ({params.dim},)")
-    s = cholesky_factor(params)
-    # accumulate row sums left to right, mirroring the tape's sum order
-    out = np.empty(params.dim)
-    for i in range(params.dim):
-        acc = 0.0
-        for j in range(i + 1):
-            acc += s[i, j] * epsilon[j]
-        out[i] = params.m[i] + acc
-    return out
 
 
 def covariance(params: PosteriorParams) -> np.ndarray:

@@ -162,6 +162,28 @@ class TestGrid:
         ])
         assert code == cli.EXIT_GRID_UNDERFLOW
 
+    def test_one_node_mass_exit_code(self, tmp_path):
+        """10,000 points on 5 nodes per axis put all mass on one mu node;
+        the grid exits 6 instead of writing a zero variance."""
+        assert run([
+            "generate", "--n", "10000", "--seed", "0", "--out", str(tmp_path / "big"),
+        ]) == 0
+        code = run([
+            "grid", "--data", str(tmp_path / "big.csv"), "--resolution", "5",
+            "--out", str(tmp_path / "g"),
+        ])
+        assert code == cli.EXIT_GRID_UNDERFLOW
+        assert not (tmp_path / "g.summary.json").exists()
+
+    def test_folded_domain_violation_exit(self, tmp_path):
+        data = tmp_path / "zero.csv"
+        data.write_text("y\n1.5\n0.0\n2.0\n")
+        code = run([
+            "grid", "--data", str(data), "--model", "folded-normal",
+            "--resolution", "11", "--out", str(tmp_path / "g"),
+        ])
+        assert code == cli.EXIT_DOMAIN
+
 
 class TestCompare:
     def test_grid_against_itself_reports_zeros(self, dataset, tmp_path, capsys):

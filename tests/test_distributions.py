@@ -7,6 +7,7 @@ import pytest
 
 from svbayes.autodiff import DomainError, Tape, finite_diff_check
 from svbayes.distributions import (
+    CHUNK_TERMS,
     Dataset,
     ModelKind,
     NaturalParams,
@@ -17,6 +18,7 @@ from svbayes.distributions import (
     gaussian_loglik,
     log_pdf,
     loglik_and_grad,
+    loglik_at,
     pdf,
     sample_data,
 )
@@ -206,6 +208,19 @@ class TestLoglikAndGrad:
         direct = [log_pdf(kind, data, mu, math.exp(-t2)).sum() for mu, t2 in thetas]
         np.testing.assert_allclose(values, direct, rtol=1e-12)
         assert grad.shape == (6, 2)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize(
+        "n, rows", [(100, 400), (CHUNK_TERMS + 3, 3)], ids=["remainder-chunk", "row-per-chunk"]
+    )
+    def test_loglik_at_matches_sum_of_log_pdf(self, kind, n, rows):
+        """The chunked full-data evaluator equals the density's log sum at
+        every row, whether the rows split into uneven chunks or one each."""
+        rng = np.random.default_rng(14)
+        data = np.abs(rng.normal(1.0, 2.0, size=n))
+        thetas = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(rows, 2))
+        direct = [log_pdf(kind, data, mu, math.exp(-t2)).sum() for mu, t2 in thetas]
+        np.testing.assert_allclose(loglik_at(kind, data, thetas), direct, rtol=1e-12)
 
     def test_validation(self):
         theta = np.zeros((1, 2))

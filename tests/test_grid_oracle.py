@@ -1,16 +1,26 @@
 """Grid posterior evaluation, its summary moments, and the comparison report."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from svbayes.distributions import Dataset, ModelKind, NaturalParams, sample_data
+from svbayes.distributions import (
+    CHUNK_TERMS,
+    Dataset,
+    ModelKind,
+    NaturalParams,
+    log_pdf,
+    sample_data,
+)
 from svbayes.grid_oracle import (
     GridSpec,
     GridUnderflowError,
     compare,
     compare_moments,
+    grid_nodes,
     grid_posterior,
     normalize_log_density,
 )
@@ -55,6 +65,72 @@ class TestNormalization:
         spec = GridSpec(logvar_range=(-800.0, -700.0), resolution=11)
         with pytest.raises(GridUnderflowError, match="widen"):
             grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, spec)
+
+
+    def test_all_mass_on_one_node_raises_with_hint(self):
+        """10,000 points narrow the posterior in mu far below the cell width
+        of a 5-node axis; a zero marginal variance is refused, not reported."""
+        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
+        with pytest.raises(GridUnderflowError, match="widen the ranges or increase the resolution"):
+            grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=5))
+
+
+class TestChunkedEvaluation:
+    """The grid sums the likelihood through the chunked evaluator the final
+    free energy uses; it must reproduce the direct elementwise density sum
+    over an (n_mu, n_logvar, N) array without ever forming that array."""
+
+    @staticmethod
+    def direct_mass(model, data, prior, spec):
+        n_mu, n_logvar = spec.axis_counts
+        mu_axis = np.linspace(*spec.mu_range, n_mu)
+        logvar_axis = np.linspace(*spec.logvar_range, n_logvar)
+        beta = np.exp(-logvar_axis)[None, :, None]
+        y = data.values[None, None, :]
+        log_post = log_pdf(model, y, mu_axis[:, None, None], beta).sum(axis=2)
+        if prior is not None:
+            log_post = log_post + prior.log_pdf(grid_nodes(mu_axis, logvar_axis))
+        return normalize_log_density(log_post)
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("prior", [PRIOR, None], ids=["prior", "no-prior"])
+    @pytest.mark.parametrize(
+        "n, spec",
+        [
+            # 163 rows per chunk: 2,601 nodes leave a remainder chunk
+            (100, GridSpec(mu_range=(0.0, 3.0), resolution=51)),
+            # more points than CHUNK_TERMS: one row per chunk
+            (
+                CHUNK_TERMS + 5,
+                GridSpec(
+                    mu_range=(0.8, 1.2),
+                    logvar_range=(math.log(4.0) - 0.1, math.log(4.0) + 0.1),
+                    resolution=(5, 4),
+                ),
+            ),
+        ],
+        ids=["remainder-chunk", "row-per-chunk"],
+    )
+    def test_mass_matches_direct_density_sum(self, model, prior, n, spec):
+        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), n, seed=17)
+        spec = dataclasses.replace(spec, include_prior=prior is not None)
+        grid = grid_posterior(model, data, prior, spec)
+        np.testing.assert_allclose(
+            grid.mass, self.direct_mass(model, data, prior, spec), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_peak_memory_bounded(self, model):
+        """51 x 51 nodes at N = 2,000: the term array alone would take 41 MB."""
+        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 2_000, seed=18)
+        spec = GridSpec(mu_range=(0.0, 3.0), resolution=51)
+        tracemalloc.start()
+        try:
+            grid_posterior(model, data, PRIOR, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
 
 
 class TestMoments:
