@@ -36,7 +36,7 @@ from .grid_oracle import (
     compare,
     grid_posterior,
 )
-from .optimizer import AdamState, adam_step
+from .optimizer import Adam
 from .posterior import (
     PosteriorParams,
     PosteriorSummary,
@@ -49,7 +49,7 @@ from .rng import Rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
+    "Adam",
     "ComparisonReport",
     "Dataset",
     "DivergenceError",
@@ -70,7 +70,6 @@ __all__ = [
     "ThetaVector",
     "TraceRecord",
     "TrainConfig",
-    "adam_step",
     "compare",
     "estimate_free_energy",
     "extract_posterior",

@@ -69,8 +69,13 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
+def _artifact(base: Path, suffix: str) -> Path:
+    """`base` with `suffix` appended to its whole name, dots included."""
+    return base.with_name(base.name + suffix)
+
+
 def _write_manifest(base: Path, manifest: RunManifest) -> Path:
-    path = base.with_name(base.name + ".manifest.json")
+    path = _artifact(base, ".manifest.json")
     _write_json(path, manifest.to_json_dict())
     return path
 
@@ -157,7 +162,7 @@ def cmd_generate(args) -> int:
     model = _model_kind(args.model)
     params = NaturalParams.from_mean_variance(args.mu, args.variance)
     data = sample_data(model, params, args.n, args.seed)
-    out = Path(args.out).with_suffix(".csv")
+    out = _artifact(Path(args.out), ".csv")
     write_data_csv(out, data)
     manifest = RunManifest(
         subcommand="generate",
@@ -205,8 +210,8 @@ def run_fit(args) -> FitResult:
 def cmd_fit(args) -> int:
     result = run_fit(args)
     base = Path(args.out)
-    out_json = base.with_suffix(".json")
-    out_trace = base.with_name(base.stem + ".trace.csv")
+    out_json = _artifact(base, ".json")
+    out_trace = _artifact(base, ".trace.csv")
     _write_json(out_json, result.to_json_dict())
     write_trace_csv(result.trace, out_trace)
     manifest = RunManifest(
@@ -227,8 +232,8 @@ def cmd_grid(args) -> int:
     spec = _grid_spec_from_args(args, model)
     grid = grid_oracle.grid_posterior(model, data, prior, spec)
     base = Path(args.out)
-    out_csv = base.with_suffix(".csv")
-    out_json = base.with_name(base.stem + ".summary.json")
+    out_csv = _artifact(base, ".csv")
+    out_json = _artifact(base, ".summary.json")
     _write_rows(out_csv, "mu,logvar,mass", grid.mass_rows())
     _write_json(out_json, grid.summary_dict())
     manifest = RunManifest(
@@ -273,7 +278,7 @@ def cmd_compare(args) -> int:
     print(report.table())
     if args.out is not None:
         base = Path(args.out)
-        out_json = base.with_suffix(".json")
+        out_json = _artifact(base, ".json")
         _write_json(out_json, report.to_json_dict())
         manifest = RunManifest(
             subcommand="compare",

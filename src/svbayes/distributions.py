@@ -7,14 +7,14 @@ and rescale only the per-point data terms by N/M.
 
 Three surfaces share that parameterization.  Elementwise numpy
 (log-)densities serve the figure's true-density panel and the tests.
-:func:`loglik_and_grad` evaluates the rescaled batch log-likelihood at a
-whole matrix of theta points together with its closed-form partials; the
-fit loop runs on it.  :func:`loglik_at` sums the full-data log-likelihood at
-many theta points through the same function, in chunks of at most
-CHUNK_TERMS terms; the final free-energy re-estimate and the grid oracle
-run on it.  The tape-expressed builders (:func:`loglik_node`) compute the
-same quantity as autodiff nodes and are kept as the reference the tests
-check it against.
+:func:`loglik_terms` evaluates the rescaled batch log-likelihood at many
+theta points, with its closed-form partials or value only; the fit loop
+runs on it directly, after checking the data once.
+:func:`loglik_at` sums the full-data log-likelihood at many theta points
+through the value-only path, in chunks of at most CHUNK_TERMS terms; the
+final free-energy re-estimate and the grid oracle run on it.  The
+tape-expressed builders (:func:`loglik_node`) compute the same quantity as
+autodiff nodes and are kept as the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .rng import Rng
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
-# Likelihood terms (data point x theta row) per loglik_and_grad call in
+# Likelihood terms (data point x theta row) per loglik_terms call in
 # loglik_at; bounds its working memory whatever the data size.
 CHUNK_TERMS = 16_384
 
@@ -177,68 +177,78 @@ def _check_batch(data, n_total: int, batch_size: int | None) -> int:
     return batch_size
 
 
-def loglik_and_grad(
-    kind: ModelKind, y, theta, n_total: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled batch log-likelihood at L theta points, with its partials.
+def _checked_data(kind: ModelKind, y, n_total: int) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    _check_batch(y, n_total, None)
+    if kind is ModelKind.FOLDED_NORMAL and not np.all(y > 0.0):
+        raise DomainError("folded normal support is y > 0")
+    return y
 
-    `y` holds the M batch points and `theta` is an (L, 2) matrix of
-    (mu, log variance) rows.  Returns the values, shape (L,), and their
-    partials with respect to (mu, theta2), shape (L, 2), of
+
+def loglik_terms(
+    kind: ModelKind, y: np.ndarray, mu: np.ndarray, theta2: np.ndarray, n_total: int,
+    partials: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Rescaled batch log-likelihood at L theta points, optionally with partials.
+
+    `y` holds the M batch points and `mu`, `theta2` the L (mu, log variance)
+    coordinates.  Returns the values of
 
         N/2 log(beta/2pi) + (N/M) sum_m t(y_m; mu, beta),    N = n_total,
 
-    so the normalizer enters once, at full count, whatever M is.  The
-    Gaussian term is t = -beta (y - mu)^2 / 2.  The Folded Normal term is
-    t = -beta (y^2 + mu^2) / 2 + log(2 cosh z) with z = beta mu y, written
-    as |z| + log1p(e^{-2|z|}) so it cannot overflow; its derivative in z is
-    tanh(z).  Overflow and invalid operations follow the caller's numpy
-    error state.
+    shape (L,), and, when `partials` is true, their partials with respect to
+    mu and theta2 (else None), so the normalizer enters once, at full count,
+    whatever M is.  The Gaussian term is t = -beta (y - mu)^2 / 2.  The
+    Folded Normal term is t = -beta (y^2 + mu^2) / 2 + log(2 cosh z) with
+    z = beta mu y, written as |z| + log1p(e^{-2|z|}) so it cannot overflow;
+    its derivative in z is tanh(z).  The value terms are the same with or
+    without partials.
+
+    The data are not checked here: :func:`loglik_at` checks them per call,
+    `engine.fit` once per fit.
+    Overflow and invalid operations follow the caller's numpy error state.
     """
-    y = np.asarray(y, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 2 or theta.shape[1] != 2:
-        raise ValueError(f"theta must have shape (L, 2), got {theta.shape}")
-    m = _check_batch(y, n_total, None)
-    mu, theta2 = theta[:, 0], theta[:, 1]
+    m = len(y)
     beta = np.exp(-theta2)
+    d_mu = d_theta2 = None
     # partials of the data sum; beta = exp(-theta2) gives d/dtheta2 = -beta d/dbeta
     if kind is ModelKind.GAUSSIAN:
         r = y - mu[:, None]
         data = -0.5 * beta * np.einsum("lm,lm->l", r, r)
-        d_mu = beta * r.sum(axis=1)
-        d_theta2 = -data  # linear in beta
+        if partials:
+            d_mu = beta * r.sum(axis=1)
+            d_theta2 = -data  # linear in beta
     elif kind is ModelKind.FOLDED_NORMAL:
-        if not np.all(y > 0.0):
-            raise DomainError("folded normal support is y > 0")
         z = (beta * mu)[:, None] * y
         az = np.abs(z)
-        tanh_y = np.tanh(z) @ y
         sumsq = y @ y + m * mu * mu
         data = (az + np.log1p(np.exp(-2.0 * az))).sum(axis=1) - 0.5 * beta * sumsq
-        d_mu = beta * (tanh_y - m * mu)
-        d_theta2 = beta * (0.5 * sumsq - mu * tanh_y)
+        if partials:
+            tanh_y = np.tanh(z) @ y
+            d_mu = beta * (tanh_y - m * mu)
+            d_theta2 = beta * (0.5 * sumsq - mu * tanh_y)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     scale = n_total / m
     value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data
-    grad = np.empty_like(theta)
-    grad[:, 0] = scale * d_mu
-    grad[:, 1] = -0.5 * n_total + scale * d_theta2
-    return value, grad
+    if partials:
+        d_mu = scale * d_mu
+        d_theta2 = -0.5 * n_total + scale * d_theta2
+    return value, d_mu, d_theta2
 
 
 def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
     """Full-data log-likelihood at every (mu, log variance) row of `thetas`.
 
-    Runs :func:`loglik_and_grad` on chunks of at most CHUNK_TERMS terms (at
-    least one row per chunk), so the working memory is the (L,) result plus
-    one chunk, never an (L, N) array.
+    Checks the data once, then runs the value-only :func:`loglik_terms` on
+    chunks of at most CHUNK_TERMS terms (at least one row per chunk), so the
+    working memory is the (L,) result plus one chunk, never an (L, N) array.
     """
     n = len(y)
+    y = _checked_data(kind, y, n)
     rows = max(1, CHUNK_TERMS // n)
     return np.concatenate([
-        loglik_and_grad(kind, y, thetas[i : i + rows], n)[0]
+        loglik_terms(kind, y, thetas[i : i + rows, 0], thetas[i : i + rows, 1], n, False)[0]
         for i in range(0, len(thetas), rows)
     ])
 

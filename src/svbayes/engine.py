@@ -1,15 +1,22 @@
 """Free-energy objective assembly and the stochastic training loop.
 
-Each optimizer step draws L noise vectors, maps them through the Cholesky
-transform theta = m + S eps, and evaluates the stochastic free energy
+Each optimizer step maps L noise vectors through the Cholesky transform
+theta = m + S eps and evaluates the stochastic free energy
 F = (1/L) sum_l loglik(theta_l) - KL together with its exact gradient in
 closed form: the batch log-likelihood partials are pulled back through the
 transform (the reparameterization estimator) and the analytic KL gradient
 is subtracted.  Maximization runs as Adam descent on the negated objective.
-Everything downstream of the seed is deterministic.  The batches are cut
-once per fit, and again every epoch only when shuffling.  The final
-free-energy re-estimate evaluates its samples through
-`distributions.loglik_at`, which owns the chunking (`CHUNK_TERMS`).
+
+The posterior has two parameters, so the step (:func:`free_energy_and_grad`)
+is fused: what is indexed by the L samples (the samples, the likelihood
+over the (L, M) batch, the pull-back of its partials) is numpy; S, the KL,
+the chain-rule assembly and the Adam update are plain Python floats on
+(m0, m1, v0, v1[, u]).  The data are checked once per fit, the batches are
+cut once (and again every epoch only when shuffling), and each epoch draws
+its noise after the shuffle in one call (in blocks of NOISE_BLOCK_DRAWS
+when it needs more), which keeps the stream order of per-step draws.  Everything downstream of the seed is
+deterministic.  The final free-energy re-estimate evaluates its samples
+through `distributions.loglik_at`, which owns the chunking (`CHUNK_TERMS`).
 
 `estimate_free_energy` builds the same objective on an autodiff tape; it is
 the reference the closed-form gradient is tested against and is not used by
@@ -27,13 +34,18 @@ import numpy as np
 from . import distributions, posterior
 from .autodiff import DomainError
 from .distributions import Dataset, ModelKind
-from .optimizer import AdamState, adam_step
+from .optimizer import Adam
 from .posterior import PosteriorParams, PriorSpec
 from .rng import Rng
 
 if TYPE_CHECKING:
     from .autodiff import NodeId, Tape
     from .posterior import PosteriorNodes
+
+# Normal draws per `Rng.standard_normals` call in `fit`: a whole epoch's
+# noise at the usual sizes, a bounded buffer at any batch count and L.
+NOISE_BLOCK_DRAWS = 16_384
+
 
 class DivergenceError(RuntimeError):
     """The objective or its gradient became non-finite during a fit."""
@@ -187,44 +199,55 @@ class Objective(NamedTuple):
     free_energy: float
     mc_loglik: float
     kl: float
-    grad: np.ndarray
+    grad: list[float]
 
 
 def free_energy_and_grad(
     model: ModelKind,
-    data_batch,
+    data_batch: np.ndarray,
     n_total: int,
-    zeta: np.ndarray,
+    zeta: Sequence[float],
     epsilons: np.ndarray,
     prior: PriorSpec,
     correlation_enabled: bool,
 ) -> Objective:
-    """Stochastic free energy and its exact gradient, in closed form.
+    """Stochastic free energy and its exact gradient: the fused fit step.
 
-    `zeta` packs (m, v[, u]) in the order the fit loop optimizes them and
-    `epsilons` is the (L, P) noise matrix, so the samples are
-    theta = m + eps S^T.  The batch log-likelihood partials g (L, P) reach
-    m as their mean over samples and the entries of S as (1/L) g^T eps;
-    through S_ii = exp(v_i) the v_i partial picks up eps_i exp(v_i).  The
-    KL gradient comes from `posterior.kl_and_grad`.  Raises OverflowError
-    or, under a raising numpy error state, FloatingPointError.
+    `zeta` packs (m0, m1, v0, v1[, u]) in the order the fit loop optimizes
+    them and `epsilons` is the (L, 2) noise matrix, so the samples are
+    theta = m + eps S^T.  Everything indexed by the L samples stays numpy:
+    the samples, one `distributions.loglik_terms` call over the (L, M)
+    batch for the values and their partials g (2, L), and the pull-backs:
+    g reaches m as its mean over samples and the entries of S as
+    D = (1/L) g eps.  The per-parameter rest is plain-float algebra on the
+    five parameters: through S_ii = exp(v_i) the v_i partial is
+    D_ii exp(v_i), the u partial is D_10, and the KL and its gradient come
+    from `posterior.kl_and_grad`.
+
+    The batch is not checked (`fit` checks the whole dataset once).  Raises
+    OverflowError or, under a raising numpy error state, FloatingPointError;
+    a plain-float overflow shows as a non-finite value or gradient.
     """
-    p = prior.dim
-    m, v = zeta[:p], zeta[p : 2 * p]
-    s = posterior.factor(v, zeta[2 * p :] if correlation_enabled else None)
-    theta = m + epsilons @ s.T
-    ll, g = distributions.loglik_and_grad(model, data_batch, theta, n_total)
-    kl, dkl_dm, dkl_dv, dkl_ds = posterior.kl_and_grad(m, v, s, prior)
-    n_samples = len(ll)
-    dmc_ds = g.T @ epsilons / n_samples
-    parts = [
-        g.sum(axis=0) / n_samples - dkl_dm,
-        dmc_ds.diagonal() * s.diagonal() - dkl_dv,
-    ]
+    m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
+    u = zeta[4] if correlation_enabled else 0.0
+    s00, s10, s11 = posterior.factor(v0, v1, u)
+    eps = np.asarray(epsilons, dtype=float)
+    n_samples = len(eps)
+    theta = np.array((m0, m1)) + eps @ np.array(((s00, s10), (0.0, s11)))
+    ll, d_mu, d_theta2 = distributions.loglik_terms(
+        model, data_batch, theta[:, 0], theta[:, 1], n_total
+    )
+    g = np.stack((d_mu, d_theta2))
+    g0, g1 = (g.sum(axis=1) / n_samples).tolist()
+    (d00, _), (d10, d11) = (g @ eps / n_samples).tolist()
+    kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
+        m0, m1, v0, v1, u, prior
+    )
+    grad = [g0 - dkl_dm0, g1 - dkl_dm1, d00 * s00 - dkl_dv0, d11 * s11 - dkl_dv1]
     if correlation_enabled:
-        parts.append(posterior.lower_entries(dmc_ds - dkl_ds))
+        grad.append(d10 - dkl_du)
     mc = float(ll.sum() / n_samples)
-    return Objective(mc - kl, mc, kl, np.concatenate(parts))
+    return Objective(mc - kl, mc, kl, grad)
 
 
 def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
@@ -236,17 +259,21 @@ def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
     n = len(data)
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    return [data.values[i : i + batch_size] for i in range(0, n, batch_size)]
+    return _cut(data.values, batch_size)
 
 
-def _pack(params: PosteriorParams) -> np.ndarray:
+def _cut(values: np.ndarray, batch_size: int) -> list[np.ndarray]:
+    return [values[i : i + batch_size] for i in range(0, len(values), batch_size)]
+
+
+def _pack(params: PosteriorParams) -> list[float]:
     parts = [params.m, params.v]
     if params.correlation_enabled:
         parts.append(params.u)
-    return np.concatenate(parts)
+    return np.concatenate(parts).tolist()
 
 
-def _unpack(zeta: np.ndarray, template: PosteriorParams) -> PosteriorParams:
+def _unpack(zeta: list[float], template: PosteriorParams) -> PosteriorParams:
     p = template.dim
     u = zeta[2 * p :] if template.correlation_enabled else template.u
     return PosteriorParams(
@@ -264,9 +291,12 @@ def fit(
 
     Full-data mode takes one step per epoch on all points; mini-batch mode
     takes one step per batch, passing through the data once per epoch.  The
-    returned final free energy re-estimates the objective on the full data
-    with `final_fe_samples` fresh draws, since single-sample step values are
-    noisy.
+    data are checked once, here; each epoch then draws its noise after the
+    shuffle in as few `standard_normals` calls as NOISE_BLOCK_DRAWS allows
+    (one, unless the epoch needs more draws), so the stream order matches
+    per-step draws.  The returned final free energy re-estimates the
+    objective on the full data with `final_fe_samples` fresh draws, since
+    single-sample step values are noisy.
     """
     if model is ModelKind.FOLDED_NORMAL and np.any(data.values <= 0.0):
         raise DomainError("folded normal data must be strictly positive")
@@ -283,12 +313,16 @@ def fit(
         raise ValueError("init dimension does not match the prior")
 
     rng = Rng(config.seed)
-    state = AdamState(learning_rate=config.learning_rate)
     zeta = _pack(params)
+    optimizer = Adam(len(zeta), learning_rate=config.learning_rate)
     n_total = len(data)
     batch_size = n_total if config.batch_size is None else config.batch_size
-    n_draws = config.mc_samples * p
+    n_samples = config.mc_samples
+    correlation = config.correlation_enabled
 
+    # the steps whose noise one `standard_normals` call draws; a block never
+    # spans a shuffle, so the stream order is that of per-step draws
+    block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * p))
     trace: list[TraceRecord] = []
     global_step = 0
     # an overflow or invalid operation anywhere in a step or in the final
@@ -297,22 +331,27 @@ def fit(
         batches = make_batches(data, batch_size)
         for epoch in range(config.epochs):
             if config.shuffle:
-                batches = make_batches(Dataset(rng.shuffle(data.values)), batch_size)
+                batches = _cut(rng.shuffle(data.values), batch_size)
             for step, batch in enumerate(batches):
-                epsilons = rng.standard_normals(n_draws).reshape(config.mc_samples, p)
+                if step % block_steps == 0:
+                    k = min(block_steps, len(batches) - step)
+                    noise = rng.standard_normals(k * n_samples * p).reshape(k, n_samples, p)
                 try:
                     obj = free_energy_and_grad(
-                        model, batch, n_total, zeta, epsilons, prior,
-                        config.correlation_enabled,
+                        model, batch, n_total, zeta, noise[step % block_steps], prior,
+                        correlation,
                     )
                     # plain-float F = mc - KL can overflow without a numpy fault
-                    if not (math.isfinite(obj.free_energy) and np.all(np.isfinite(obj.grad))):
-                        raise DivergenceError("non-finite objective or gradient", global_step, zeta)
-                    state, updated = adam_step(state, zeta, -obj.grad)
+                    if not (math.isfinite(obj.free_energy) and all(map(math.isfinite, obj.grad))):
+                        raise DivergenceError(
+                            "non-finite objective or gradient", global_step, np.array(zeta)
+                        )
+                    # raises OverflowError on a non-finite moment or update
+                    updated = optimizer.step(zeta, [-g for g in obj.grad])
                 except (FloatingPointError, OverflowError) as err:
-                    raise DivergenceError(f"objective failed: {err}", global_step, zeta) from err
-                if not np.all(np.isfinite(updated)):
-                    raise DivergenceError("non-finite parameter update", global_step, zeta)
+                    raise DivergenceError(
+                        f"step failed: {err}", global_step, np.array(zeta)
+                    ) from err
                 trace.append(TraceRecord(epoch, step, obj.free_energy, obj.kl, obj.mc_loglik))
                 zeta = updated
                 global_step += 1
@@ -323,7 +362,9 @@ def fit(
                 model, data, params, prior, config.final_fe_samples, rng
             )
         except (FloatingPointError, OverflowError) as err:
-            raise DivergenceError(f"final free energy failed: {err}", global_step, zeta) from err
+            raise DivergenceError(
+                f"final free energy failed: {err}", global_step, np.array(zeta)
+            ) from err
     return FitResult(
         posterior=posterior.extract_posterior(params),
         params=params,

@@ -4,10 +4,13 @@ The posterior q(theta) = MVN(m, C) is optimized through the factor C = S S^T
 with S lower triangular: diagonal entries exp(v_i) (always positive), strict
 lower entries u_ij.  Samples are the deterministic transform
 theta = m + S eps of standard-normal noise, so gradients reach (m, v, u)
-while the noise stays outside the differentiated path.  The KL divergence to
-an MVN prior and its gradient are available in closed form
-(:func:`kl_and_grad`).  The tape side (`lift`, `reparam_sample`,
-`kl_to_prior`) builds the same quantities as autodiff nodes; it is the
+while the noise stays outside the differentiated path.  The fitted models
+have two parameters, and the plain-number side is written for that case:
+:func:`factor` gives the three entries of S and :func:`kl_and_grad` the KL
+to an MVN prior with its gradient, both in plain Python floats, which is
+what the fit loop's per-step algebra runs on; :func:`kl_value` reads the
+same formula.  The tape side (`lift`, `reparam_sample`, `kl_to_prior`)
+builds the same quantities as autodiff nodes for any P; it is the
 reference the closed-form gradients are tested against.
 """
 
@@ -108,6 +111,11 @@ class PriorSpec:
     def log_det_C0(self) -> float:
         return float(np.linalg.slogdet(self.C0)[1])
 
+    @cached_property
+    def _kl_constants(self) -> tuple:
+        """C0^-1 rows, m0 and log|C0| - P as plain floats, for `kl_and_grad`."""
+        return (*self.C0_inv.tolist(), self.m0.tolist(), self.log_det_C0 - self.dim)
+
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
         """Prior log density at `points`, shape (..., P)."""
         return mvn_log_pdf(points, self.m0, self.C0)
@@ -128,23 +136,28 @@ def mvn_log_pdf(points, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return -0.5 * (quad + log_det + len(mean) * math.log(2.0 * math.pi))
 
 
-def factor(v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
-    """Lower-triangular S with diagonal exp(v) and strict lower part u.
+def factor(v0: float, v1: float, u: float) -> tuple[float, float, float]:
+    """Entries (S00, S10, S11) of the lower-triangular 2x2 factor S.
 
-    `u` lists the strict lower triangle in row-major order; None leaves it
-    zero.  Raises OverflowError when an exp(v_i) does not fit a float.
+    The diagonal is exp(v) and S10 = u (pass 0.0 without correlation).
+    Raises OverflowError when an exp(v_i) does not fit a float.
     """
     # math.exp so the entries match the tape's scalar arithmetic bit for bit
-    s = np.diag([math.exp(x) for x in v])
-    if u is not None:
-        for k, (i, j) in enumerate(_tril_indices(len(v))):
-            s[i, j] = u[k]
-    return s
+    return math.exp(v0), u, math.exp(v1)
+
+
+def _raw(params: PosteriorParams) -> tuple[float, float, float, float, float]:
+    """(m0, m1, v0, v1, u) of a two-parameter posterior as plain floats."""
+    if params.dim != 2:
+        raise ValueError(f"expected a two-parameter posterior, got dimension {params.dim}")
+    (m0, m1), (v0, v1) = params.m.tolist(), params.v.tolist()
+    return m0, m1, v0, v1, float(params.u[0]) if params.correlation_enabled else 0.0
 
 
 def cholesky_factor(params: PosteriorParams) -> np.ndarray:
     """Lower-triangular S of the posterior covariance C = S S^T."""
-    return factor(params.v, params.u if params.correlation_enabled else None)
+    s00, s10, s11 = factor(*_raw(params)[2:])
+    return np.array([[s00, 0.0], [s10, s11]])
 
 
 def covariance(params: PosteriorParams) -> np.ndarray:
@@ -153,39 +166,33 @@ def covariance(params: PosteriorParams) -> np.ndarray:
 
 
 def kl_and_grad(
-    m: np.ndarray, v: np.ndarray, s: np.ndarray, prior: PriorSpec
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form KL(q || prior) and its gradient at raw (m, v, S = factor(v, u)).
+    m0: float, m1: float, v0: float, v1: float, u: float, prior: PriorSpec
+) -> tuple[float, float, float, float, float, float]:
+    """Closed-form KL(q || prior) and its gradient, in plain floats.
 
     KL = 1/2 [ Trace(C0^-1 C) - log|C| + log|C0| - P + (m - m0)^T C0^-1 (m - m0) ]
-    with C = S S^T and log|C| = 2 sum_i v_i.  Returns the KL and its
-    partials dKL/dm = C0^-1 (m - m0), dKL/dv_i = (C0^-1 S)_ii exp(v_i) - 1,
-    and dKL/dS = C0^-1 S in every entry of S, of which the strict lower
-    triangle (u) is read.
+    with C = S S^T, S = factor(v0, v1, u) and log|C| = 2 (v0 + v1).  With
+    A = C0^-1 S, returns the KL and its partials dKL/dm = C0^-1 (m - m0),
+    dKL/dv_i = A_ii exp(v_i) - 1 and dKL/du = A_10.  Python float arithmetic
+    does not raise on overflow: an overflowing KL comes back as inf or nan.
     """
-    p = m.size
-    if prior.dim != p:
-        raise ValueError(f"prior dimension {prior.dim} != posterior dimension {p}")
-    inv0 = prior.C0_inv
-    diff = m - prior.m0
-    inv0_diff = inv0 @ diff
-    inv0_s = inv0 @ s
-    # Trace(C0^-1 S S^T) is the sum of the elementwise product C0^-1 S * S
+    (i00, i01), (i10, i11), (p0, p1), const = prior._kl_constants
+    s00, s10, s11 = factor(v0, v1, u)
+    d0, d1 = m0 - p0, m1 - p1
+    g0, g1 = i00 * d0 + i01 * d1, i10 * d0 + i11 * d1
+    a00, a10, a11 = i00 * s00 + i01 * s10, i10 * s00 + i11 * s10, i11 * s11
+    # Trace(C0^-1 S S^T) is the sum of the elementwise product A * S
     kl = 0.5 * (
-        (inv0_s * s).sum() - 2.0 * v.sum() + (prior.log_det_C0 - p) + diff @ inv0_diff
+        (a00 * s00 + a10 * s10 + a11 * s11) - 2.0 * (v0 + v1) + const + (d0 * g0 + d1 * g1)
     )
-    d_v = inv0_s.diagonal() * s.diagonal() - 1.0
-    return float(kl), inv0_diff, d_v, inv0_s
-
-
-def lower_entries(a: np.ndarray) -> np.ndarray:
-    """Strict lower triangle of a square matrix, in the row-major order of u."""
-    return np.array([a[i, j] for i, j in _tril_indices(a.shape[0])])
+    return kl, g0, g1, a00 * s00 - 1.0, a11 * s11 - 1.0, a10
 
 
 def kl_value(params: PosteriorParams, prior: PriorSpec) -> float:
     """Closed-form KL(q || prior) as a plain number."""
-    return kl_and_grad(params.m, params.v, cholesky_factor(params), prior)[0]
+    if prior.dim != params.dim:
+        raise ValueError(f"prior dimension {prior.dim} != posterior dimension {params.dim}")
+    return kl_and_grad(*_raw(params), prior)[0]
 
 
 class PosteriorSummary:

@@ -8,6 +8,10 @@ stream on every platform:
 * normals: basic Box-Muller transform; each draw consumes exactly two
   uniforms and keeps only the cosine branch, so the stream position is a
   pure function of the number of draws.
+
+`standard_normals(n)` returns the next n normals as one vector, bit for
+bit what n calls of `standard_normal` would; the fit draws each epoch's
+noise with one such call.
 """
 
 from __future__ import annotations

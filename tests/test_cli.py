@@ -266,3 +266,41 @@ class TestFigure:
         assert len(svb_lines) == len(grid_lines)
         mass = sum(float(line.split(",")[3]) for line in svb_lines[1:])
         assert mass == pytest.approx(1.0, abs=1e-9)
+
+
+class TestDottedOutputBases:
+    """Every artifact is named `<base><suffix>`, so two bases that differ only
+    after a dot write disjoint files, each manifest naming its own."""
+
+    OUTPUTS = {
+        "data": {"data": ".csv"},
+        "run": {"result": ".json", "trace": ".trace.csv"},
+        "grid": {"mass": ".csv", "summary": ".summary.json"},
+        "cmp": {"report": ".json"},
+    }
+
+    def test_two_dotted_bases_in_one_directory(self, tmp_path):
+        for seed in (1, 2):
+            base = {kind: str(tmp_path / f"{kind}.seed{seed}") for kind in self.OUTPUTS}
+            assert run(["generate", "--n", "30", "--seed", str(seed), "--out", base["data"]]) == 0
+            assert run([
+                "fit", "--data", f"{base['data']}.csv", "--epochs", "5", "--seed", str(seed),
+                "--final-fe-samples", "10", "--out", base["run"],
+            ]) == 0
+            assert run([
+                "grid", "--data", f"{base['data']}.csv", "--resolution", "21",
+                "--out", base["grid"],
+            ]) == 0
+            assert run([
+                "compare", f"{base['run']}.json", f"{base['grid']}.summary.json",
+                "--out", base["cmp"],
+            ]) == 0
+        for seed in (1, 2):
+            for kind, suffixes in self.OUTPUTS.items():
+                name = f"{kind}.seed{seed}"
+                manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+                assert manifest["outputs"] == {k: name + s for k, s in suffixes.items()}
+                for artifact in manifest["outputs"].values():
+                    assert (tmp_path / artifact).is_file(), artifact
+            result = json.loads((tmp_path / f"run.seed{seed}.json").read_text())
+            assert result["config"]["seed"] == seed

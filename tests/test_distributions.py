@@ -17,8 +17,9 @@ from svbayes.distributions import (
     gaussian_log_pdf,
     gaussian_loglik,
     log_pdf,
-    loglik_and_grad,
+    _checked_data,
     loglik_at,
+    loglik_terms,
     pdf,
     sample_data,
 )
@@ -197,17 +198,21 @@ class TestFoldedNormal:
             folded_normal_loglik(t, nodes, [0.0], n_total=1)
 
 
-class TestLoglikAndGrad:
+class TestLoglikTerms:
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_rows_match_sum_of_log_pdf(self, kind):
-        """Each theta row's full-data value is the density's log sum there."""
+        """Each theta row's full-data value is the density's log sum there,
+        with or without the partials."""
         rng = np.random.default_rng(13)
         data = np.abs(rng.normal(1.0, 2.0, size=30))
         thetas = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(6, 2))
-        values, grad = loglik_and_grad(kind, data, thetas, n_total=30)
+        values, d_mu, d_theta2 = loglik_terms(kind, data, thetas[:, 0], thetas[:, 1], 30)
         direct = [log_pdf(kind, data, mu, math.exp(-t2)).sum() for mu, t2 in thetas]
         np.testing.assert_allclose(values, direct, rtol=1e-12)
-        assert grad.shape == (6, 2)
+        assert d_mu.shape == d_theta2.shape == (6,)
+        bare = loglik_terms(kind, data, thetas[:, 0], thetas[:, 1], 30, partials=False)
+        np.testing.assert_array_equal(bare[0], values)
+        assert bare[1:] == (None, None)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize(
@@ -223,15 +228,14 @@ class TestLoglikAndGrad:
         np.testing.assert_allclose(loglik_at(kind, data, thetas), direct, rtol=1e-12)
 
     def test_validation(self):
-        theta = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            loglik_and_grad(ModelKind.GAUSSIAN, [1.0], np.zeros(2), n_total=1)
+            _checked_data(ModelKind.GAUSSIAN, [], n_total=5)
         with pytest.raises(ValueError):
-            loglik_and_grad(ModelKind.GAUSSIAN, [], theta, n_total=5)
+            _checked_data(ModelKind.GAUSSIAN, [1.0, 2.0], n_total=1)
         with pytest.raises(ValueError):
-            loglik_and_grad(ModelKind.GAUSSIAN, [1.0, 2.0], theta, n_total=1)
+            loglik_at(ModelKind.GAUSSIAN, [], np.zeros((1, 2)))
         with pytest.raises(DomainError):
-            loglik_and_grad(ModelKind.FOLDED_NORMAL, [1.0, 0.0], theta, n_total=2)
+            loglik_at(ModelKind.FOLDED_NORMAL, [1.0, 0.0], np.zeros((1, 2)))
 
 
 class TestPdf:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from svbayes import engine
 from svbayes.autodiff import Tape, finite_diff_check
 from svbayes.distributions import Dataset, ModelKind, NaturalParams, log_pdf, sample_data
 from svbayes.engine import (
@@ -16,6 +17,7 @@ from svbayes.engine import (
     make_batches,
 )
 from svbayes.posterior import PosteriorNodes, PosteriorParams, PriorSpec, lift
+from svbayes.rng import Rng
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
 TRUE_PARAMS = NaturalParams.from_mean_variance(1.0, 4.0)
@@ -296,6 +298,74 @@ class TestMakeBatches:
             make_batches(data, 6)
 
 
+def reference_fit(model, data, prior, config):
+    """The fit loop written plainly: per-step noise draws, the objective, and
+    textbook vector Adam; returns (trace rows, final zeta)."""
+    lr, beta1, beta2, eps_hat = config.learning_rate, 0.9, 0.999, 1e-8
+    rng = Rng(config.seed)
+    zeta = packed(PosteriorParams.initial(prior, config.correlation_enabled))
+    m, v = np.zeros_like(zeta), np.zeros_like(zeta)
+    batch_size = config.batch_size or len(data)
+    batches = make_batches(data, batch_size)
+    trace, t = [], 0
+    for _ in range(config.epochs):
+        if config.shuffle:
+            batches = make_batches(Dataset(rng.shuffle(data.values)), batch_size)
+        for batch in batches:
+            eps = rng.standard_normals(config.mc_samples * 2).reshape(config.mc_samples, 2)
+            obj = free_energy_and_grad(
+                model, batch, len(data), zeta, eps, prior, config.correlation_enabled
+            )
+            trace.append((obj.free_energy, obj.kl, obj.mc_loglik))
+            t += 1
+            grad = -np.asarray(obj.grad)
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad * grad
+            m_hat, v_hat = m / (1.0 - beta1**t), v / (1.0 - beta2**t)
+            zeta = zeta - lr * m_hat / (np.sqrt(v_hat) + eps_hat)
+    return np.array(trace), zeta
+
+
+class TestFusedLoop:
+    """`fit` (per-epoch draws, in-place Adam) against the plain reference loop."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize(
+        "batch_size,shuffle,mc_samples",
+        [(7, True, 1), (None, False, 3), (10, False, 3)],
+        ids=["shuffled-remainder", "full-mc3", "batch10-mc3"],
+    )
+    @pytest.mark.parametrize("correlation", [True, False])
+    def test_matches_reference_loop(self, model, batch_size, shuffle, mc_samples, correlation):
+        data = model_data(model)
+        config = TrainConfig(
+            epochs=30, batch_size=batch_size, shuffle=shuffle, mc_samples=mc_samples,
+            seed=9, correlation_enabled=correlation, final_fe_samples=2,
+        )
+        result = fit(model, data, PRIOR, config)
+        trace, zeta = reference_fit(model, data, PRIOR, config)
+        got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
+        assert got.shape == trace.shape
+        np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(packed(result.params), zeta, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mc_samples", [1, 3])
+    def test_noise_blocks_keep_the_stream_order(self, monkeypatch, mc_samples):
+        """With several draw calls per epoch, the last one short, the fit
+        still matches per-step draws."""
+        monkeypatch.setattr(engine, "NOISE_BLOCK_DRAWS", 18)
+        data = example1_data()
+        config = TrainConfig(
+            epochs=5, batch_size=7, shuffle=True, mc_samples=mc_samples, seed=4,
+            final_fe_samples=2,
+        )
+        result = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
+        trace, zeta = reference_fit(ModelKind.GAUSSIAN, data, PRIOR, config)
+        got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
+        np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(packed(result.params), zeta, rtol=1e-12, atol=0.0)
+
+
 class TestFit:
     def test_zero_learning_rate_keeps_initialization(self):
         data = example1_data()
@@ -393,6 +463,15 @@ class TestFit:
         promoted to an error, no numpy warning escapes the fit."""
         with pytest.raises(DivergenceError) as excinfo:
             fit(model, model_data(model), prior, TrainConfig(epochs=1, init=init))
+        assert excinfo.value.step == 0
+        np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
+
+    def test_gradient_square_overflow_raises(self):
+        """At log variance -360 the theta2 gradient is finite but its square
+        is not; the fit must abort, not continue with a frozen coordinate."""
+        init = PosteriorParams(m=[0.0, -360.0], v=[-10.0, -10.0], u=[0.0])
+        with pytest.raises(DivergenceError) as excinfo:
+            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=1, init=init))
         assert excinfo.value.step == 0
         np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
 
