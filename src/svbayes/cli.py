@@ -74,22 +74,39 @@ def _artifact(base: Path, suffix: str) -> Path:
     return base.with_name(base.name + suffix)
 
 
-def _write_manifest(base: Path, manifest: RunManifest) -> Path:
-    path = _artifact(base, ".manifest.json")
-    _write_json(path, manifest.to_json_dict())
-    return path
+def _write_manifest(base: Path, manifest: RunManifest) -> None:
+    _write_json(_artifact(base, ".manifest.json"), manifest.to_json_dict())
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
+def _reprs(values) -> list[str]:
+    """`repr` of every value as a Python float, flattened in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _write_columns(path: Path, header: str, columns) -> None:
+    """CSV of equal-length columns of preformatted strings, one join."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*columns)), ""]))
+
+
+def _grid_columns(mu_axis, logvar_axis, mass, variance: bool) -> tuple[str, list]:
+    """Header and mu, logvar[, variance], mass columns in row-major grid order.
+
+    Each axis value is formatted once (a mu string repeats n_logvar times,
+    the logvar strings are tiled n_mu times); the variance is
+    `math.exp(logvar)`, which is not always bitwise `np.exp`.
+    """
+    lv = _reprs(logvar_axis)
+    columns = [[s for s in _reprs(mu_axis) for _ in lv], lv * len(mu_axis)]
+    if variance:
+        columns.append(_reprs([math.exp(x) for x in logvar_axis.tolist()]) * len(mu_axis))
+    header = "mu,logvar,variance,mass" if variance else "mu,logvar,mass"
+    return header, columns + [_reprs(mass)]
 
 
 def write_data_csv(path: Path, data: Dataset) -> None:
-    _write_rows(path, "y", ([v] for v in data.values))
+    _write_columns(path, "y", [_reprs(data.values)])
 
 
 def read_data_csv(path: Path) -> Dataset:
@@ -109,10 +126,6 @@ def read_data_csv(path: Path) -> Dataset:
         return Dataset(np.array(values))
     except ValueError as err:
         raise DataFileError(f"{path}: {err}") from err
-
-
-def _model_kind(name: str) -> ModelKind:
-    return ModelKind(name)
 
 
 def _prior_from_args(args) -> PriorSpec:
@@ -159,7 +172,7 @@ def cmd_generate(args) -> int:
         raise ValueError("--variance must be positive")
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    model = _model_kind(args.model)
+    model = ModelKind(args.model)
     params = NaturalParams.from_mean_variance(args.mu, args.variance)
     data = sample_data(model, params, args.n, args.seed)
     out = _artifact(Path(args.out), ".csv")
@@ -200,7 +213,7 @@ def _train_config_from_args(args) -> TrainConfig:
 
 
 def run_fit(args) -> FitResult:
-    model = _model_kind(args.model)
+    model = ModelKind(args.model)
     data = read_data_csv(Path(args.data))
     prior = _prior_from_args(args)
     config = _train_config_from_args(args)
@@ -226,7 +239,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    model = _model_kind(args.model)
+    model = ModelKind(args.model)
     data = read_data_csv(Path(args.data))
     prior = _prior_from_args(args)
     spec = _grid_spec_from_args(args, model)
@@ -234,7 +247,7 @@ def cmd_grid(args) -> int:
     base = Path(args.out)
     out_csv = _artifact(base, ".csv")
     out_json = _artifact(base, ".summary.json")
-    _write_rows(out_csv, "mu,logvar,mass", grid.mass_rows())
+    _write_columns(out_csv, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, False))
     _write_json(out_json, grid.summary_dict())
     manifest = RunManifest(
         subcommand="grid",
@@ -307,12 +320,6 @@ _TRUE_VARIANCE = 4.0
 _N_SAMPLES = 100
 
 
-def _density_rows(mu_axis, logvar_axis, mass):
-    for i, mu in enumerate(mu_axis):
-        for j, lv in enumerate(logvar_axis):
-            yield mu, lv, math.exp(lv), mass[i, j]
-
-
 def cmd_figure(args) -> int:
     if args.figure_id not in _FIGURES:
         raise ValueError(f"figure id must be one of {sorted(_FIGURES)}")
@@ -349,7 +356,7 @@ def cmd_figure(args) -> int:
         lo = 1e-6 if model is ModelKind.FOLDED_NORMAL else _TRUE_MU - 4 * sigma
         ys = np.linspace(lo, _TRUE_MU + 4 * sigma, 201)
         pdf_path = out_dir / "panel_a_true_pdf.csv"
-        _write_rows(pdf_path, "y,pdf", zip(ys, pdf(model, ys, params)))
+        _write_columns(pdf_path, "y,pdf", [_reprs(ys), _reprs(pdf(model, ys, params))])
         outputs["panel_a_true_pdf"] = pdf_path.name
 
         mu_range = (
@@ -359,11 +366,7 @@ def cmd_figure(args) -> int:
         spec = GridSpec(mu_range=mu_range, include_prior=False)
         grid = grid_oracle.grid_posterior(model, data, prior, spec)
         grid_path = out_dir / "panel_b_grid.csv"
-        _write_rows(
-            grid_path,
-            "mu,logvar,variance,mass",
-            _density_rows(grid.mu_axis, grid.logvar_axis, grid.mass),
-        )
+        _write_columns(grid_path, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, True))
         _write_json(out_dir / "panel_b_grid.summary.json", grid.summary_dict())
         outputs["panel_b_grid"] = grid_path.name
         outputs["panel_b_summary"] = "panel_b_grid.summary.json"
@@ -374,11 +377,7 @@ def cmd_figure(args) -> int:
             log_q = mvn_log_pdf(nodes, summary.mean, summary.cov)
             mass = grid_oracle.normalize_log_density(log_q)
             path = out_dir / f"panel_{panel}_svb_{label}.csv"
-            _write_rows(
-                path,
-                "mu,logvar,variance,mass",
-                _density_rows(grid.mu_axis, grid.logvar_axis, mass),
-            )
+            _write_columns(path, *_grid_columns(grid.mu_axis, grid.logvar_axis, mass, True))
             outputs[f"panel_{panel}_svb"] = path.name
 
     for label, result in fits.items():

@@ -31,8 +31,8 @@ from .rng import Rng
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 # Likelihood terms (data point x theta row) per loglik_terms call in
-# loglik_at; bounds its working memory whatever the data size.
-CHUNK_TERMS = 16_384
+# loglik_at; bounds its working memory (one 512 KB buffer) whatever the N.
+CHUNK_TERMS = 65_536
 
 
 class ModelKind(enum.Enum):
@@ -77,9 +77,6 @@ class ThetaVector:
     @classmethod
     def from_natural(cls, params: NaturalParams) -> "ThetaVector":
         return cls(theta1=params.mu, theta2=-math.log(params.beta))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta2])
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,8 @@ def loglik_terms(
     whatever M is.  The Gaussian term is t = -beta (y - mu)^2 / 2.  The
     Folded Normal term is t = -beta (y^2 + mu^2) / 2 + log(2 cosh z) with
     z = beta mu y, written as |z| + log1p(e^{-2|z|}) so it cannot overflow;
-    its derivative in z is tanh(z).  The value terms are the same with or
+    for y > 0 the |z| terms sum to beta |mu| sum_m y_m, and its derivative
+    in z is tanh(z).  The value is one expression, the same bits with or
     without partials.
 
     The data are not checked here: :func:`loglik_at` checks them per call,
@@ -219,14 +217,19 @@ def loglik_terms(
             d_mu = beta * r.sum(axis=1)
             d_theta2 = -data  # linear in beta
     elif kind is ModelKind.FOLDED_NORMAL:
-        z = (beta * mu)[:, None] * y
-        az = np.abs(z)
-        sumsq = y @ y + m * mu * mu
-        data = (az + np.log1p(np.exp(-2.0 * az))).sum(axis=1) - 0.5 * beta * sumsq
+        # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
+        a = beta * np.abs(mu)
+        m_mu = m * mu
+        half_sumsq = beta * (0.5 * float(y @ y) + 0.5 * m_mu * mu)
+        buf = (-2.0 * a)[:, None] * y  # -2|z|, exactly
         if partials:
-            tanh_y = np.tanh(z) @ y
-            d_mu = beta * (tanh_y - m * mu)
-            d_theta2 = beta * (0.5 * sumsq - mu * tanh_y)
+            tanh_y = np.tanh(-0.5 * buf) @ y  # sum_m y_m tanh|z_m| >= 0
+        np.exp(buf, out=buf)
+        soft = np.add.reduce(np.log1p(buf, out=buf), axis=1)
+        data = a * float(np.add.reduce(y)) + soft - half_sumsq
+        if partials:
+            d_mu = beta * (np.copysign(tanh_y, mu) - m_mu)  # tanh z = sign(mu) tanh|z|
+            d_theta2 = half_sumsq - a * tanh_y
     else:
         raise ValueError(f"unknown model kind {kind!r}")
     scale = n_total / m

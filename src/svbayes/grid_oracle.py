@@ -25,8 +25,8 @@ from .posterior import PriorSpec
 
 
 class GridUnderflowError(RuntimeError):
-    """The grid carries no mass, or all of it on one node along an axis;
-    widen or densify the grid."""
+    """The grid carries no mass, or resolves a marginal with less than half
+    a cell of standard deviation; widen or densify the grid."""
 
 
 DEFAULT_MU_RANGE = (-1.0, 3.0)
@@ -81,12 +81,6 @@ class GridResult:
             "rho": self.rho,
         }
 
-    def mass_rows(self):
-        """Iterate (mu, logvar, mass) triples in row-major order."""
-        for i, mu in enumerate(self.mu_axis):
-            for j, lv in enumerate(self.logvar_axis):
-                yield float(mu), float(lv), float(self.mass[i, j])
-
 
 def normalize_log_density(log_density: np.ndarray) -> np.ndarray:
     """Max-stabilized exponentiation and normalization to unit mass.
@@ -119,7 +113,8 @@ def grid_posterior(
 
     With `include_prior` false (or no prior given) the result is the
     normalized likelihood alone.  Raises GridUnderflowError when the grid
-    has no finite peak or either marginal variance is exactly zero, and
+    has no finite peak or either marginal standard deviation is below half
+    the node spacing of its axis (the nodes do not resolve it), and
     DomainError for data outside the model's support.
     """
     n_mu, n_logvar = spec.axis_counts
@@ -139,9 +134,11 @@ def grid_posterior(
     mean_lv = float(lv_marginal @ logvar_axis)
     var_mu = float(mu_marginal @ (mu_axis - mean_mu) ** 2)
     var_lv = float(lv_marginal @ (logvar_axis - mean_lv) ** 2)
-    if var_mu == 0.0 or var_lv == 0.0:
+    half_cells = 0.5 * (mu_axis[1] - mu_axis[0]), 0.5 * (logvar_axis[1] - logvar_axis[0])
+    if not (math.sqrt(var_mu) >= half_cells[0] and math.sqrt(var_lv) >= half_cells[1]):
         raise GridUnderflowError(
-            f"all posterior mass sits on one node along an axis; {_WIDEN_HINT}"
+            "a marginal standard deviation is below half the node spacing "
+            f"along its axis; {_WIDEN_HINT}"
         )
     cov = float(
         ((mu_axis - mean_mu)[:, None] * (logvar_axis - mean_lv)[None, :] * mass).sum()

@@ -1,11 +1,14 @@
 """Subcommand behavior: outputs, manifests, exit codes, reproducibility."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from svbayes import cli
+from svbayes import cli, grid_oracle
+from svbayes.distributions import Dataset, ModelKind, NaturalParams, pdf, sample_data
+from svbayes.posterior import PriorSpec, mvn_log_pdf
 
 
 def run(argv):
@@ -175,6 +178,20 @@ class TestGrid:
         assert code == cli.EXIT_GRID_UNDERFLOW
         assert not (tmp_path / "g.summary.json").exists()
 
+    @pytest.mark.parametrize("resolution", [7, 9, 11, 15, 21, 41])
+    def test_under_resolved_exit_code(self, tmp_path, resolution):
+        """On 10,000 points these grids resolve a marginal with less than
+        half a cell; the grid exits 6 without writing a summary."""
+        assert run([
+            "generate", "--n", "10000", "--seed", "0", "--out", str(tmp_path / "big"),
+        ]) == 0
+        code = run([
+            "grid", "--data", str(tmp_path / "big.csv"), "--resolution", str(resolution),
+            "--out", str(tmp_path / "g"),
+        ])
+        assert code == cli.EXIT_GRID_UNDERFLOW
+        assert not (tmp_path / "g.summary.json").exists()
+
     def test_folded_domain_violation_exit(self, tmp_path):
         data = tmp_path / "zero.csv"
         data.write_text("y\n1.5\n0.0\n2.0\n")
@@ -304,3 +321,97 @@ class TestDottedOutputBases:
                     assert (tmp_path / artifact).is_file(), artifact
             result = json.loads((tmp_path / f"run.seed{seed}.json").read_text())
             assert result["config"]["seed"] == seed
+
+
+def row_csv(header, rows):
+    """The per-row CSV formatting the column writer replaced, as an oracle:
+    one `repr(float(x))` per cell, comma-joined, a newline after each row."""
+    lines = [header + "\n"]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) for x in row) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def grid_rows(mu_axis, logvar_axis, mass, variance):
+    for i, mu in enumerate(mu_axis):
+        for j, lv in enumerate(logvar_axis):
+            yield (mu, lv, math.exp(lv), mass[i, j]) if variance else (mu, lv, mass[i, j])
+
+
+class TestColumnWriter:
+    """Every CSV the CLI writes is byte-identical to the per-row formatting."""
+
+    AWKWARD = [-0.0, 5e-324, 1e16, 1e-5, 3.0, 0.0, -2.0, 1.0 / 3.0, 1.7976931348623157e308]
+
+    def test_awkward_floats(self, tmp_path):
+        path = tmp_path / "w.csv"
+        cli._write_columns(path, "a,b", [cli._reprs(self.AWKWARD), cli._reprs(self.AWKWARD[::-1])])
+        assert path.read_bytes() == row_csv("a,b", zip(self.AWKWARD, self.AWKWARD[::-1]))
+        assert path.read_text().splitlines()[1] == "-0.0,1.7976931348623157e+308"
+
+    def test_data_csv(self, tmp_path):
+        data = Dataset(np.array(self.AWKWARD))
+        cli.write_data_csv(tmp_path / "d.csv", data)
+        assert (tmp_path / "d.csv").read_bytes() == row_csv("y", ([v] for v in data.values))
+
+    def test_generated_data_csv(self, dataset):
+        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, 42)
+        assert dataset.read_bytes() == row_csv("y", ([v] for v in data.values))
+
+    def test_grid_columns_cover_grid(self):
+        data = Dataset(np.array([0.5, 1.0]))
+        spec = grid_oracle.GridSpec(resolution=(11, 7))
+        prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
+        grid = grid_oracle.grid_posterior(ModelKind.GAUSSIAN, data, prior, spec)
+        header, columns = cli._grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, False)
+        assert header == "mu,logvar,mass"
+        assert [len(c) for c in columns] == [11 * 7] * 3
+        assert columns[0][:8] == [repr(float(grid.mu_axis[0]))] * 7 + [repr(float(grid.mu_axis[1]))]
+        assert sum(float(x) for x in columns[2]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", ["gaussian", "folded-normal"])
+    def test_grid_mass_csv(self, tmp_path, model):
+        assert run([
+            "generate", "--model", model, "--n", "100", "--seed", "5", "--out", str(tmp_path / "d"),
+        ]) == 0
+        assert run([
+            "grid", "--data", str(tmp_path / "d.csv"), "--model", model, "--out", str(tmp_path / "g"),
+        ]) == 0
+        kind = ModelKind(model)
+        data = cli.read_data_csv(tmp_path / "d.csv")
+        mu_range = (0.0, 3.0) if kind is ModelKind.FOLDED_NORMAL else grid_oracle.DEFAULT_MU_RANGE
+        prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
+        grid = grid_oracle.grid_posterior(kind, data, prior, grid_oracle.GridSpec(mu_range=mu_range))
+        expected = row_csv(
+            "mu,logvar,mass", grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, False)
+        )
+        assert (tmp_path / "g.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("figure_id", [1, 5])
+    def test_figure_panels(self, tmp_path, figure_id):
+        out = tmp_path / "fig"
+        assert run(["figure", str(figure_id), "--seed", "2", "--out-dir", str(out)]) == 0
+        kind = ModelKind.GAUSSIAN if figure_id == 1 else ModelKind.FOLDED_NORMAL
+        params = NaturalParams.from_mean_variance(1.0, 4.0)
+        data = sample_data(kind, params, 100, 2)
+        assert (out / "panel_a_data.csv").read_bytes() == row_csv("y", ([v] for v in data.values))
+        lo = 1e-6 if kind is ModelKind.FOLDED_NORMAL else 1.0 - 8.0
+        ys = np.linspace(lo, 9.0, 201)
+        assert (out / "panel_a_true_pdf.csv").read_bytes() == row_csv(
+            "y,pdf", zip(ys, pdf(kind, ys, params))
+        )
+        mu_range = (0.0, 3.0) if kind is ModelKind.FOLDED_NORMAL else grid_oracle.DEFAULT_MU_RANGE
+        spec = grid_oracle.GridSpec(mu_range=mu_range, include_prior=False)
+        grid = grid_oracle.grid_posterior(kind, data, None, spec)
+        header = "mu,logvar,variance,mass"
+        assert (out / "panel_b_grid.csv").read_bytes() == row_csv(
+            header, grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, True)
+        )
+        nodes = grid_oracle.grid_nodes(grid.mu_axis, grid.logvar_axis)
+        for panel, label in (("c", "nocorr"), ("d", "corr")):
+            post = json.loads((out / f"fit_{label}.json").read_text())["posterior"]
+            log_q = mvn_log_pdf(nodes, np.array(post["m"]), np.array(post["C"]))
+            mass = grid_oracle.normalize_log_density(log_q)
+            assert (out / f"panel_{panel}_svb_{label}.csv").read_bytes() == row_csv(
+                header, grid_rows(grid.mu_axis, grid.logvar_axis, mass, True)
+            )

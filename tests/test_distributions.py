@@ -8,6 +8,7 @@ import pytest
 from svbayes.autodiff import DomainError, Tape, finite_diff_check
 from svbayes.distributions import (
     CHUNK_TERMS,
+    LOG_TWO_PI,
     Dataset,
     ModelKind,
     NaturalParams,
@@ -237,6 +238,86 @@ class TestLoglikTerms:
         with pytest.raises(DomainError):
             loglik_at(ModelKind.FOLDED_NORMAL, [1.0, 0.0], np.zeros((1, 2)))
 
+
+
+class TestFoldedClosedForm:
+    """The folded value takes sum_m |z_m| = beta |mu| sum_m y_m in closed form
+    (y > 0) and evaluates only log1p(e^{-2|z|}) per point; at the edges of
+    that form it must still equal the density's log sum."""
+
+    FOLDED = ModelKind.FOLDED_NORMAL
+
+    def evaluate(self, data, mu, theta2):
+        """Values and partials at the (mu, theta2) rows, checked against the
+        density's log sum on every path that computes the value."""
+        mu, theta2 = np.asarray(mu, dtype=float), np.asarray(theta2, dtype=float)
+        n = len(data)
+        direct = [log_pdf(self.FOLDED, data, m, math.exp(-t)).sum() for m, t in zip(mu, theta2)]
+        values, d_mu, d_theta2 = loglik_terms(self.FOLDED, data, mu, theta2, n)
+        np.testing.assert_allclose(values, direct, rtol=1e-12)
+        bare = loglik_terms(self.FOLDED, data, mu, theta2, n, partials=False)[0]
+        np.testing.assert_array_equal(bare, values)
+        chunked = loglik_at(self.FOLDED, data, np.column_stack((mu, theta2)))
+        np.testing.assert_allclose(chunked, direct, rtol=1e-12)
+        assert np.all(np.isfinite(d_mu)) and np.all(np.isfinite(d_theta2))
+        return values, d_mu, d_theta2
+
+    @staticmethod
+    def data(n=40, seed=21):
+        return np.abs(np.random.default_rng(seed).normal(1.0, 2.0, size=n))
+
+    def test_negative_mu(self):
+        """The value is even and d/dmu odd in mu, both exactly."""
+        data = self.data()
+        mu = np.array([-2.5, -0.7, -1e-3, -1e-9])
+        theta2 = np.array([0.5, 1.0, -1.0, 2.0])
+        values, d_mu, d_theta2 = self.evaluate(data, mu, theta2)
+        mirrored = loglik_terms(self.FOLDED, data, -mu, theta2, len(data))
+        np.testing.assert_array_equal(mirrored[0], values)
+        np.testing.assert_array_equal(mirrored[1], -d_mu)
+        np.testing.assert_array_equal(mirrored[2], d_theta2)
+
+    @pytest.mark.parametrize("mu", [-0.7, -1e-3, 0.0])
+    def test_partials_match_central_differences(self, mu):
+        data, t2, h = self.data(), 0.8, 1e-6
+        n = len(data)
+
+        def value(m, t):
+            return loglik_terms(self.FOLDED, data, np.array([m]), np.array([t]), n, False)[0][0]
+
+        _, d_mu, d_theta2 = loglik_terms(self.FOLDED, data, np.array([mu]), np.array([t2]), n)
+        fd_mu = (value(mu + h, t2) - value(mu - h, t2)) / (2 * h)
+        fd_t2 = (value(mu, t2 + h) - value(mu, t2 - h)) / (2 * h)
+        assert d_mu[0] == pytest.approx(fd_mu, rel=1e-6, abs=1e-6)
+        assert d_theta2[0] == pytest.approx(fd_t2, rel=1e-6)
+
+    def test_zero_mu_log_term_is_n_log_two(self):
+        """At mu = 0 every log1p(e^{-2|z|}) term is log 2 and d/dmu is 0."""
+        data = self.data()
+        n = len(data)
+        theta2 = np.array([-1.0, 0.0, 1.5])
+        values, d_mu, _ = self.evaluate(data, np.zeros(3), theta2)
+        beta = np.exp(-theta2)
+        expected = 0.5 * n * (-theta2 - LOG_TWO_PI) - 0.5 * beta * (data @ data) + n * math.log(2.0)
+        np.testing.assert_allclose(values, expected, rtol=1e-14)
+        np.testing.assert_array_equal(d_mu, np.zeros(3))
+
+    def test_underflowing_reflection_term(self):
+        """At log variance -30, beta = e^30 and e^{-2|z|} underflows to 0 on
+        every point; the value is then the single-Gaussian term."""
+        data = self.data()
+        mu = np.array([3.0, -3.0, 0.5])
+        theta2 = np.array([-30.0, -30.0, -20.0])
+        assert np.all(np.exp(-2.0 * np.exp(30.0) * 3.0 * data) == 0.0)
+        self.evaluate(data, mu, theta2)
+
+    def test_tiny_data(self):
+        """y down to 1e-300: z is far below 1, so e^{-2|z|} rounds to 1 and
+        y^2 underflows to 0."""
+        data = np.concatenate(([1e-300, 1e-200, 1e-30, 5e-8], self.data(12)))
+        mu = np.array([-1.5, 0.3, 2.0])
+        theta2 = np.array([-2.0, 0.0, 3.0])
+        self.evaluate(data, mu, theta2)
 
 class TestPdf:
     def test_gaussian_peak_value(self):

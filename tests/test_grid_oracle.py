@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from svbayes import distributions
 from svbayes.distributions import (
     CHUNK_TERMS,
     Dataset,
@@ -74,6 +75,39 @@ class TestNormalization:
         with pytest.raises(GridUnderflowError, match="widen the ranges or increase the resolution"):
             grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=5))
 
+    @pytest.mark.parametrize(
+        "resolution",
+        [7, 9, 11, 15, 21, 41, pytest.param((61, 201), id="mu-only"), pytest.param((201, 101), id="logvar-only")],
+    )
+    def test_under_resolved_marginal_raises(self, resolution):
+        """At 7-41 nodes per axis the 10,000-point posterior is narrower than
+        half a cell (max marginal share near 1, variances down to 1e-184);
+        (61, 201) leaves only mu, (201, 101) only the log variance that
+        narrow.  The grid refuses them instead of reporting those moments."""
+        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
+        with pytest.raises(GridUnderflowError, match="half the node spacing.*widen the ranges"):
+            grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=resolution))
+
+    def test_default_resolution_resolves_large_data(self):
+        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
+        grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=201))
+        spacing = np.array([grid.mu_axis[1] - grid.mu_axis[0], grid.logvar_axis[1] - grid.logvar_axis[0]])
+        assert np.all(np.sqrt(grid.variances) >= 0.5 * spacing)
+
+    @pytest.mark.parametrize(
+        "model, mu_range",
+        [(ModelKind.GAUSSIAN, (-1.0, 3.0)), (ModelKind.FOLDED_NORMAL, (0.0, 3.0))],
+        ids=["gaussian", "folded"],
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_canonical_figure_grids_pass(self, model, mu_range, seed):
+        """The figures' 201 x 201 likelihood grids at N = 100 spread their
+        mass: no marginal node carries more than 5% of it."""
+        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=seed)
+        spec = GridSpec(mu_range=mu_range, include_prior=False)
+        grid = grid_posterior(model, data, PRIOR, spec)
+        assert max(grid.mass.sum(axis=1).max(), grid.mass.sum(axis=0).max()) <= 0.05
+
 
 class TestChunkedEvaluation:
     """The grid sums the likelihood through the chunked evaluator the final
@@ -95,23 +129,19 @@ class TestChunkedEvaluation:
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("prior", [PRIOR, None], ids=["prior", "no-prior"])
     @pytest.mark.parametrize(
-        "n, spec",
+        "n, chunk_terms, spec",
         [
-            # 163 rows per chunk: 2,601 nodes leave a remainder chunk
-            (100, GridSpec(mu_range=(0.0, 3.0), resolution=51)),
-            # more points than CHUNK_TERMS: one row per chunk
-            (
-                CHUNK_TERMS + 5,
-                GridSpec(
-                    mu_range=(0.8, 1.2),
-                    logvar_range=(math.log(4.0) - 0.1, math.log(4.0) + 0.1),
-                    resolution=(5, 4),
-                ),
-            ),
+            # 655 rows per chunk: 2,601 nodes leave a remainder chunk
+            (100, CHUNK_TERMS, GridSpec(mu_range=(0.0, 3.0), resolution=51)),
+            # more points than chunk terms: one row per chunk.  A smaller chunk
+            # keeps N where the direct sum is exact enough for atol 1e-12 on a
+            # grid that resolves the posterior.
+            (55, 50, GridSpec(mu_range=(0.0, 2.5), logvar_range=(0.5, 2.5), resolution=(9, 8))),
         ],
         ids=["remainder-chunk", "row-per-chunk"],
     )
-    def test_mass_matches_direct_density_sum(self, model, prior, n, spec):
+    def test_mass_matches_direct_density_sum(self, model, prior, n, chunk_terms, spec, monkeypatch):
+        monkeypatch.setattr(distributions, "CHUNK_TERMS", chunk_terms)
         data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), n, seed=17)
         spec = dataclasses.replace(spec, include_prior=prior is not None)
         grid = grid_posterior(model, data, prior, spec)
@@ -121,9 +151,10 @@ class TestChunkedEvaluation:
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_peak_memory_bounded(self, model):
-        """51 x 51 nodes at N = 2,000: the term array alone would take 41 MB."""
+        """51 x 51 nodes at N = 2,000: the term array alone would take 41 MB.
+        The log variance axis is narrowed to resolve the posterior at that N."""
         data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 2_000, seed=18)
-        spec = GridSpec(mu_range=(0.0, 3.0), resolution=51)
+        spec = GridSpec(mu_range=(0.0, 3.0), logvar_range=(math.log(2.0), math.log(8.0)), resolution=51)
         tracemalloc.start()
         try:
             grid_posterior(model, data, PRIOR, spec)
@@ -193,13 +224,6 @@ class TestMoments:
         spec = GridSpec(mu_range=(0.0, 3.0), resolution=101)
         grid = grid_posterior(ModelKind.FOLDED_NORMAL, data, PRIOR, spec)
         assert grid.rho < 0.0
-
-    def test_mass_rows_cover_grid(self):
-        data = Dataset(np.array([0.5, 1.0]))
-        grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=(11, 7)))
-        rows = list(grid.mass_rows())
-        assert len(rows) == 11 * 7
-        assert sum(r[2] for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCompare:
