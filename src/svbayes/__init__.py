@@ -11,7 +11,6 @@ from .distributions import (
     Dataset,
     ModelKind,
     NaturalParams,
-    ThetaVector,
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
@@ -67,7 +66,6 @@ __all__ = [
     "PriorSpec",
     "Rng",
     "Tape",
-    "ThetaVector",
     "TraceRecord",
     "TrainConfig",
     "compare",

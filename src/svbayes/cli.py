@@ -131,8 +131,8 @@ def read_data_csv(path: Path) -> Dataset:
 def _prior_from_args(args) -> PriorSpec:
     means = _per_dimension(args.prior_mean, "prior-mean")
     variances = _per_dimension(args.prior_var, "prior-var")
-    if any(v <= 0 for v in variances):
-        raise ValueError("--prior-var entries must be positive")
+    if not all(0.0 < v < math.inf for v in variances):
+        raise ValueError("--prior-var entries must be positive and finite")
     return PriorSpec.diagonal(means, variances)
 
 
@@ -168,10 +168,6 @@ def _grid_spec_from_args(args, model: ModelKind) -> GridSpec:
 
 
 def cmd_generate(args) -> int:
-    if args.variance <= 0:
-        raise ValueError("--variance must be positive")
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     model = ModelKind(args.model)
     params = NaturalParams.from_mean_variance(args.mu, args.variance)
     data = sample_data(model, params, args.n, args.seed)

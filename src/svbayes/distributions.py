@@ -5,16 +5,15 @@ theta2 is the log variance, so the precision is beta = exp(-theta2).
 Mini-batch evaluations keep the full-count normalizer N/2 * log(beta/2pi)
 and rescale only the per-point data terms by N/M.
 
-Three surfaces share that parameterization.  Elementwise numpy
-(log-)densities serve the figure's true-density panel and the tests.
-:func:`loglik_terms` evaluates the rescaled batch log-likelihood at many
-theta points, with its closed-form partials or value only; the fit loop
-runs on it directly, after checking the data once.
-:func:`loglik_at` sums the full-data log-likelihood at many theta points
-through the value-only path, in chunks of at most CHUNK_TERMS terms; the
-final free-energy re-estimate and the grid oracle run on it.  The
-tape-expressed builders (:func:`loglik_node`) compute the same quantity as
-autodiff nodes and are kept as the reference the tests check it against.
+Elementwise numpy (log-)densities serve the figures and the tests.  The
+likelihood proper reads a :class:`Batch`: the values with their count, sum,
+centred sum of squares and y . y, taken once per batch by :func:`summarize`.
+The Gaussian likelihood is exact in those sums, so at L theta points it
+costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
+rescaled batch value with closed-form partials (the fit step) or value
+only; :func:`loglik_at` sums the full-data value at many theta points (the
+final free energy, the grid oracle).  The tape builders
+(:func:`loglik_node`) are the autodiff reference the tests check against.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,21 +62,6 @@ class NaturalParams:
         if not variance > 0.0:
             raise ValueError(f"variance must be positive, got {variance}")
         return cls(mu=mu, beta=1.0 / variance)
-
-
-@dataclass(frozen=True)
-class ThetaVector:
-    """Inference-space parameters: (mu, log variance)."""
-
-    theta1: float
-    theta2: float
-
-    def to_natural(self) -> NaturalParams:
-        return NaturalParams(mu=self.theta1, beta=math.exp(-self.theta2))
-
-    @classmethod
-    def from_natural(cls, params: NaturalParams) -> "ThetaVector":
-        return cls(theta1=params.mu, theta2=-math.log(params.beta))
 
 
 @dataclass(frozen=True)
@@ -174,84 +159,108 @@ def _check_batch(data, n_total: int, batch_size: int | None) -> int:
     return batch_size
 
 
-def _checked_data(kind: ModelKind, y, n_total: int) -> np.ndarray:
+class Batch(NamedTuple):
+    """Batch values and their sums; the mean is carried as mean + mean_lo."""
+
+    y: np.ndarray
+    size: int  # M
+    sum_y: float
+    yy: float  # y . y
+    mean: float
+    mean_lo: float
+    ss_c: float  # sum_m (y_m - ybar)^2
+
+
+def summarize(y) -> Batch:
+    """The :class:`Batch` of the nonempty values `y`, unchecked."""
+    y = np.asarray(y, dtype=float)
+    m = len(y)
+    sum_y = float(np.add.reduce(y))
+    dev = y - sum_y / m
+    mean_lo = float(np.add.reduce(dev)) / m
+    dev -= mean_lo
+    return Batch(y, m, sum_y, float(y @ y), sum_y / m, mean_lo, float(dev @ dev))
+
+
+def _checked_data(kind: ModelKind, y, n_total: int) -> Batch:
     y = np.asarray(y, dtype=float)
     _check_batch(y, n_total, None)
     if kind is ModelKind.FOLDED_NORMAL and not np.all(y > 0.0):
         raise DomainError("folded normal support is y > 0")
-    return y
+    return summarize(y)
 
 
 def loglik_terms(
-    kind: ModelKind, y: np.ndarray, mu: np.ndarray, theta2: np.ndarray, n_total: int,
+    kind: ModelKind, batch, mu: np.ndarray, theta2: np.ndarray, n_total: int,
     partials: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Rescaled batch log-likelihood at L theta points, optionally with partials.
 
-    `y` holds the M batch points and `mu`, `theta2` the L (mu, log variance)
-    coordinates.  Returns the values of
+    Returns the (L,) values at the (mu, log variance) coordinates of
 
         N/2 log(beta/2pi) + (N/M) sum_m t(y_m; mu, beta),    N = n_total,
 
-    shape (L,), and, when `partials` is true, their partials with respect to
-    mu and theta2 (else None), so the normalizer enters once, at full count,
-    whatever M is.  The Gaussian term is t = -beta (y - mu)^2 / 2.  The
-    Folded Normal term is t = -beta (y^2 + mu^2) / 2 + log(2 cosh z) with
-    z = beta mu y, written as |z| + log1p(e^{-2|z|}) so it cannot overflow;
-    for y > 0 the |z| terms sum to beta |mu| sum_m y_m, and its derivative
-    in z is tanh(z).  The value is one expression, the same bits with or
-    without partials.
-
-    The data are not checked here: :func:`loglik_at` checks them per call,
-    `engine.fit` once per fit.
-    Overflow and invalid operations follow the caller's numpy error state.
+    over the M points of `batch` (a :class:`Batch`; other values are
+    summarized first) and, when `partials` is true, their partials in mu and
+    theta2 (else None).  Gaussian: t = -beta (y - mu)^2 / 2, summed exactly
+    as -beta/2 [SS_c + M (ybar - mu)^2]; the centred form does not cancel
+    when the data sit far from zero.  Folded Normal:
+    t = -beta (y^2 + mu^2) / 2 + |z| + log1p(e^{-2|z|}), z = beta mu y, which
+    cannot overflow; for y > 0 the |z| terms sum to beta |mu| sum_m y_m, and
+    d/dz is tanh(z).  The value is the same bits with or without partials.
+    The data are not checked here (:func:`loglik_at` checks them per call,
+    `engine.fit` once per fit); overflow follows the numpy error state.
     """
-    m = len(y)
+    if not isinstance(batch, Batch):
+        batch = summarize(batch)
+    m = batch.size
     beta = np.exp(-theta2)
-    d_mu = d_theta2 = None
-    # partials of the data sum; beta = exp(-theta2) gives d/dtheta2 = -beta d/dbeta
     if kind is ModelKind.GAUSSIAN:
-        r = y - mu[:, None]
-        data = -0.5 * beta * np.einsum("lm,lm->l", r, r)
-        if partials:
-            d_mu = beta * r.sum(axis=1)
-            d_theta2 = -data  # linear in beta
-    elif kind is ModelKind.FOLDED_NORMAL:
-        # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
-        a = beta * np.abs(mu)
-        m_mu = m * mu
-        half_sumsq = beta * (0.5 * float(y @ y) + 0.5 * m_mu * mu)
-        buf = (-2.0 * a)[:, None] * y  # -2|z|, exactly
-        if partials:
-            tanh_y = np.tanh(-0.5 * buf) @ y  # sum_m y_m tanh|z_m| >= 0
-        np.exp(buf, out=buf)
-        soft = np.add.reduce(np.log1p(buf, out=buf), axis=1)
-        data = a * float(np.add.reduce(y)) + soft - half_sumsq
-        if partials:
-            d_mu = beta * (np.copysign(tanh_y, mu) - m_mu)  # tanh z = sign(mu) tanh|z|
-            d_theta2 = half_sumsq - a * tanh_y
-    else:
+        # (N/M)(beta/2) [SS_c + M (ybar - mu)^2], as beta [(N/2M) SS_c + (N/2) (ybar - mu)^2]
+        half_n = 0.5 * n_total
+        dev = (batch.mean - mu) + batch.mean_lo  # ybar - mu
+        penalty = beta * ((half_n / m) * batch.ss_c + half_n * dev * dev)
+        value = -half_n * (theta2 + LOG_TWO_PI) - penalty
+        if not partials:
+            return value, None, None
+        # d/dmu = (N/M) beta M (ybar - mu); the penalty is linear in beta
+        return value, (n_total * beta) * dev, penalty - half_n
+    if kind is not ModelKind.FOLDED_NORMAL:
         raise ValueError(f"unknown model kind {kind!r}")
+    # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
+    y = batch.y
+    a = beta * np.abs(mu)
+    m_mu = m * mu
+    half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
+    buf = (-2.0 * a)[:, None] * y  # -2|z|, exactly
+    if partials:
+        tanh_y = np.tanh(-0.5 * buf) @ y  # sum_m y_m tanh|z_m| >= 0
+    np.exp(buf, out=buf)
+    soft = np.add.reduce(np.log1p(buf, out=buf), axis=1)
+    data = a * batch.sum_y + soft - half_sumsq
     scale = n_total / m
     value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data
-    if partials:
-        d_mu = scale * d_mu
-        d_theta2 = -0.5 * n_total + scale * d_theta2
-    return value, d_mu, d_theta2
+    if not partials:
+        return value, None, None
+    # partials of the data sum; beta = exp(-theta2) gives d/dtheta2 = -beta d/dbeta
+    d_mu = beta * (np.copysign(tanh_y, mu) - m_mu)  # tanh z = sign(mu) tanh|z|
+    d_theta2 = half_sumsq - a * tanh_y
+    return value, scale * d_mu, -0.5 * n_total + scale * d_theta2
 
 
 def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
     """Full-data log-likelihood at every (mu, log variance) row of `thetas`.
 
-    Checks the data once, then runs the value-only :func:`loglik_terms` on
-    chunks of at most CHUNK_TERMS terms (at least one row per chunk), so the
-    working memory is the (L,) result plus one chunk, never an (L, N) array.
+    Checks and summarizes the data once, then makes one value-only
+    :func:`loglik_terms` call for the Gaussian (its cost does not depend on
+    N), or one per chunk of at most CHUNK_TERMS terms (at least one row) for
+    the Folded Normal; never an (L, N) array.
     """
     n = len(y)
-    y = _checked_data(kind, y, n)
-    rows = max(1, CHUNK_TERMS // n)
+    batch = _checked_data(kind, y, n)
+    rows = max(1, len(thetas) if kind is ModelKind.GAUSSIAN else CHUNK_TERMS // n)
     return np.concatenate([
-        loglik_terms(kind, y, thetas[i : i + rows, 0], thetas[i : i + rows, 1], n, False)[0]
+        loglik_terms(kind, batch, thetas[i : i + rows, 0], thetas[i : i + rows, 1], n, False)[0]
         for i in range(0, len(thetas), rows)
     ])
 

@@ -2,25 +2,22 @@
 
 Each optimizer step maps L noise vectors through the Cholesky transform
 theta = m + S eps and evaluates the stochastic free energy
-F = (1/L) sum_l loglik(theta_l) - KL together with its exact gradient in
-closed form: the batch log-likelihood partials are pulled back through the
+F = (1/L) sum_l loglik(theta_l) - KL with its exact gradient in closed
+form: the batch log-likelihood partials are pulled back through the
 transform (the reparameterization estimator) and the analytic KL gradient
 is subtracted.  Maximization runs as Adam descent on the negated objective.
 
-The posterior has two parameters, so the step (:func:`free_energy_and_grad`)
-is fused: what is indexed by the L samples (the samples, the likelihood
-over the (L, M) batch, the pull-back of its partials) is numpy; S, the KL,
-the chain-rule assembly and the Adam update are plain Python floats on
-(m0, m1, v0, v1[, u]).  The data are checked once per fit, the batches are
-cut once (and again every epoch only when shuffling), and each epoch draws
-its noise after the shuffle in one call (in blocks of NOISE_BLOCK_DRAWS
-when it needs more), which keeps the stream order of per-step draws.  Everything downstream of the seed is
-deterministic.  The final free-energy re-estimate evaluates its samples
-through `distributions.loglik_at`, which owns the chunking (`CHUNK_TERMS`).
-
-`estimate_free_energy` builds the same objective on an autodiff tape; it is
-the reference the closed-form gradient is tested against and is not used by
-`fit`.
+The step (:func:`free_energy_and_grad`) is fused for the two-parameter
+posterior: the samples and the pull-back of their partials are one matmul
+each on the noise widened to [1 | eps], around one likelihood call; S, the
+KL, the chain rule and Adam are plain floats on (m0, m1, v0, v1[, u]).
+`fit` checks the data once and cuts the batches into `distributions.Batch`
+summaries once (every epoch when shuffling).  Each epoch draws its noise
+after the shuffle in one call (blocks of NOISE_BLOCK_DRAWS when it needs
+more), in the stream order of per-step draws, so everything downstream of
+the seed is deterministic.  The final free-energy re-estimate runs on
+`distributions.loglik_at`.  `estimate_free_energy` builds the objective on
+an autodiff tape, as the reference the tests check against.
 """
 
 from __future__ import annotations
@@ -77,8 +74,8 @@ class TrainConfig:
             raise ValueError("mc_samples must be >= 1")
         if self.final_fe_samples < 2:
             raise ValueError("final_fe_samples must be >= 2")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -100,8 +97,7 @@ class TrainConfig:
         return out
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One optimizer step: stochastic objective value and its two parts."""
 
     epoch: int
@@ -138,16 +134,6 @@ class FitResult:
     def to_json_dict(self) -> dict:
         return {
             "posterior": self.posterior.to_json_dict(),
-            "trace": [
-                {
-                    "epoch": r.epoch,
-                    "step": r.step,
-                    "F": r.free_energy,
-                    "kl": r.kl,
-                    "mc_loglik": r.mc_loglik,
-                }
-                for r in self.trace
-            ],
             "final_free_energy": {
                 "mean": self.final_free_energy[0],
                 "se": self.final_free_energy[1],
@@ -202,9 +188,14 @@ class Objective(NamedTuple):
     grad: list[float]
 
 
+def _with_ones(eps: np.ndarray) -> np.ndarray:
+    """(..., 2) noise eps as [1 | eps], shape (..., 3)."""
+    return np.concatenate((np.ones(eps.shape[:-1] + (1,)), eps), axis=-1)
+
+
 def free_energy_and_grad(
     model: ModelKind,
-    data_batch: np.ndarray,
+    batch,
     n_total: int,
     zeta: Sequence[float],
     epsilons: np.ndarray,
@@ -214,39 +205,36 @@ def free_energy_and_grad(
     """Stochastic free energy and its exact gradient: the fused fit step.
 
     `zeta` packs (m0, m1, v0, v1[, u]) in the order the fit loop optimizes
-    them and `epsilons` is the (L, 2) noise matrix, so the samples are
-    theta = m + eps S^T.  Everything indexed by the L samples stays numpy:
-    the samples, one `distributions.loglik_terms` call over the (L, M)
-    batch for the values and their partials g (2, L), and the pull-backs:
-    g reaches m as its mean over samples and the entries of S as
-    D = (1/L) g eps.  The per-parameter rest is plain-float algebra on the
-    five parameters: through S_ii = exp(v_i) the v_i partial is
-    D_ii exp(v_i), the u partial is D_10, and the KL and its gradient come
-    from `posterior.kl_and_grad`.
+    them, `batch` is a `distributions.Batch` (or the batch values) and
+    `epsilons` the (L, 2) noise eps, or [1 | eps] as `fit` passes it.  The
+    samples are theta = [1 | eps] [m; S^T], and [ll | d_mu | d_theta2]^T
+    [1 | eps] / L holds the Monte Carlo log-likelihood, the mean partials g
+    (the pull-back to m) and D = (1/L) g eps (the pull-back to S).  Through
+    S_ii = exp(v_i) the v_i partial is D_ii exp(v_i), the u partial is D_10;
+    the KL and its gradient come from `posterior.kl_and_grad`.
 
     The batch is not checked (`fit` checks the whole dataset once).  Raises
     OverflowError or, under a raising numpy error state, FloatingPointError;
     a plain-float overflow shows as a non-finite value or gradient.
     """
+    eps1 = epsilons if epsilons.shape[-1] == 3 else _with_ones(epsilons)
     m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
     u = zeta[4] if correlation_enabled else 0.0
     s00, s10, s11 = posterior.factor(v0, v1, u)
-    eps = np.asarray(epsilons, dtype=float)
-    n_samples = len(eps)
-    theta = np.array((m0, m1)) + eps @ np.array(((s00, s10), (0.0, s11)))
-    ll, d_mu, d_theta2 = distributions.loglik_terms(
-        model, data_batch, theta[:, 0], theta[:, 1], n_total
-    )
-    g = np.stack((d_mu, d_theta2))
-    g0, g1 = (g.sum(axis=1) / n_samples).tolist()
-    (d00, _), (d10, d11) = (g @ eps / n_samples).tolist()
+    theta = eps1 @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
+    parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
+    # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
+    (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ eps1).tolist()
+    n = len(eps1)
+    mc /= n
     kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
         m0, m1, v0, v1, u, prior
     )
-    grad = [g0 - dkl_dm0, g1 - dkl_dm1, d00 * s00 - dkl_dv0, d11 * s11 - dkl_dv1]
+    grad = [
+        g0 / n - dkl_dm0, g1 / n - dkl_dm1, d00 / n * s00 - dkl_dv0, d11 / n * s11 - dkl_dv1
+    ]
     if correlation_enabled:
-        grad.append(d10 - dkl_du)
-    mc = float(ll.sum() / n_samples)
+        grad.append(d10 / n - dkl_du)
     return Objective(mc - kl, mc, kl, grad)
 
 
@@ -328,14 +316,16 @@ def fit(
     # an overflow or invalid operation anywhere in a step or in the final
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        batches = make_batches(data, batch_size)
+        batches = [distributions.summarize(b) for b in make_batches(data, batch_size)]
         for epoch in range(config.epochs):
             if config.shuffle:
-                batches = _cut(rng.shuffle(data.values), batch_size)
+                shuffled = _cut(rng.shuffle(data.values), batch_size)
+                batches = [distributions.summarize(b) for b in shuffled]
             for step, batch in enumerate(batches):
                 if step % block_steps == 0:
                     k = min(block_steps, len(batches) - step)
-                    noise = rng.standard_normals(k * n_samples * p).reshape(k, n_samples, p)
+                    draws = rng.standard_normals(k * n_samples * p)
+                    noise = _with_ones(draws.reshape(k, n_samples, p))
                 try:
                     obj = free_energy_and_grad(
                         model, batch, n_total, zeta, noise[step % block_steps], prior,

@@ -6,10 +6,10 @@ mass (rectangle rule).  Moments, MAP location and the correlation
 coefficient of the discrete density serve as the reference against which
 stochastic fits are judged.
 
-The likelihood comes from `distributions.loglik_at`, the chunked evaluator
-the fit's final free energy uses, at the flattened (n_mu * n_logvar, 2)
-node matrix, so its working memory is O(grid) plus one chunk of at most
-max(N, `distributions.CHUNK_TERMS`) terms.
+The likelihood comes from `distributions.loglik_at`, the evaluator the
+fit's final free energy uses, at the flattened (n_mu * n_logvar, 2) node
+matrix, so its working memory is O(grid), plus for the Folded Normal one
+chunk of at most max(N, `distributions.CHUNK_TERMS`) terms.
 """
 
 from __future__ import annotations

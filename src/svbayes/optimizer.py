@@ -24,8 +24,8 @@ class Adam:
         beta2: float = 0.999,
         eps_hat: float = 1e-8,
     ) -> None:
-        if learning_rate < 0.0:
-            raise ValueError("learning rate must be nonnegative")
+        if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {learning_rate}")
         for name, b in (("beta1", beta1), ("beta2", beta2)):
             if not 0.0 < b < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {b}")
@@ -43,27 +43,34 @@ class Adam:
         """One bias-corrected update; returns the updated parameters.
 
         `grad` is the gradient of the quantity being minimized; `zeta` is
-        left as it is.  Plain floats overflow to inf without a fault, and an
-        infinite second moment would silently freeze its coordinate, so a
-        non-finite moment or update raises OverflowError and leaves the
-        state as it was.  Deterministic: identical state and inputs give
-        bitwise-identical outputs.
+        left as it is.  One pass over the coordinates computes the moments,
+        the update and their checks: a non-finite gradient entry raises
+        ValueError, and a non-finite moment or update (plain floats overflow
+        to inf without a fault; an infinite second moment would freeze its
+        coordinate) raises OverflowError.  The state is committed only after
+        the pass.  Identical state and inputs give bitwise-identical outputs.
         """
         m, v = self.first_moment, self.second_moment
         if not len(zeta) == len(grad) == len(m):
             raise ValueError(
                 f"length mismatch: zeta {len(zeta)}, grad {len(grad)}, optimizer {len(m)}"
             )
-        if not all(map(math.isfinite, grad)):
-            raise ValueError("non-finite gradient entries")
         t = self.step_count + 1
         b1, b2, lr, eps_hat = self.beta1, self.beta2, self.learning_rate, self.eps_hat
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-        m = [b1 * mi + (1.0 - b1) * g for mi, g in zip(m, grad)]
-        v = [b2 * vi + (1.0 - b2) * g * g for vi, g in zip(v, grad)]
-        root_v = [math.sqrt(vi / c2) for vi in v]
-        updated = [z - lr * (mi / c1) / (r + eps_hat) for z, mi, r in zip(zeta, m, root_v)]
-        if not all(map(math.isfinite, [*m, *root_v, *updated])):
-            raise OverflowError(f"Adam moments or update overflowed at step {t}")
-        self.step_count, self.first_moment, self.second_moment = t, m, v
+        a1, a2 = 1.0 - b1, 1.0 - b2
+        isfinite, sqrt = math.isfinite, math.sqrt
+        new_m, new_v, updated = [], [], []
+        for z, g, mi, vi in zip(zeta, grad, m, v):
+            if not isfinite(g):
+                raise ValueError("non-finite gradient entries")
+            mi, vi = b1 * mi + a1 * g, b2 * vi + a2 * g * g
+            r = sqrt(vi / c2)
+            z -= lr * (mi / c1) / (r + eps_hat)
+            if not (isfinite(mi) and isfinite(r) and isfinite(z)):
+                raise OverflowError(f"Adam moments or update overflowed at step {t}")
+            new_m.append(mi)
+            new_v.append(vi)
+            updated.append(z)
+        self.step_count, self.first_moment, self.second_moment = t, new_m, new_v
         return updated

@@ -68,7 +68,7 @@ class TestFit:
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert len(doc["posterior"]["m"]) == 2
         assert len(doc["posterior"]["C"]) == 2
-        assert len(doc["trace"]) == 12
+        assert "trace" not in doc
         trace_lines = (tmp_path / "fit.trace.csv").read_text().splitlines()
         assert trace_lines[0] == "epoch,step,F,kl,mc_loglik"
         assert len(trace_lines) == 13
@@ -80,7 +80,9 @@ class TestFit:
         ])
         assert code == 0
         doc = json.loads((tmp_path / "mb.json").read_text())
-        assert len(doc["trace"]) == 30
+        assert "trace" not in doc
+        trace_lines = (tmp_path / "mb.trace.csv").read_text().splitlines()
+        assert len(trace_lines) == 1 + 30
 
     def test_no_correlation_flag(self, dataset, tmp_path):
         code = run([
@@ -128,6 +130,26 @@ class TestFit:
             "--out", str(tmp_path / "f"),
         ])
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, dataset, tmp_path, capsys, lr):
+        code = run([
+            "fit", "--data", str(dataset), f"--lr={lr}", "--epochs", "2",
+            "--out", str(tmp_path / "f"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "learning rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "grid"])
+    @pytest.mark.parametrize("var", ["nan", "inf", "0"])
+    def test_bad_prior_variance_is_usage_error(self, dataset, tmp_path, capsys, command, var):
+        code = run([
+            command, "--data", str(dataset), "--prior-var", var,
+            "--out", str(tmp_path / "f"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "--prior-var entries must be positive and finite" in capsys.readouterr().err
 
 
 class TestGrid:

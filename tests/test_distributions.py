@@ -1,10 +1,12 @@
 """Densities, tape log-likelihoods, samplers, and the seeded generator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from svbayes import distributions
 from svbayes.autodiff import DomainError, Tape, finite_diff_check
 from svbayes.distributions import (
     CHUNK_TERMS,
@@ -12,7 +14,6 @@ from svbayes.distributions import (
     Dataset,
     ModelKind,
     NaturalParams,
-    ThetaVector,
     folded_normal_log_pdf,
     folded_normal_loglik,
     gaussian_log_pdf,
@@ -23,6 +24,7 @@ from svbayes.distributions import (
     loglik_terms,
     pdf,
     sample_data,
+    summarize,
 )
 from svbayes.rng import Rng
 
@@ -57,14 +59,6 @@ def tape_loglik_value(kind, theta, data, n_total, batch_size=None):
 
 
 class TestParameterizations:
-    def test_theta_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            theta = ThetaVector(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            back = ThetaVector.from_natural(theta.to_natural())
-            assert back.theta1 == pytest.approx(theta.theta1, abs=1e-12)
-            assert back.theta2 == pytest.approx(theta.theta2, abs=1e-12)
-
     def test_natural_params_require_positive_precision(self):
         with pytest.raises(ValueError):
             NaturalParams(mu=0.0, beta=0.0)
@@ -238,6 +232,85 @@ class TestLoglikTerms:
         with pytest.raises(DomainError):
             loglik_at(ModelKind.FOLDED_NORMAL, [1.0, 0.0], np.zeros((1, 2)))
 
+
+
+class TestGaussianSufficientStatistics:
+    """The Gaussian likelihood runs on (M, mean, centred sum of squares)
+    alone; it must agree with the per-point density where an uncentred
+    sum of y^2 would cancel."""
+
+    GAUSSIAN = ModelKind.GAUSSIAN
+
+    @staticmethod
+    def reference(batch, mu, theta2, n_total):
+        """From the per-point log density, rescaled by N/M: the value, its mu
+        central difference (exact for a quadratic, up to rounding), the
+        per-point sum of d/dtheta2 and its theta2 central difference."""
+        scale = n_total / len(batch)
+
+        def value(m, t):
+            return scale * float(log_pdf(ModelKind.GAUSSIAN, batch, m, math.exp(-t)).sum())
+
+        beta = math.exp(-theta2)
+        d_theta2 = scale * float(np.sum(-0.5 + 0.5 * beta * (batch - mu) ** 2))
+        fd_mu = (value(mu + 0.5, theta2) - value(mu - 0.5, theta2)) / 1.0
+        fd_theta2 = (value(mu, theta2 + 1e-5) - value(mu, theta2 - 1e-5)) / 2e-5
+        return value(mu, theta2), fd_mu, d_theta2, fd_theta2
+
+    @pytest.mark.parametrize("n_total, size", [(100, 100), (100, 10), (15, 1)],
+                             ids=["full", "batch10", "one-point-remainder"])
+    def test_far_from_zero_matches_per_point_sums(self, n_total, size):
+        """Data centred at 1e6 with sd 1: value and partials at rtol 1e-12
+        (the theta2 central difference, which has truncation error, at 1e-7)."""
+        data = 1e6 + np.random.default_rng(31).standard_normal(n_total)
+        batch = data[-size:] if size == 1 else data[:size]
+        ybar = float(np.mean(batch))
+        mu = ybar + np.array([-2.5, -1.0, -0.3, 0.4, 1.7])
+        theta2 = np.array([-1.0, 0.3, 0.0, 0.8, -0.4])
+        stats = summarize(batch)
+        values, d_mu, d_theta2 = loglik_terms(self.GAUSSIAN, stats, mu, theta2, n_total)
+        bare = loglik_terms(self.GAUSSIAN, stats, mu, theta2, n_total, partials=False)
+        np.testing.assert_array_equal(bare[0], values)
+        for i, (m, t) in enumerate(zip(mu.tolist(), theta2.tolist())):
+            value, fd_mu, ref_theta2, fd_theta2 = self.reference(batch, m, t, n_total)
+            assert values[i] == pytest.approx(value, rel=1e-12, abs=0.0)
+            assert d_mu[i] == pytest.approx(fd_mu, rel=1e-12, abs=0.0)
+            assert d_theta2[i] == pytest.approx(ref_theta2, rel=1e-12, abs=0.0)
+            assert d_theta2[i] == pytest.approx(fd_theta2, rel=1e-7)
+
+    def test_one_point_batch_has_zero_spread(self):
+        stats = summarize(np.array([1e6 + 0.37]))
+        assert stats.size == 1
+        assert stats.ss_c == 0.0 and stats.mean_lo == 0.0
+        assert stats.mean == 1e6 + 0.37
+
+    def test_loglik_at_is_one_call_without_a_rows_by_n_array(self, monkeypatch):
+        """201^2 nodes at N = 100,000: one likelihood call, and a traced peak
+        far below one chunk of an (L, N) evaluation per row block."""
+        data = 1.0 + 2.0 * np.random.default_rng(32).standard_normal(100_000)
+        mu, lv = np.meshgrid(np.linspace(-1, 3, 201), np.linspace(-0.7, 2.8, 201), indexing="ij")
+        thetas = np.column_stack((mu.ravel(), lv.ravel()))
+        calls = []
+        inner = distributions.loglik_terms
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "loglik_terms", counted)
+        tracemalloc.start()
+        try:
+            values = loglik_at(self.GAUSSIAN, data, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [len(thetas)]
+        # the result and a handful of (L,) temporaries, 323 KB each
+        assert peak < 4 * 2**20, peak
+        for i in (0, 12_345, len(thetas) - 1):
+            m, t = thetas[i]
+            direct = log_pdf(self.GAUSSIAN, data, m, math.exp(-t)).sum()
+            assert values[i] == pytest.approx(direct, rel=1e-12)
 
 
 class TestFoldedClosedForm:

@@ -505,3 +505,6 @@ class TestFit:
             TrainConfig(mc_samples=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
+        for lr in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(learning_rate=lr)

@@ -114,3 +114,20 @@ class TestAdamStep:
         with pytest.raises(ValueError):
             Adam(2, eps_hat=0.0)
         Adam(2, learning_rate=0.0)  # zero lr is allowed: no movement
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="finite"):
+            Adam(2, learning_rate=lr)
+
+    def test_overflow_in_a_later_coordinate_keeps_state(self):
+        """The single pass raises on the last coordinate after the first ones
+        were computed; nothing is committed."""
+        opt = Adam(3)
+        opt.step([0.0, 0.0, 0.0], [1.0, -2.0, 0.5])
+        before = (opt.step_count, opt.first_moment[:], opt.second_moment[:])
+        with pytest.raises(OverflowError):
+            opt.step([0.0, 0.0, 0.0], [1.0, 1.0, 1e155])
+        with pytest.raises(ValueError):
+            opt.step([0.0, 0.0, 0.0], [1.0, 1.0, np.nan])
+        assert (opt.step_count, opt.first_moment, opt.second_moment) == before
