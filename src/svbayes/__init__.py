@@ -11,6 +11,7 @@ from .distributions import (
     Dataset,
     ModelKind,
     NaturalParams,
+    ThetaVector,
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
@@ -66,6 +67,7 @@ __all__ = [
     "PriorSpec",
     "Rng",
     "Tape",
+    "ThetaVector",
     "TraceRecord",
     "TrainConfig",
     "compare",

@@ -168,6 +168,10 @@ def _grid_spec_from_args(args, model: ModelKind) -> GridSpec:
 
 
 def cmd_generate(args) -> int:
+    if args.variance <= 0:
+        raise ValueError("--variance must be positive")
+    if args.n < 1:
+        raise ValueError("--n must be >= 1")
     model = ModelKind(args.model)
     params = NaturalParams.from_mean_variance(args.mu, args.variance)
     data = sample_data(model, params, args.n, args.seed)

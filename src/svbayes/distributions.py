@@ -6,10 +6,10 @@ Mini-batch evaluations keep the full-count normalizer N/2 * log(beta/2pi)
 and rescale only the per-point data terms by N/M.
 
 Elementwise numpy (log-)densities serve the figures and the tests.  The
-likelihood proper reads a :class:`Batch`: the values with their count, sum,
-centred sum of squares and y . y, taken once per batch by :func:`summarize`.
-The Gaussian likelihood is exact in those sums, so at L theta points it
-costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
+likelihood proper reads a :class:`Batch`, the values with the sums its model
+needs, taken once per batch by :func:`summarize`.  The Gaussian likelihood
+is exact in the count, mean and centred sum of squares, so at L theta
+points it costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
 rescaled batch value with closed-form partials (the fit step) or value
 only; :func:`loglik_at` sums the full-data value at many theta points (the
 final free energy, the grid oracle).  The tape builders
@@ -62,6 +62,21 @@ class NaturalParams:
         if not variance > 0.0:
             raise ValueError(f"variance must be positive, got {variance}")
         return cls(mu=mu, beta=1.0 / variance)
+
+
+@dataclass(frozen=True)
+class ThetaVector:
+    """Inference-space parameters: (mu, log variance)."""
+
+    theta1: float
+    theta2: float
+
+    def to_natural(self) -> NaturalParams:
+        return NaturalParams(mu=self.theta1, beta=math.exp(-self.theta2))
+
+    @classmethod
+    def from_natural(cls, params: NaturalParams) -> "ThetaVector":
+        return cls(theta1=params.mu, theta2=-math.log(params.beta))
 
 
 @dataclass(frozen=True)
@@ -160,26 +175,25 @@ def _check_batch(data, n_total: int, batch_size: int | None) -> int:
 
 
 class Batch(NamedTuple):
-    """Batch values and their sums; the mean is carried as mean + mean_lo."""
+    """Batch values with the sums its model's likelihood reads (others None)."""
 
     y: np.ndarray
-    size: int  # M
     sum_y: float
-    yy: float  # y . y
-    mean: float
-    mean_lo: float
-    ss_c: float  # sum_m (y_m - ybar)^2
+    yy: float | None  # y . y (Folded Normal)
+    mean_lo: float | None  # rounding rest of sum_y / M: ybar = sum_y / M + mean_lo
+    ss_c: float | None  # sum_m (y_m - ybar)^2 (Gaussian)
 
 
-def summarize(y) -> Batch:
-    """The :class:`Batch` of the nonempty values `y`, unchecked."""
+def summarize(kind: ModelKind, y) -> Batch:
+    """The :class:`Batch` of the nonempty values `y` for `kind`, unchecked."""
     y = np.asarray(y, dtype=float)
-    m = len(y)
     sum_y = float(np.add.reduce(y))
-    dev = y - sum_y / m
-    mean_lo = float(np.add.reduce(dev)) / m
+    if kind is ModelKind.FOLDED_NORMAL:
+        return Batch(y, sum_y, float(y @ y), None, None)
+    dev = y - sum_y / len(y)
+    mean_lo = float(np.add.reduce(dev)) / len(y)
     dev -= mean_lo
-    return Batch(y, m, sum_y, float(y @ y), sum_y / m, mean_lo, float(dev @ dev))
+    return Batch(y, sum_y, None, mean_lo, float(dev @ dev))
 
 
 def _checked_data(kind: ModelKind, y, n_total: int) -> Batch:
@@ -187,11 +201,11 @@ def _checked_data(kind: ModelKind, y, n_total: int) -> Batch:
     _check_batch(y, n_total, None)
     if kind is ModelKind.FOLDED_NORMAL and not np.all(y > 0.0):
         raise DomainError("folded normal support is y > 0")
-    return summarize(y)
+    return summarize(kind, y)
 
 
 def loglik_terms(
-    kind: ModelKind, batch, mu: np.ndarray, theta2: np.ndarray, n_total: int,
+    kind: ModelKind, batch: Batch, mu: np.ndarray, theta2: np.ndarray, n_total: int,
     partials: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Rescaled batch log-likelihood at L theta points, optionally with partials.
@@ -200,25 +214,22 @@ def loglik_terms(
 
         N/2 log(beta/2pi) + (N/M) sum_m t(y_m; mu, beta),    N = n_total,
 
-    over the M points of `batch` (a :class:`Batch`; other values are
-    summarized first) and, when `partials` is true, their partials in mu and
-    theta2 (else None).  Gaussian: t = -beta (y - mu)^2 / 2, summed exactly
-    as -beta/2 [SS_c + M (ybar - mu)^2]; the centred form does not cancel
-    when the data sit far from zero.  Folded Normal:
-    t = -beta (y^2 + mu^2) / 2 + |z| + log1p(e^{-2|z|}), z = beta mu y, which
-    cannot overflow; for y > 0 the |z| terms sum to beta |mu| sum_m y_m, and
-    d/dz is tanh(z).  The value is the same bits with or without partials.
-    The data are not checked here (:func:`loglik_at` checks them per call,
-    `engine.fit` once per fit); overflow follows the numpy error state.
+    over the M points of `batch` (:func:`summarize` for the same `kind`) and,
+    when `partials` is true, their partials in mu and theta2 (else None).
+    Gaussian: t = -beta (y - mu)^2 / 2, summed exactly as
+    -beta/2 [SS_c + M (ybar - mu)^2], centred so it does not cancel when the
+    data sit far from zero.  Folded Normal: t = -beta (y^2 + mu^2) / 2 + |z|
+    + log1p(e^{-2|z|}), z = beta mu y, which cannot overflow; for y > 0 the
+    |z| terms sum to beta |mu| sum_m y_m, and d/dz is tanh(z).  The value is
+    the same bits with or without partials.  The data are unchecked (see
+    `loglik_at`, `engine.fit`); overflow follows the numpy error state.
     """
-    if not isinstance(batch, Batch):
-        batch = summarize(batch)
-    m = batch.size
+    m = len(batch.y)
     beta = np.exp(-theta2)
     if kind is ModelKind.GAUSSIAN:
         # (N/M)(beta/2) [SS_c + M (ybar - mu)^2], as beta [(N/2M) SS_c + (N/2) (ybar - mu)^2]
         half_n = 0.5 * n_total
-        dev = (batch.mean - mu) + batch.mean_lo  # ybar - mu
+        dev = (batch.sum_y / m - mu) + batch.mean_lo  # ybar - mu
         penalty = beta * ((half_n / m) * batch.ss_c + half_n * dev * dev)
         value = -half_n * (theta2 + LOG_TWO_PI) - penalty
         if not partials:

@@ -11,13 +11,12 @@ The step (:func:`free_energy_and_grad`) is fused for the two-parameter
 posterior: the samples and the pull-back of their partials are one matmul
 each on the noise widened to [1 | eps], around one likelihood call; S, the
 KL, the chain rule and Adam are plain floats on (m0, m1, v0, v1[, u]).
-`fit` checks the data once and cuts the batches into `distributions.Batch`
-summaries once (every epoch when shuffling).  Each epoch draws its noise
-after the shuffle in one call (blocks of NOISE_BLOCK_DRAWS when it needs
-more), in the stream order of per-step draws, so everything downstream of
-the seed is deterministic.  The final free-energy re-estimate runs on
-`distributions.loglik_at`.  `estimate_free_energy` builds the objective on
-an autodiff tape, as the reference the tests check against.
+`fit` checks the data once and summarizes each batch once (every epoch
+when shuffling).  Each epoch draws its noise after the shuffle in one call
+(blocks of NOISE_BLOCK_DRAWS when it needs more), in the stream order of
+per-step draws, so everything downstream of the seed is deterministic.
+The final free-energy re-estimate runs on `distributions.loglik_at`;
+`estimate_free_energy` is the autodiff-tape reference the tests check.
 """
 
 from __future__ import annotations
@@ -188,14 +187,9 @@ class Objective(NamedTuple):
     grad: list[float]
 
 
-def _with_ones(eps: np.ndarray) -> np.ndarray:
-    """(..., 2) noise eps as [1 | eps], shape (..., 3)."""
-    return np.concatenate((np.ones(eps.shape[:-1] + (1,)), eps), axis=-1)
-
-
 def free_energy_and_grad(
     model: ModelKind,
-    batch,
+    batch: distributions.Batch,
     n_total: int,
     zeta: Sequence[float],
     epsilons: np.ndarray,
@@ -204,38 +198,33 @@ def free_energy_and_grad(
 ) -> Objective:
     """Stochastic free energy and its exact gradient: the fused fit step.
 
-    `zeta` packs (m0, m1, v0, v1[, u]) in the order the fit loop optimizes
-    them, `batch` is a `distributions.Batch` (or the batch values) and
-    `epsilons` the (L, 2) noise eps, or [1 | eps] as `fit` passes it.  The
-    samples are theta = [1 | eps] [m; S^T], and [ll | d_mu | d_theta2]^T
-    [1 | eps] / L holds the Monte Carlo log-likelihood, the mean partials g
-    (the pull-back to m) and D = (1/L) g eps (the pull-back to S).  Through
-    S_ii = exp(v_i) the v_i partial is D_ii exp(v_i), the u partial is D_10;
-    the KL and its gradient come from `posterior.kl_and_grad`.
-
-    The batch is not checked (`fit` checks the whole dataset once).  Raises
-    OverflowError or, under a raising numpy error state, FloatingPointError;
-    a plain-float overflow shows as a non-finite value or gradient.
+    `zeta` packs (m0, m1, v0, v1[, u]) in the order `fit` optimizes them,
+    `batch` is the `distributions.summarize` of the batch and `epsilons` the
+    (L, 3) noise [1 | eps].  theta = [1 | eps] [m; S^T], and
+    [ll | d_mu | d_theta2]^T [1 | eps] / L holds the Monte Carlo
+    log-likelihood, the mean partials g (the pull-back to m) and
+    D = (1/L) g eps (the pull-back to S).  Through S_ii = exp(v_i) the v_i
+    partial is D_ii exp(v_i), the u partial is D_10; the KL and its gradient
+    come from `posterior.kl_and_grad`.  The batch is not checked (`fit`
+    checks the whole dataset once).  Raises OverflowError or, under a
+    raising numpy error state, FloatingPointError; a plain-float overflow
+    shows as a non-finite value or gradient.
     """
-    eps1 = epsilons if epsilons.shape[-1] == 3 else _with_ones(epsilons)
     m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
     u = zeta[4] if correlation_enabled else 0.0
     s00, s10, s11 = posterior.factor(v0, v1, u)
-    theta = eps1 @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
+    theta = epsilons @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
     parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
     # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
-    (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ eps1).tolist()
-    n = len(eps1)
-    mc /= n
+    (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ epsilons).tolist()
+    n = len(epsilons)
     kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
         m0, m1, v0, v1, u, prior
     )
-    grad = [
-        g0 / n - dkl_dm0, g1 / n - dkl_dm1, d00 / n * s00 - dkl_dv0, d11 / n * s11 - dkl_dv1
-    ]
+    grad = [g0 / n - dkl_dm0, g1 / n - dkl_dm1, d00 / n * s00 - dkl_dv0, d11 / n * s11 - dkl_dv1]
     if correlation_enabled:
         grad.append(d10 / n - dkl_du)
-    return Objective(mc - kl, mc, kl, grad)
+    return Objective(mc / n - kl, mc / n, kl, grad)
 
 
 def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
@@ -279,10 +268,8 @@ def fit(
 
     Full-data mode takes one step per epoch on all points; mini-batch mode
     takes one step per batch, passing through the data once per epoch.  The
-    data are checked once, here; each epoch then draws its noise after the
-    shuffle in as few `standard_normals` calls as NOISE_BLOCK_DRAWS allows
-    (one, unless the epoch needs more draws), so the stream order matches
-    per-step draws.  The returned final free energy re-estimates the
+    data are checked once, here, and the noise drawn per epoch (see the
+    module docstring).  The returned final free energy re-estimates the
     objective on the full data with `final_fe_samples` fresh draws, since
     single-sample step values are noisy.
     """
@@ -316,20 +303,19 @@ def fit(
     # an overflow or invalid operation anywhere in a step or in the final
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        batches = [distributions.summarize(b) for b in make_batches(data, batch_size)]
-        for epoch in range(config.epochs):
-            if config.shuffle:
-                shuffled = _cut(rng.shuffle(data.values), batch_size)
-                batches = [distributions.summarize(b) for b in shuffled]
-            for step, batch in enumerate(batches):
-                if step % block_steps == 0:
-                    k = min(block_steps, len(batches) - step)
-                    draws = rng.standard_normals(k * n_samples * p)
-                    noise = _with_ones(draws.reshape(k, n_samples, p))
-                try:
+        try:
+            batches = [distributions.summarize(model, b) for b in make_batches(data, batch_size)]
+            for epoch in range(config.epochs):
+                if config.shuffle:
+                    shuffled = _cut(rng.shuffle(data.values), batch_size)
+                    batches = [distributions.summarize(model, b) for b in shuffled]
+                for step, batch in enumerate(batches):
+                    if step % block_steps == 0:
+                        k = min(block_steps, len(batches) - step)
+                        draws = rng.standard_normals(k * n_samples * p).reshape(k, n_samples, p)
+                        noise = np.concatenate((np.ones((k, n_samples, 1)), draws), axis=2)
                     obj = free_energy_and_grad(
-                        model, batch, n_total, zeta, noise[step % block_steps], prior,
-                        correlation,
+                        model, batch, n_total, zeta, noise[step % block_steps], prior, correlation
                     )
                     # plain-float F = mc - KL can overflow without a numpy fault
                     if not (math.isfinite(obj.free_energy) and all(map(math.isfinite, obj.grad))):
@@ -337,14 +323,11 @@ def fit(
                             "non-finite objective or gradient", global_step, np.array(zeta)
                         )
                     # raises OverflowError on a non-finite moment or update
-                    updated = optimizer.step(zeta, [-g for g in obj.grad])
-                except (FloatingPointError, OverflowError) as err:
-                    raise DivergenceError(
-                        f"step failed: {err}", global_step, np.array(zeta)
-                    ) from err
-                trace.append(TraceRecord(epoch, step, obj.free_energy, obj.kl, obj.mc_loglik))
-                zeta = updated
-                global_step += 1
+                    zeta = optimizer.step(zeta, [-g for g in obj.grad])
+                    trace.append(TraceRecord(epoch, step, obj.free_energy, obj.kl, obj.mc_loglik))
+                    global_step += 1
+        except (FloatingPointError, OverflowError) as err:
+            raise DivergenceError(f"step failed: {err}", global_step, np.array(zeta)) from err
 
         params = _unpack(zeta, params)
         try:

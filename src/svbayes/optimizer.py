@@ -43,12 +43,12 @@ class Adam:
         """One bias-corrected update; returns the updated parameters.
 
         `grad` is the gradient of the quantity being minimized; `zeta` is
-        left as it is.  One pass over the coordinates computes the moments,
-        the update and their checks: a non-finite gradient entry raises
-        ValueError, and a non-finite moment or update (plain floats overflow
-        to inf without a fault; an infinite second moment would freeze its
-        coordinate) raises OverflowError.  The state is committed only after
-        the pass.  Identical state and inputs give bitwise-identical outputs.
+        left as it is.  One pass computes the moments, the update and their
+        checks: a non-finite gradient entry raises ValueError, a non-finite
+        moment or update (plain floats overflow to inf without a fault; an
+        infinite second moment would freeze its coordinate) OverflowError.
+        The state is committed after the pass, so either error leaves it as
+        it was.  Identical state and inputs give bitwise-identical outputs.
         """
         m, v = self.first_moment, self.second_moment
         if not len(zeta) == len(grad) == len(m):

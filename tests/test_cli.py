@@ -131,6 +131,38 @@ class TestFit:
         ])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("model", ["gaussian", "folded-normal"])
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+    @pytest.mark.parametrize(
+        "values",
+        [(1e308, 1.5e308, 1.0, 2.0), (1e200, 1e200, 2e200, 3e200)],
+        ids=["sum-overflows", "squares-overflow"],
+    )
+    def test_huge_finite_data_is_divergence(self, tmp_path, capsys, model, shuffle, values):
+        """Finite data whose batch sums or squares overflow abort the fit as
+        a divergence, with or without shuffling, never with a traceback."""
+        data = tmp_path / "huge.csv"
+        data.write_text("y\n" + "".join(f"{v!r}\n" for v in values))
+        args = [
+            "fit", "--data", str(data), "--model", model, "--batch-size", "2",
+            "--epochs", "3", "--out", str(tmp_path / "f"),
+        ]
+        assert run(args + ["--shuffle"] * shuffle) == cli.EXIT_DIVERGENCE
+        assert "optimization diverged" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
+    def test_shuffled_batch_summary_overflow_is_divergence(self, tmp_path, capsys):
+        """Each ordered batch of +-1e200 pairs has zero spread, so the fit
+        starts; a shuffle that mixes signs overflows the batch summary."""
+        data = tmp_path / "huge.csv"
+        data.write_text("y\n" + "1e+200\n" * 4 + "-1e+200\n" * 4)
+        code = run([
+            "fit", "--data", str(data), "--batch-size", "4", "--epochs", "3", "--shuffle",
+            "--out", str(tmp_path / "f"),
+        ])
+        assert code == cli.EXIT_DIVERGENCE
+        assert "optimization diverged" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate_is_usage_error(self, dataset, tmp_path, capsys, lr):
         code = run([

@@ -14,6 +14,7 @@ from svbayes.distributions import (
     Dataset,
     ModelKind,
     NaturalParams,
+    ThetaVector,
     folded_normal_log_pdf,
     folded_normal_loglik,
     gaussian_log_pdf,
@@ -21,12 +22,16 @@ from svbayes.distributions import (
     log_pdf,
     _checked_data,
     loglik_at,
-    loglik_terms,
     pdf,
     sample_data,
     summarize,
 )
 from svbayes.rng import Rng
+
+
+def loglik_terms(kind, data, mu, theta2, n_total, partials=True):
+    """The likelihood core on raw batch values, summarized here."""
+    return distributions.loglik_terms(kind, summarize(kind, data), mu, theta2, n_total, partials)
 
 
 def two_term_folded_pdf(y, mu, beta):
@@ -59,6 +64,14 @@ def tape_loglik_value(kind, theta, data, n_total, batch_size=None):
 
 
 class TestParameterizations:
+    def test_theta_roundtrip(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            theta = ThetaVector(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            back = ThetaVector.from_natural(theta.to_natural())
+            assert back.theta1 == pytest.approx(theta.theta1, abs=1e-12)
+            assert back.theta2 == pytest.approx(theta.theta2, abs=1e-12)
+
     def test_natural_params_require_positive_precision(self):
         with pytest.raises(ValueError):
             NaturalParams(mu=0.0, beta=0.0)
@@ -267,9 +280,8 @@ class TestGaussianSufficientStatistics:
         ybar = float(np.mean(batch))
         mu = ybar + np.array([-2.5, -1.0, -0.3, 0.4, 1.7])
         theta2 = np.array([-1.0, 0.3, 0.0, 0.8, -0.4])
-        stats = summarize(batch)
-        values, d_mu, d_theta2 = loglik_terms(self.GAUSSIAN, stats, mu, theta2, n_total)
-        bare = loglik_terms(self.GAUSSIAN, stats, mu, theta2, n_total, partials=False)
+        values, d_mu, d_theta2 = loglik_terms(self.GAUSSIAN, batch, mu, theta2, n_total)
+        bare = loglik_terms(self.GAUSSIAN, batch, mu, theta2, n_total, partials=False)
         np.testing.assert_array_equal(bare[0], values)
         for i, (m, t) in enumerate(zip(mu.tolist(), theta2.tolist())):
             value, fd_mu, ref_theta2, fd_theta2 = self.reference(batch, m, t, n_total)
@@ -279,10 +291,18 @@ class TestGaussianSufficientStatistics:
             assert d_theta2[i] == pytest.approx(fd_theta2, rel=1e-7)
 
     def test_one_point_batch_has_zero_spread(self):
-        stats = summarize(np.array([1e6 + 0.37]))
-        assert stats.size == 1
+        stats = summarize(self.GAUSSIAN, np.array([1e6 + 0.37]))
+        assert len(stats.y) == 1 and stats.sum_y == 1e6 + 0.37
         assert stats.ss_c == 0.0 and stats.mean_lo == 0.0
-        assert stats.mean == 1e6 + 0.37
+
+    def test_summary_holds_only_the_sums_its_model_reads(self):
+        y = np.array([0.5, 1.25, 3.0])
+        gaussian = summarize(self.GAUSSIAN, y)
+        assert gaussian.yy is None
+        assert gaussian.ss_c == pytest.approx(float(np.sum((y - y.mean()) ** 2)), rel=1e-15)
+        folded = summarize(ModelKind.FOLDED_NORMAL, y)
+        assert folded.mean_lo is None and folded.ss_c is None
+        assert folded.sum_y == float(np.sum(y)) and folded.yy == float(y @ y)
 
     def test_loglik_at_is_one_call_without_a_rows_by_n_array(self, monkeypatch):
         """201^2 nodes at N = 100,000: one likelihood call, and a traced peak

@@ -7,13 +7,19 @@ import pytest
 
 from svbayes import engine
 from svbayes.autodiff import Tape, finite_diff_check
-from svbayes.distributions import Dataset, ModelKind, NaturalParams, log_pdf, sample_data
+from svbayes.distributions import (
+    Dataset,
+    ModelKind,
+    NaturalParams,
+    log_pdf,
+    sample_data,
+    summarize,
+)
 from svbayes.engine import (
     DivergenceError,
     TrainConfig,
     estimate_free_energy,
     fit,
-    free_energy_and_grad,
     make_batches,
 )
 from svbayes.posterior import PosteriorNodes, PosteriorParams, PriorSpec, lift
@@ -21,6 +27,15 @@ from svbayes.rng import Rng
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
 TRUE_PARAMS = NaturalParams.from_mean_variance(1.0, 4.0)
+
+
+def free_energy_and_grad(model, values, n_total, zeta, epsilons, prior, correlation_enabled):
+    """The fit step on raw batch values and (L, 2) noise eps, summarized and
+    widened to [1 | eps] here, as `fit` passes them."""
+    widened = np.column_stack((np.ones(len(epsilons)), epsilons))
+    return engine.free_energy_and_grad(
+        model, summarize(model, values), n_total, zeta, widened, prior, correlation_enabled
+    )
 
 
 def model_data(model, seed=42):
