@@ -12,9 +12,10 @@ posterior: the samples and the pull-back of their partials are one matmul
 each on the noise widened to [1 | eps], around one likelihood call; S, the
 KL, the chain rule and Adam are plain floats on (m0, m1, v0, v1[, u]).
 `fit` checks the data once and summarizes each batch once (every epoch
-when shuffling).  Each epoch draws its noise after the shuffle in one call
-(blocks of NOISE_BLOCK_DRAWS when it needs more), in the stream order of
-per-step draws, so everything downstream of the seed is deterministic.
+when shuffling).  The noise comes in blocks of up to NOISE_BLOCK_DRAWS
+normals that span epochs (a whole fit is one block at the usual sizes) and
+stop only at a shuffle, in the stream order of per-step draws, so
+everything downstream of the seed is deterministic.
 The final free-energy re-estimate runs on `distributions.loglik_at`;
 `estimate_free_energy` is the autodiff-tape reference the tests check.
 """
@@ -38,8 +39,8 @@ if TYPE_CHECKING:
     from .autodiff import NodeId, Tape
     from .posterior import PosteriorNodes
 
-# Normal draws per `Rng.standard_normals` call in `fit`: a whole epoch's
-# noise at the usual sizes, a bounded buffer at any batch count and L.
+# Normal draws per `Rng.standard_normals` call in `fit`: a whole fit's
+# noise at the usual sizes, a bounded buffer at any step count and L.
 NOISE_BLOCK_DRAWS = 16_384
 
 
@@ -268,7 +269,7 @@ def fit(
 
     Full-data mode takes one step per epoch on all points; mini-batch mode
     takes one step per batch, passing through the data once per epoch.  The
-    data are checked once, here, and the noise drawn per epoch (see the
+    data are checked once, here, and the noise drawn in blocks (see the
     module docstring).  The returned final free energy re-estimates the
     objective on the full data with `final_fe_samples` fresh draws, since
     single-sample step values are noisy.
@@ -298,6 +299,7 @@ def fit(
     # the steps whose noise one `standard_normals` call draws; a block never
     # spans a shuffle, so the stream order is that of per-step draws
     block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * p))
+    noise, used = [], 0  # the drawn block and how many of its steps have run
     trace: list[TraceRecord] = []
     global_step = 0
     # an overflow or invalid operation anywhere in a step or in the final
@@ -310,13 +312,17 @@ def fit(
                     shuffled = _cut(rng.shuffle(data.values), batch_size)
                     batches = [distributions.summarize(model, b) for b in shuffled]
                 for step, batch in enumerate(batches):
-                    if step % block_steps == 0:
-                        k = min(block_steps, len(batches) - step)
+                    if used == len(noise):
+                        # the steps left before the next shuffle, or in the fit
+                        epochs_left = 1 if config.shuffle else config.epochs - epoch
+                        k = min(block_steps, epochs_left * len(batches) - step)
                         draws = rng.standard_normals(k * n_samples * p).reshape(k, n_samples, p)
                         noise = np.concatenate((np.ones((k, n_samples, 1)), draws), axis=2)
+                        used = 0
                     obj = free_energy_and_grad(
-                        model, batch, n_total, zeta, noise[step % block_steps], prior, correlation
+                        model, batch, n_total, zeta, noise[used], prior, correlation
                     )
+                    used += 1
                     # plain-float F = mc - KL can overflow without a numpy fault
                     if not (math.isfinite(obj.free_energy) and all(map(math.isfinite, obj.grad))):
                         raise DivergenceError(

@@ -92,6 +92,8 @@ class PriorSpec:
         p = m0.size
         if m0.ndim != 1 or C0.shape != (p, p):
             raise ValueError("prior mean and covariance shapes do not match")
+        if not np.all(np.isfinite(m0)):
+            raise ValueError("prior mean entries must be finite")
         if not np.allclose(C0, C0.T, atol=1e-12):
             raise ValueError("prior covariance must be symmetric")
         if np.any(np.linalg.eigvalsh(C0) <= 0.0):

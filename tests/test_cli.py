@@ -183,6 +183,17 @@ class TestFit:
         assert code == cli.EXIT_USAGE
         assert "--prior-var entries must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "grid"])
+    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
+    def test_non_finite_prior_mean_is_usage_error(self, dataset, tmp_path, capsys, command, mean):
+        code = run([
+            command, "--data", str(dataset), f"--prior-mean={mean}",
+            "--out", str(tmp_path / "out" / "f"),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "prior mean entries must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGrid:
     def test_outputs_and_mass_normalization(self, dataset, tmp_path):

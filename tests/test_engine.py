@@ -342,7 +342,7 @@ def reference_fit(model, data, prior, config):
 
 
 class TestFusedLoop:
-    """`fit` (per-epoch draws, in-place Adam) against the plain reference loop."""
+    """`fit` (block draws, in-place Adam) against the plain reference loop."""
 
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize(
@@ -365,16 +365,26 @@ class TestFusedLoop:
         np.testing.assert_allclose(packed(result.params), zeta, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("mc_samples", [1, 3])
-    def test_noise_blocks_keep_the_stream_order(self, monkeypatch, mc_samples):
-        """With several draw calls per epoch, the last one short, the fit
-        still matches per-step draws."""
-        monkeypatch.setattr(engine, "NOISE_BLOCK_DRAWS", 18)
+    @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffled", "in-order"])
+    @pytest.mark.parametrize("batch_size", [None, 7], ids=["full", "batch7"])
+    def test_noise_blocks_keep_the_stream_order(self, monkeypatch, mc_samples, shuffle, batch_size):
+        """With several draw calls per fit, the last one short, blocks that
+        cross epochs when nothing is shuffled and stop at each shuffle when
+        something is, the fit still matches per-step draws and, bit for bit,
+        a fit that draws its noise in default blocks."""
         data = example1_data()
         config = TrainConfig(
-            epochs=5, batch_size=7, shuffle=True, mc_samples=mc_samples, seed=4,
+            epochs=12, batch_size=batch_size, shuffle=shuffle, mc_samples=mc_samples, seed=4,
             final_fe_samples=2,
         )
+        default = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
+        # 8 steps a block at L = 1 and 2 at L = 3: neither divides the 15
+        # batches of 7, so in-order blocks cross epoch boundaries
+        monkeypatch.setattr(engine, "NOISE_BLOCK_DRAWS", 16)
         result = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
+        assert result.trace == default.trace
+        assert packed(result.params).tobytes() == packed(default.params).tobytes()
+        assert result.final_free_energy == default.final_free_energy
         trace, zeta = reference_fit(ModelKind.GAUSSIAN, data, PRIOR, config)
         got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
         np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)

@@ -1,9 +1,58 @@
-"""The pinned random stream: golden bits and split invariance of bulk draws."""
+"""The pinned random stream: golden bits, split invariance of bulk draws, and
+the block generator against a one-number-at-a-time reference."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from svbayes.rng import Rng
+import svbayes
+from svbayes import engine
+from svbayes.rng import BLOCK_STATES, Rng
+
+_MASK64 = (1 << 64) - 1
+
+
+class ScalarRng:
+    """The stream written out plainly: splitmix64 seeding, one xorshift64*
+    step per number, Box-Muller per normal and Fisher-Yates per swap."""
+
+    def __init__(self, seed):
+        x = ((int(seed) & _MASK64) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        self._state = (x ^ (x >> 31)) or 0x9E3779B97F4A7C15
+
+    def _next_u64(self):
+        x = self._state
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK64
+        x ^= x >> 27
+        self._state = x
+        return (x * 0x2545F4914F6CDD1D) & _MASK64
+
+    def uniform(self):
+        return (self._next_u64() >> 11) / float(1 << 53)
+
+    def standard_normal(self):
+        u1 = ((self._next_u64() >> 11) + 1) / float(1 << 53)
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def standard_normals(self, n):
+        return np.array([self.standard_normal() for _ in range(n)])
+
+    def shuffle(self, values):
+        out = np.array(values, copy=True)
+        for i in range(len(out) - 1, 0, -1):
+            j = int(self.uniform() * (i + 1))
+            out[i], out[j] = out[j], out[i]
+        return out
+
 
 # float.hex of the first 8 draws of a fresh generator, one list per method
 GOLDEN = {
@@ -54,3 +103,61 @@ def test_split_invariance(seed, a, b):
     loop = np.array([loop_rng.standard_normal() for _ in range(a + b)])
     assert whole.tobytes() == split.tobytes() == loop.tobytes()
     assert whole_rng.uniform() == split_rng.uniform() == loop_rng.uniform()
+
+
+SEEDS = [0, 7, 42, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bulk_draws_match_the_scalar_reference(seed):
+    rng, ref = Rng(seed), ScalarRng(seed)
+    assert rng.standard_normals(100_000).tobytes() == ref.standard_normals(100_000).tobytes()
+    assert rng._state == ref._state
+    assert [rng.uniform() for _ in range(10_000)] == [ref.uniform() for _ in range(10_000)]
+    assert rng._state == ref._state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draws_straddling_the_blocks_match_the_reference(seed):
+    """Normal counts around half a table block (two states per normal) and
+    around the fit's noise block, one after another from one generator."""
+    half = BLOCK_STATES // 2
+    sizes = [half - 1, half, half + 1, 1, BLOCK_STATES - 1, BLOCK_STATES, BLOCK_STATES + 1,
+             engine.NOISE_BLOCK_DRAWS + 1]
+    rng, ref = Rng(seed), ScalarRng(seed)
+    for n in sizes:
+        assert rng.standard_normals(n).tobytes() == ref.standard_normals(n).tobytes(), n
+        assert rng._state == ref._state, n
+    assert rng.uniform() == ref.uniform()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shuffle_matches_the_reference(seed):
+    """Lengths 1, 2, 101 and 1,000, then n - 1 = block - 1, block, block + 1
+    uniforms; the permutation and the stream after it are the reference's."""
+    rng, ref = Rng(seed), ScalarRng(seed)
+    for n in [1, 2, 101, 1000, BLOCK_STATES, BLOCK_STATES + 1, BLOCK_STATES + 2]:
+        values = np.arange(n, dtype=float) * 0.5
+        got = rng.shuffle(values)
+        assert got.tobytes() == ref.shuffle(values).tobytes(), n
+        assert got.dtype == values.dtype
+        assert rng._state == ref._state, n
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_draws_never_trip_a_raising_error_state():
+    """The uint64 wrap-around of the output multiply stays in array
+    operations, so a fit's raising error state cannot turn it into a fault."""
+    with np.errstate(all="raise"):
+        Rng(2**64 - 1).standard_normals(3 * BLOCK_STATES)
+        Rng(3).shuffle(np.arange(50.0))
+
+
+def test_import_builds_no_table():
+    code = (
+        "import svbayes.cli, svbayes.rng as r; "
+        "assert r._jump_table.cache_info().currsize == 0; "
+        "r.Rng(1).uniform(); assert r._jump_table.cache_info().currsize == 1"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(svbayes.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
