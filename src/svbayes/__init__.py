@@ -6,9 +6,9 @@ plus a Monte Carlo likelihood term with reparameterization gradients), and
 validates the result against a brute-force 2D grid posterior.
 """
 
-from .autodiff import DomainError, FiniteDiffReport, Gradient, Tape, finite_diff_check
 from .distributions import (
     Dataset,
+    DomainError,
     ModelKind,
     NaturalParams,
     ThetaVector,
@@ -23,7 +23,6 @@ from .engine import (
     FitResult,
     TraceRecord,
     TrainConfig,
-    estimate_free_energy,
     fit,
     make_batches,
     write_trace_csv,
@@ -54,9 +53,7 @@ __all__ = [
     "Dataset",
     "DivergenceError",
     "DomainError",
-    "FiniteDiffReport",
     "FitResult",
-    "Gradient",
     "GridResult",
     "GridSpec",
     "GridUnderflowError",
@@ -66,14 +63,11 @@ __all__ = [
     "PosteriorSummary",
     "PriorSpec",
     "Rng",
-    "Tape",
     "ThetaVector",
     "TraceRecord",
     "TrainConfig",
     "compare",
-    "estimate_free_energy",
     "extract_posterior",
-    "finite_diff_check",
     "fit",
     "folded_normal_log_pdf",
     "gaussian_log_pdf",

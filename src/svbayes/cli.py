@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, engine, grid_oracle
-from .autodiff import DomainError
-from .distributions import Dataset, ModelKind, NaturalParams, pdf, sample_data
+from .distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
 from .engine import DivergenceError, FitResult, TrainConfig, write_trace_csv
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
 from .posterior import PriorSpec, mvn_log_pdf
@@ -34,6 +33,9 @@ EXIT_INPUT = 3
 EXIT_DOMAIN = 4
 EXIT_DIVERGENCE = 5
 EXIT_GRID_UNDERFLOW = 6
+
+# Rows per formatted block of a data CSV; bounds its memory whatever the N.
+DATA_CHUNK_ROWS = 65_536
 
 
 class DataFileError(RuntimeError):
@@ -106,7 +108,12 @@ def _grid_columns(mu_axis, logvar_axis, mass, variance: bool) -> tuple[str, list
 
 
 def write_data_csv(path: Path, data: Dataset) -> None:
-    _write_columns(path, "y", [_reprs(data.values)])
+    """The `y` column, formatted and written DATA_CHUNK_ROWS values at a time."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("y\n")
+        for i in range(0, len(data), DATA_CHUNK_ROWS):
+            fh.write("\n".join(_reprs(data.values[i : i + DATA_CHUNK_ROWS])) + "\n")
 
 
 def read_data_csv(path: Path) -> Dataset:

@@ -12,8 +12,7 @@ is exact in the count, mean and centred sum of squares, so at L theta
 points it costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
 rescaled batch value with closed-form partials (the fit step) or value
 only; :func:`loglik_at` sums the full-data value at many theta points (the
-final free energy, the grid oracle).  The tape builders
-(:func:`loglik_node`) are the autodiff reference the tests check against.
+final free energy, the grid oracle).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import DomainError, NodeId, Tape
 from .rng import Rng
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
@@ -33,6 +31,10 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 # Likelihood terms (data point x theta row) per loglik_terms call in
 # loglik_at; bounds its working memory (one 512 KB buffer) whatever the N.
 CHUNK_TERMS = 65_536
+
+
+class DomainError(ValueError):
+    """Data outside the model's support (non-positive Folded Normal data)."""
 
 
 class ModelKind(enum.Enum):
@@ -161,19 +163,6 @@ def sample_data(kind: ModelKind, params: NaturalParams, n: int, seed: int) -> Da
 # -- batch log-likelihood with closed-form partials --------------------------
 
 
-def _check_batch(data, n_total: int, batch_size: int | None) -> int:
-    m = len(data)
-    if m == 0:
-        raise ValueError("batch must be nonempty")
-    if batch_size is None:
-        batch_size = m
-    if batch_size != m:
-        raise ValueError(f"batch_size={batch_size} does not match batch length {m}")
-    if n_total < batch_size:
-        raise ValueError(f"n_total={n_total} smaller than batch_size={batch_size}")
-    return batch_size
-
-
 class Batch(NamedTuple):
     """Batch values with the sums its model's likelihood reads (others None)."""
 
@@ -196,9 +185,10 @@ def summarize(kind: ModelKind, y) -> Batch:
     return Batch(y, sum_y, None, mean_lo, float(dev @ dev))
 
 
-def _checked_data(kind: ModelKind, y, n_total: int) -> Batch:
+def _checked_data(kind: ModelKind, y) -> Batch:
     y = np.asarray(y, dtype=float)
-    _check_batch(y, n_total, None)
+    if y.size == 0:
+        raise ValueError("batch must be nonempty")
     if kind is ModelKind.FOLDED_NORMAL and not np.all(y > 0.0):
         raise DomainError("folded normal support is y > 0")
     return summarize(kind, y)
@@ -268,93 +258,9 @@ def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
     the Folded Normal; never an (L, N) array.
     """
     n = len(y)
-    batch = _checked_data(kind, y, n)
+    batch = _checked_data(kind, y)
     rows = max(1, len(thetas) if kind is ModelKind.GAUSSIAN else CHUNK_TERMS // n)
     return np.concatenate([
         loglik_terms(kind, batch, thetas[i : i + rows, 0], thetas[i : i + rows, 1], n, False)[0]
         for i in range(0, len(thetas), rows)
     ])
-
-
-# -- tape-expressed log-likelihoods ----------------------------------------
-
-
-def _normalizer(tape: Tape, theta2: NodeId, n_total: int) -> NodeId:
-    # N/2 * log(beta / 2pi) with log(beta) written directly as -theta2
-    return tape.mul(
-        tape.constant(0.5 * n_total),
-        tape.sub(tape.neg(theta2), tape.constant(LOG_TWO_PI)),
-    )
-
-
-def gaussian_loglik(
-    tape: Tape,
-    theta: tuple[NodeId, NodeId],
-    data,
-    n_total: int,
-    batch_size: int | None = None,
-) -> NodeId:
-    """Tape node for the (mini-batch rescaled) Gaussian log-likelihood.
-
-    Returns N/2 log(beta/2pi) - (N/M)(beta/2) sum_m (y_m - mu)^2 with
-    N = n_total and M the batch length; M = N gives the full-data value.
-    """
-    m = _check_batch(data, n_total, batch_size)
-    mu, theta2 = theta
-    beta = tape.exp(tape.neg(theta2))
-    quad = tape.sum_many(
-        [tape.square(tape.sub(tape.constant(float(y)), mu)) for y in data]
-    )
-    penalty = tape.mul(
-        tape.constant(0.5 * n_total / m), tape.mul(beta, quad)
-    )
-    return tape.sub(_normalizer(tape, theta2, n_total), penalty)
-
-
-def folded_normal_loglik(
-    tape: Tape,
-    theta: tuple[NodeId, NodeId],
-    data,
-    n_total: int,
-    batch_size: int | None = None,
-) -> NodeId:
-    """Tape node for the (mini-batch rescaled) Folded Normal log-likelihood.
-
-    Same shape as the Gaussian case: the shared N/2 log(beta/2pi) normalizer
-    stays at full count, the per-point reflected-sum terms are scaled by N/M.
-    """
-    m = _check_batch(data, n_total, batch_size)
-    for y in data:
-        if not y > 0.0:
-            raise DomainError(f"folded normal support is y > 0, got {y!r}")
-    mu, theta2 = theta
-    beta = tape.exp(tape.neg(theta2))
-    one = tape.constant(1.0)
-    minus_two = tape.constant(-2.0)
-    terms = []
-    for y in data:
-        y = float(y)
-        sumsq = tape.add(tape.constant(y * y), tape.square(mu))
-        quad = tape.mul(tape.constant(-0.5), tape.mul(beta, sumsq))
-        z = tape.mul(beta, tape.mul(mu, tape.constant(y)))
-        az = z if tape.value(z) >= 0.0 else tape.neg(z)
-        soft = tape.log(tape.add(one, tape.exp(tape.mul(minus_two, az))))
-        terms.append(tape.add(tape.add(quad, az), soft))
-    scaled = tape.mul(tape.constant(n_total / m), tape.sum_many(terms))
-    return tape.add(_normalizer(tape, theta2, n_total), scaled)
-
-
-def loglik_node(
-    kind: ModelKind,
-    tape: Tape,
-    theta: tuple[NodeId, NodeId],
-    data,
-    n_total: int,
-    batch_size: int | None = None,
-) -> NodeId:
-    """Dispatch to the tape log-likelihood builder for `kind`."""
-    if kind is ModelKind.GAUSSIAN:
-        return gaussian_loglik(tape, theta, data, n_total, batch_size)
-    if kind is ModelKind.FOLDED_NORMAL:
-        return folded_normal_loglik(tape, theta, data, n_total, batch_size)
-    raise ValueError(f"unknown model kind {kind!r}")

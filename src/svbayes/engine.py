@@ -16,28 +16,22 @@ when shuffling).  The noise comes in blocks of up to NOISE_BLOCK_DRAWS
 normals that span epochs (a whole fit is one block at the usual sizes) and
 stop only at a shuffle, in the stream order of per-step draws, so
 everything downstream of the seed is deterministic.
-The final free-energy re-estimate runs on `distributions.loglik_at`;
-`estimate_free_energy` is the autodiff-tape reference the tests check.
+The final free-energy re-estimate runs on `distributions.loglik_at`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import distributions, posterior
-from .autodiff import DomainError
-from .distributions import Dataset, ModelKind
+from .distributions import Dataset, DomainError, ModelKind
 from .optimizer import Adam
 from .posterior import PosteriorParams, PriorSpec
 from .rng import Rng
-
-if TYPE_CHECKING:
-    from .autodiff import NodeId, Tape
-    from .posterior import PosteriorNodes
 
 # Normal draws per `Rng.standard_normals` call in `fit`: a whole fit's
 # noise at the usual sizes, a bounded buffer at any step count and L.
@@ -141,42 +135,6 @@ class FitResult:
             "config": self.config.to_json_dict(),
             "steps": self.steps,
         }
-
-
-class FreeEnergyParts(NamedTuple):
-    """Tape nodes of the objective and its two components."""
-
-    free_energy: NodeId
-    mc_loglik: NodeId
-    kl: NodeId
-
-
-def estimate_free_energy(
-    tape: Tape,
-    model: ModelKind,
-    data_batch,
-    n_total: int,
-    nodes: PosteriorNodes,
-    prior: PriorSpec,
-    epsilons: Sequence[np.ndarray],
-) -> FreeEnergyParts:
-    """Stochastic free-energy estimate F = (1/L) sum_l loglik(theta*_l) - KL.
-
-    The noise vectors come in from the caller so tests can freeze them; each
-    theta*_l = m + S eps_l flows through the model log-likelihood with
-    mini-batch rescaling, while the KL term is analytic and shared.
-    """
-    if not epsilons:
-        raise ValueError("need at least one noise vector")
-    lls = []
-    for eps in epsilons:
-        theta = posterior.reparam_sample(tape, nodes, eps)
-        lls.append(
-            distributions.loglik_node(model, tape, (theta[0], theta[1]), data_batch, n_total)
-        )
-    mc = tape.mul(tape.constant(1.0 / len(lls)), tape.sum_many(lls))
-    kl = posterior.kl_to_prior(tape, nodes, prior)
-    return FreeEnergyParts(tape.sub(mc, kl), mc, kl)
 
 
 class Objective(NamedTuple):

@@ -5,13 +5,11 @@ with S lower triangular: diagonal entries exp(v_i) (always positive), strict
 lower entries u_ij.  Samples are the deterministic transform
 theta = m + S eps of standard-normal noise, so gradients reach (m, v, u)
 while the noise stays outside the differentiated path.  The fitted models
-have two parameters, and the plain-number side is written for that case:
+have two parameters, and the algebra is written for that case:
 :func:`factor` gives the three entries of S and :func:`kl_and_grad` the KL
 to an MVN prior with its gradient, both in plain Python floats, which is
 what the fit loop's per-step algebra runs on; :func:`kl_value` reads the
-same formula.  The tape side (`lift`, `reparam_sample`, `kl_to_prior`)
-builds the same quantities as autodiff nodes for any P; it is the
-reference the closed-form gradients are tested against.
+same formula.
 """
 
 from __future__ import annotations
@@ -22,12 +20,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-
-from .autodiff import NodeId, Tape
-
-
-def _tril_indices(p: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(p) for j in range(i)]
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,6 @@ class PriorSpec:
         return cls(m0=np.asarray(means, dtype=float), C0=np.diag(variances))
 
 
-# -- plain-number side -------------------------------------------------------
-
-
 def mvn_log_pdf(points, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """MVN(mean, cov) log density at `points`, shape (..., P)."""
     diff = np.asarray(points, dtype=float) - mean
@@ -144,7 +133,8 @@ def factor(v0: float, v1: float, u: float) -> tuple[float, float, float]:
     The diagonal is exp(v) and S10 = u (pass 0.0 without correlation).
     Raises OverflowError when an exp(v_i) does not fit a float.
     """
-    # math.exp so the entries match the tape's scalar arithmetic bit for bit
+    # math.exp, not np.exp: the two can differ in the last bit, and the fit's
+    # artifacts are pinned to math.exp
     return math.exp(v0), u, math.exp(v1)
 
 
@@ -203,12 +193,7 @@ class PosteriorSummary:
     def __init__(self, params: PosteriorParams) -> None:
         self.mean = params.m.copy()
         self.cov = covariance(params)
-        if params.dim >= 2:
-            self.rho = float(
-                self.cov[0, 1] / math.sqrt(self.cov[0, 0] * self.cov[1, 1])
-            )
-        else:
-            self.rho = 0.0
+        self.rho = float(self.cov[0, 1] / math.sqrt(self.cov[0, 0] * self.cov[1, 1]))
         self.correlation_enabled = params.correlation_enabled
 
     def __iter__(self):
@@ -226,111 +211,3 @@ class PosteriorSummary:
 def extract_posterior(params: PosteriorParams) -> PosteriorSummary:
     """Plain-number (mean, covariance, correlation) view of the posterior."""
     return PosteriorSummary(params)
-
-
-# -- tape side ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PosteriorNodes:
-    """Tape handles for the posterior hyper-parameters.
-
-    `free_leaves` lists the variables in optimization order: all of m, then
-    v, then u when correlation is enabled.  With correlation disabled the u
-    entries are constants pinned at zero, so the same graph serves both
-    variants.
-    """
-
-    m: tuple[NodeId, ...]
-    v: tuple[NodeId, ...]
-    u: tuple[NodeId, ...]
-    correlation_enabled: bool
-
-    @property
-    def dim(self) -> int:
-        return len(self.m)
-
-    def free_leaves(self) -> tuple[NodeId, ...]:
-        if self.correlation_enabled:
-            return self.m + self.v + self.u
-        return self.m + self.v
-
-
-def lift(tape: Tape, params: PosteriorParams) -> PosteriorNodes:
-    """Register the hyper-parameters on a tape."""
-    m = tuple(tape.variable(x) for x in params.m)
-    v = tuple(tape.variable(x) for x in params.v)
-    if params.correlation_enabled:
-        u = tuple(tape.variable(x) for x in params.u)
-    else:
-        u = tuple(tape.constant(0.0) for _ in params.u)
-    return PosteriorNodes(m, v, u, params.correlation_enabled)
-
-
-def build_cholesky(tape: Tape, nodes: PosteriorNodes) -> list[list[NodeId]]:
-    """Lower-triangular factor as tape nodes; S[i][j] valid for j <= i."""
-    p = nodes.dim
-    s: list[list[NodeId]] = [[0] * (i + 1) for i in range(p)]
-    for i in range(p):
-        s[i][i] = tape.exp(nodes.v[i])
-    for k, (i, j) in enumerate(_tril_indices(p)):
-        s[i][j] = nodes.u[k]
-    return s
-
-
-def reparam_sample(
-    tape: Tape, nodes: PosteriorNodes, epsilon: np.ndarray
-) -> list[NodeId]:
-    """Tape nodes for theta = m + S eps with eps entering as constants."""
-    epsilon = np.asarray(epsilon, dtype=float)
-    if epsilon.shape != (nodes.dim,):
-        raise ValueError(f"epsilon must have shape ({nodes.dim},)")
-    s = build_cholesky(tape, nodes)
-    theta = []
-    for i in range(nodes.dim):
-        contrib = tape.sum_many(
-            [tape.mul(s[i][j], tape.constant(epsilon[j])) for j in range(i + 1)]
-        )
-        theta.append(tape.add(nodes.m[i], contrib))
-    return theta
-
-
-def kl_to_prior(tape: Tape, nodes: PosteriorNodes, prior: PriorSpec) -> NodeId:
-    """Closed-form KL(q || prior) as a tape node.
-
-    KL = 1/2 [ Trace(C0^-1 C) - log|C| + log|C0| - P + (m - m0)^T C0^-1 (m - m0) ]
-    with C = S S^T and log|C| = 2 sum_i v_i, exact for a Cholesky factor.
-    """
-    p = nodes.dim
-    if prior.dim != p:
-        raise ValueError(f"prior dimension {prior.dim} != posterior dimension {p}")
-    inv0 = prior.C0_inv
-    s = build_cholesky(tape, nodes)
-
-    # C entries as tape nodes; C[i][j] = sum_k S[i][k] S[j][k], k <= min(i, j)
-    terms = []
-    for i in range(p):
-        for j in range(p):
-            lo, hi = min(i, j), max(i, j)
-            prods = [tape.mul(s[hi][k], s[lo][k]) for k in range(lo + 1)]
-            c_ij = tape.sum_many(prods)
-            terms.append(tape.mul(tape.constant(inv0[j, i]), c_ij))
-    trace_term = tape.sum_many(terms)
-
-    log_det_c = tape.mul(tape.constant(2.0), tape.sum_many(list(nodes.v)))
-
-    quad_terms = []
-    for i in range(p):
-        for j in range(p):
-            di = tape.sub(nodes.m[i], tape.constant(prior.m0[i]))
-            dj = tape.sub(nodes.m[j], tape.constant(prior.m0[j]))
-            quad_terms.append(
-                tape.mul(tape.constant(inv0[i, j]), tape.mul(di, dj))
-            )
-    quad = tape.sum_many(quad_terms)
-
-    inner = tape.add(
-        tape.sub(trace_term, log_det_c),
-        tape.add(quad, tape.constant(prior.log_det_C0 - p)),
-    )
-    return tape.mul(tape.constant(0.5), inner)

@@ -13,18 +13,19 @@ import time
 import numpy as np
 import pytest
 
+from numdiff import central_differences, max_rel_error
 from svbayes import cli
-from svbayes.autodiff import finite_diff_check
 from svbayes.distributions import (
     ModelKind,
     NaturalParams,
     folded_normal_log_pdf,
+    loglik_terms,
     sample_data,
+    summarize,
 )
-from svbayes.engine import TrainConfig, estimate_free_energy, fit
+from svbayes.engine import TrainConfig, fit, free_energy_and_grad
 from svbayes.grid_oracle import GridSpec, grid_posterior
 from svbayes.posterior import (
-    PosteriorNodes,
     PosteriorParams,
     PriorSpec,
     cholesky_factor,
@@ -90,31 +91,27 @@ def convergence_epoch(result, window=10):
 
 
 def test_criterion_1_gradient_correctness():
-    """AD gradient of the full objective matches central differences."""
-    data = gaussian_data(1)
+    """The gradient `fit` follows matches central differences of the objective."""
+    batch = summarize(ModelKind.GAUSSIAN, gaussian_data(1).values)
     rng = np.random.default_rng(314)
     start = time.monotonic()
     worst = 0.0
     for i in range(20):
         n_samples = 1 if i < 10 else 3
         eps = [rng.standard_normal(2) for _ in range(n_samples)]
+        noise = np.column_stack((np.ones(n_samples), eps))  # [1 | eps], as `fit` passes it
 
-        def build(t, xs):
-            nodes = PosteriorNodes(
-                m=(xs[0], xs[1]), v=(xs[2], xs[3]), u=(xs[4],),
-                correlation_enabled=True,
+        def objective(zeta):
+            return free_energy_and_grad(
+                ModelKind.GAUSSIAN, batch, 100, zeta, noise, PRIOR, True
             )
-            return estimate_free_energy(
-                t, ModelKind.GAUSSIAN, data.values, 100, nodes, PRIOR, eps
-            ).free_energy
 
         at = np.concatenate([
             rng.uniform(-2, 3, size=2), rng.uniform(-2, 1, size=2),
             rng.uniform(-1, 1, size=1),
         ])
-        result = finite_diff_check(build, at, rtol=1e-4)
-        worst = max(worst, result.max_rel_error)
-        assert not result.eval_failures
+        fd = central_differences(lambda z: objective(z).free_energy, at)
+        worst = max(worst, max_rel_error(objective(at).grad, fd))
     elapsed = time.monotonic() - start
     report(1, worst < 1e-4 and elapsed < 10.0,
            f"max rel err {worst:.2e} over 20 points in {elapsed:.1f}s")
@@ -292,16 +289,12 @@ def test_criterion_8_folded_formulation_equivalence():
 def test_criterion_9_minibatch_likelihood_identity():
     """Equal-partition mean of scaled batch log-likelihoods equals the
     full-data log-likelihood to 1e-10 relative."""
-    from svbayes.autodiff import Tape
-    from svbayes.distributions import gaussian_loglik
-
     data = gaussian_data(1)
-    theta = (0.8, 1.2)
+    mu, theta2 = np.array([0.8]), np.array([1.2])
 
     def value(batch):
-        t = Tape()
-        nodes = (t.variable(theta[0]), t.variable(theta[1]))
-        return t.value(gaussian_loglik(t, nodes, batch, n_total=100))
+        stats = summarize(ModelKind.GAUSSIAN, batch)
+        return loglik_terms(ModelKind.GAUSSIAN, stats, mu, theta2, 100, partials=False)[0][0]
 
     full = value(data.values)
     ok = True

@@ -419,6 +419,16 @@ class TestColumnWriter:
         cli.write_data_csv(tmp_path / "d.csv", data)
         assert (tmp_path / "d.csv").read_bytes() == row_csv("y", ([v] for v in data.values))
 
+    def test_data_csv_longer_than_one_chunk(self, tmp_path):
+        """Two full chunks and a short one: the same bytes as one unchunked
+        write, and every value reads back exactly."""
+        n = 2 * cli.DATA_CHUNK_ROWS + 3
+        values = np.resize(np.array(self.AWKWARD[:-1]), n) * np.arange(1, n + 1)
+        path = tmp_path / "big.csv"
+        cli.write_data_csv(path, Dataset(values))
+        assert path.read_bytes() == row_csv("y", ([v] for v in values))
+        np.testing.assert_array_equal(cli.read_data_csv(path).values, values)
+
     def test_generated_data_csv(self, dataset):
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, 42)
         assert dataset.read_bytes() == row_csv("y", ([v] for v in data.values))

@@ -5,24 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from numdiff import central_differences, complex_step, max_rel_error
 from svbayes import engine
-from svbayes.autodiff import Tape, finite_diff_check
 from svbayes.distributions import (
     Dataset,
+    DomainError,
     ModelKind,
     NaturalParams,
     log_pdf,
+    loglik_terms,
     sample_data,
     summarize,
 )
-from svbayes.engine import (
-    DivergenceError,
-    TrainConfig,
-    estimate_free_energy,
-    fit,
-    make_batches,
-)
-from svbayes.posterior import PosteriorNodes, PosteriorParams, PriorSpec, lift
+from svbayes.engine import DivergenceError, TrainConfig, fit, make_batches
+from svbayes.posterior import PosteriorParams, PriorSpec
 from svbayes.rng import Rng
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
@@ -61,47 +57,54 @@ def packed(params):
     return np.concatenate(parts)
 
 
-def tape_objective(model, batch, params, epsilons):
-    """The tape oracle's (F, mc_loglik, KL, dF/dzeta) at frozen noise."""
-    t = Tape()
-    nodes = lift(t, params)
-    parts = estimate_free_energy(t, model, batch, 100, nodes, PRIOR, list(epsilons))
-    grad = t.grad(parts.free_energy)
-    values = [t.value(n) for n in parts]
-    return (*values, np.array([grad[leaf] for leaf in nodes.free_leaves()]))
+def reference_objective(model, values, n_total, zeta, epsilons, prior, correlation_enabled):
+    """(F, mc_loglik, KL) at the packed `zeta`, written plainly and complex-safe
+    for the complex step: a loop over the samples of the N/M-rescaled log
+    density, the folded one as the log-sum-exp of its two reflected
+    Gaussians, minus the full-matrix KL."""
+    zeta = np.asarray(zeta)
+    u = zeta[4] if correlation_enabled else 0.0
+    s = np.array([[np.exp(zeta[2]), 0.0], [u, np.exp(zeta[3])]])
+    mc = 0.0
+    for eps in epsilons:
+        mu, theta2 = zeta[:2] + s @ eps
+        beta = np.exp(-theta2)
+        near, far = -0.5 * beta * (values - mu) ** 2, -0.5 * beta * (values + mu) ** 2
+        if model is ModelKind.FOLDED_NORMAL:
+            hi = np.where(near.real >= far.real, near, far)
+            near = hi + np.log(1.0 + np.exp(near + far - 2.0 * hi))
+        mc = mc + n_total / len(values) * np.sum(0.5 * (-theta2 - math.log(2 * math.pi)) + near)
+    mc = mc / len(epsilons)
+    c, inv0, d = s @ s.T, np.linalg.inv(prior.C0), zeta[:2] - prior.m0
+    log_det_c = np.log(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
+    log_det_c0 = np.linalg.slogdet(prior.C0)[1]
+    kl = 0.5 * (np.trace(inv0 @ c) - log_det_c + log_det_c0 - 2 + d @ inv0 @ d)
+    return mc - kl, mc, kl
 
 
-def assert_matches_tape(model, batch, params, epsilons):
-    f, mc, kl, grad = tape_objective(model, batch, params, epsilons)
-    obj = free_energy_and_grad(
-        model, batch, 100, packed(params), epsilons, PRIOR, params.correlation_enabled
-    )
+def assert_matches_reference(model, batch, params, epsilons):
+    """The fit step against `reference_objective` and its complex-step gradient."""
+    zeta, corr = packed(params), params.correlation_enabled
+    obj = free_energy_and_grad(model, batch, 100, zeta, epsilons, PRIOR, corr)
+    parts = reference_objective(model, batch, 100, zeta, epsilons, PRIOR, corr)
     np.testing.assert_allclose(
-        [obj.free_energy, obj.mc_loglik, obj.kl], [f, mc, kl], rtol=1e-10, atol=0.0
+        [obj.free_energy, obj.mc_loglik, obj.kl], np.real(parts), rtol=1e-10, atol=0.0
+    )
+    grad = complex_step(
+        lambda z: reference_objective(model, batch, 100, z, epsilons, PRIOR, corr)[0], zeta
     )
     np.testing.assert_allclose(obj.grad, grad, rtol=1e-10, atol=0.0)
 
 
-def central_differences(fn, at):
-    """Central differences with the per-coordinate step of finite_diff_check."""
-    out = np.empty_like(at)
-    for i in range(at.size):
-        h = 1e-6 * max(1.0, abs(at[i]))
-        hi, lo = at.copy(), at.copy()
-        hi[i] += h
-        lo[i] -= h
-        out[i] = (fn(hi) - fn(lo)) / (2.0 * h)
-    return out
-
-
 class TestClosedFormObjective:
-    """`free_energy_and_grad` against the tape oracle and central differences."""
+    """`free_energy_and_grad` against a plain numpy reference (value, and
+    gradient by complex step) and against central differences."""
 
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     @pytest.mark.parametrize("n_samples", [1, 3])
     @pytest.mark.parametrize("correlation", [True, False])
-    def test_matches_tape_at_random_points(self, model, batch, n_samples, correlation):
+    def test_matches_reference_at_random_points(self, model, batch, n_samples, correlation):
         batch_values = BATCHES[batch](model_data(model).values)
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -112,11 +115,11 @@ class TestClosedFormObjective:
                 correlation_enabled=correlation,
             )
             epsilons = rng.standard_normal((n_samples, 2))
-            assert_matches_tape(model, batch_values, params, epsilons)
+            assert_matches_reference(model, batch_values, params, epsilons)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("correlation", [True, False])
-    def test_matches_tape_along_training_trajectory(self, model, correlation):
+    def test_matches_reference_along_training_trajectory(self, model, correlation):
         data = model_data(model)
         rng = np.random.default_rng(18)
         for epochs in (1, 5, 40, 400):
@@ -130,7 +133,7 @@ class TestClosedFormObjective:
             for batch in BATCHES.values():
                 for n_samples in (1, 3):
                     epsilons = rng.standard_normal((n_samples, 2))
-                    assert_matches_tape(model, batch(data.values), params, epsilons)
+                    assert_matches_reference(model, batch(data.values), params, epsilons)
 
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("correlation", [True, False])
@@ -169,66 +172,61 @@ class TestClosedFormObjective:
             assert rel.max() <= 1e-4, (at, grad, fd)
 
 
-class TestEstimateFreeEnergy:
+class TestObjectiveParts:
+    """The fit step's F, its two parts and its gradient at hand-checkable points."""
+
     def test_zero_noise_at_prior_equals_loglik(self):
         """With q = prior and eps = 0, KL vanishes and F is loglik(m0)."""
         data = example1_data()
         prior = PriorSpec(m0=[0.5, 1.2], C0=np.diag([4.0, 4.0]))
         s = np.linalg.cholesky(prior.C0)
         params = PosteriorParams(m=prior.m0, v=np.log(np.diag(s)), u=[s[1, 0]])
-        t = Tape()
-        parts = estimate_free_energy(
-            t, ModelKind.GAUSSIAN, data.values, 100, lift(t, params), prior, [np.zeros(2)]
+        obj = free_energy_and_grad(
+            ModelKind.GAUSSIAN, data.values, 100, packed(params), np.zeros((1, 2)), prior, True
         )
-        assert t.value(parts.kl) == pytest.approx(0.0, abs=1e-12)
+        assert obj.kl == pytest.approx(0.0, abs=1e-12)
         mu, theta2 = prior.m0
         expected = log_pdf(ModelKind.GAUSSIAN, data.values, mu, math.exp(-theta2)).sum()
-        assert t.value(parts.free_energy) == pytest.approx(expected, rel=1e-12)
+        assert obj.free_energy == pytest.approx(expected, rel=1e-12)
 
     def test_kl_component_independent_of_noise(self):
         data = example1_data()
-        params = PosteriorParams(m=[0.4, 0.8], v=[-0.3, 0.2], u=[0.1])
+        zeta = [0.4, 0.8, -0.3, 0.2, 0.1]
         rng = np.random.default_rng(1)
         values = []
         for _ in range(2):
-            t = Tape()
-            parts = estimate_free_energy(
-                t, ModelKind.GAUSSIAN, data.values, 100, lift(t, params), PRIOR,
-                [rng.standard_normal(2)],
+            obj = free_energy_and_grad(
+                ModelKind.GAUSSIAN, data.values, 100, zeta, rng.standard_normal((1, 2)),
+                PRIOR, True,
             )
-            values.append((t.value(parts.free_energy), t.value(parts.kl)))
+            values.append((obj.free_energy, obj.kl))
         assert values[0][0] != values[1][0]  # stochastic likelihood part
         assert values[0][1] == values[1][1]  # deterministic KL part
 
     def test_decomposition_identity(self):
         """F equals the MC likelihood term minus the KL term."""
         data = example1_data()
-        params = PosteriorParams(m=[1.0, 1.0], v=[-0.5, -0.5], u=[0.3])
         rng = np.random.default_rng(2)
-        t = Tape()
-        parts = estimate_free_energy(
-            t, ModelKind.GAUSSIAN, data.values, 100, lift(t, params), PRIOR,
-            [rng.standard_normal(2) for _ in range(4)],
+        obj = free_energy_and_grad(
+            ModelKind.GAUSSIAN, data.values, 100, [1.0, 1.0, -0.5, -0.5, 0.3],
+            rng.standard_normal((4, 2)), PRIOR, True,
         )
-        f, mc, kl = (t.value(n) for n in parts)
-        assert f == pytest.approx(mc - kl, rel=1e-10)
+        assert obj.free_energy == pytest.approx(obj.mc_loglik - obj.kl, rel=1e-10)
+
+    @staticmethod
+    def assert_gradient_matches_central_differences(data, at, eps):
+        def objective(zeta):
+            return free_energy_and_grad(ModelKind.GAUSSIAN, data.values, 100, zeta, eps, PRIOR, True)
+
+        fd = central_differences(lambda z: objective(z).free_energy, at)
+        assert max_rel_error(objective(at).grad, fd) <= 1e-4, (at, fd)
 
     def test_frozen_noise_gradient(self):
-        data = example1_data()
         rng = np.random.default_rng(3)
-        eps = [rng.standard_normal(2)]
-
-        def build(t, xs):
-            nodes = PosteriorNodes(
-                m=(xs[0], xs[1]), v=(xs[2], xs[3]), u=(xs[4],), correlation_enabled=True
-            )
-            return estimate_free_energy(
-                t, ModelKind.GAUSSIAN, data.values, 100, nodes, PRIOR, eps
-            ).free_energy
-
-        at = [0.8, 1.0, -0.4, -0.2, 0.15]
-        report = finite_diff_check(build, at, rtol=1e-4)
-        assert report.passed, report.max_rel_error
+        eps = rng.standard_normal((1, 2))
+        self.assert_gradient_matches_central_differences(
+            example1_data(), np.array([0.8, 1.0, -0.4, -0.2, 0.15]), eps
+        )
 
     def test_gradient_along_training_trajectory(self):
         """Frozen-noise finite-difference check at points a real fit visits."""
@@ -239,30 +237,8 @@ class TestEstimateFreeEnergy:
                 ModelKind.GAUSSIAN, data, PRIOR,
                 TrainConfig(epochs=epochs, seed=11, final_fe_samples=2),
             )
-            p = res.params
-            eps = [rng.standard_normal(2)]
-
-            def build(t, xs):
-                nodes = PosteriorNodes(
-                    m=(xs[0], xs[1]), v=(xs[2], xs[3]), u=(xs[4],),
-                    correlation_enabled=True,
-                )
-                return estimate_free_energy(
-                    t, ModelKind.GAUSSIAN, data.values, 100, nodes, PRIOR, eps
-                ).free_energy
-
-            at = np.concatenate([p.m, p.v, p.u])
-            report = finite_diff_check(build, at, rtol=1e-4)
-            assert report.passed, (epochs, report.max_rel_error)
-
-    def test_requires_noise(self):
-        data = example1_data()
-        params = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.0])
-        t = Tape()
-        with pytest.raises(ValueError):
-            estimate_free_energy(
-                t, ModelKind.GAUSSIAN, data.values, 100, lift(t, params), PRIOR, []
-            )
+            eps = rng.standard_normal((1, 2))
+            self.assert_gradient_matches_central_differences(data, packed(res.params), eps)
 
 
 class TestMakeBatches:
@@ -287,20 +263,15 @@ class TestMakeBatches:
     def test_remainder_weighted_identity(self):
         """With per-batch M in the scale factor, the size-weighted mean of
         scaled batch log-likelihoods recovers the full-data value."""
-        from svbayes.distributions import gaussian_loglik
-
         rng = np.random.default_rng(5)
         data = Dataset(rng.normal(1.0, 2.0, size=10))
-        theta = (0.6, 0.9)
+        mu, theta2 = np.array([0.6]), np.array([0.9])
 
         def scaled(batch):
-            t = Tape()
-            nodes = (t.variable(theta[0]), t.variable(theta[1]))
-            return t.value(gaussian_loglik(t, nodes, batch, n_total=10))
+            stats = summarize(ModelKind.GAUSSIAN, batch)
+            return loglik_terms(ModelKind.GAUSSIAN, stats, mu, theta2, 10, partials=False)[0][0]
 
-        t = Tape()
-        nodes = (t.variable(theta[0]), t.variable(theta[1]))
-        full = t.value(gaussian_loglik(t, nodes, data.values, n_total=10))
+        full = scaled(data.values)
         batches = make_batches(data, 3)
         weighted = sum(len(b) / 10 * scaled(b) for b in batches)
         assert weighted == pytest.approx(full, rel=1e-10)
@@ -455,8 +426,6 @@ class TestFit:
         assert np.all(np.abs(full.posterior.mean - mb.posterior.mean) < 0.15)
 
     def test_folded_rejects_nonpositive_data(self):
-        from svbayes.autodiff import DomainError
-
         data = Dataset(np.array([1.0, -0.5, 2.0]))
         with pytest.raises(DomainError):
             fit(ModelKind.FOLDED_NORMAL, data, PRIOR, TrainConfig(epochs=1))

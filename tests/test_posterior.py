@@ -5,19 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from svbayes.autodiff import Tape, finite_diff_check
+from numdiff import central_differences, max_rel_error
+from svbayes import distributions, engine
+from svbayes.distributions import ModelKind, summarize
 from svbayes.posterior import (
-    PosteriorNodes,
     PosteriorParams,
     PriorSpec,
-    build_cholesky,
     cholesky_factor,
     covariance,
     extract_posterior,
-    kl_to_prior,
+    kl_and_grad,
     kl_value,
-    lift,
-    reparam_sample,
 )
 
 
@@ -64,18 +62,6 @@ class TestCholesky:
         c = covariance(params)
         assert c[0, 1] == 0.0 and c[1, 0] == 0.0
 
-    def test_tape_factor_matches_plain(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            params = random_params(rng)
-            t = Tape()
-            nodes = lift(t, params)
-            s_nodes = build_cholesky(t, nodes)
-            s_plain = cholesky_factor(params)
-            for i in range(2):
-                for j in range(i + 1):
-                    assert t.value(s_nodes[i][j]) == s_plain[i, j]
-
     def test_positive_definite_for_random_params(self):
         """C = S S^T has strictly positive eigenvalues for any finite (v, u)."""
         rng = np.random.default_rng(1)
@@ -91,36 +77,42 @@ class TestCholesky:
             assert 2.0 * params.v.sum() == pytest.approx(logdet, rel=1e-10)
 
 
+def fit_step_samples(params, eps):
+    """The theta rows the fit step evaluates the likelihood at, for noise eps."""
+    seen, inner = [], distributions.loglik_terms
+
+    def recording(kind, batch, mu, theta2, n_total):
+        seen.append(np.column_stack((mu, theta2)))
+        return inner(kind, batch, mu, theta2, n_total)
+
+    zeta = np.concatenate((params.m, params.v, params.u))
+    noise = np.column_stack((np.ones(len(eps)), eps))
+    batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]))
+    prior = PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, "loglik_terms", recording)
+        engine.free_energy_and_grad(
+            ModelKind.GAUSSIAN, batch, 2, zeta, noise, prior, params.correlation_enabled
+        )
+    return seen[0]
+
+
 class TestReparamSample:
     def test_zero_noise_returns_mean_exactly(self):
         params = PosteriorParams(m=[1.5, -2.0], v=[0.7, 0.1], u=[0.4])
-        t = Tape()
-        theta = reparam_sample(t, lift(t, params), np.zeros(2))
-        assert [t.value(n) for n in theta] == [1.5, -2.0]
+        theta = fit_step_samples(params, np.zeros((1, 2)))
+        assert theta.tolist() == [[1.5, -2.0]]
 
-    def test_univariate_transform_by_hand(self):
-        # m = 2, s = 3, eps = 1 -> theta = 5
-        params = PosteriorParams(m=[2.0], v=[math.log(3.0)], u=None)
-        t = Tape()
-        theta = reparam_sample(t, lift(t, params), np.array([1.0]))
-        assert t.value(theta[0]) == pytest.approx(5.0, rel=1e-15)
-
-    def test_dimension_mismatch_rejected(self):
-        params = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.0])
-        t = Tape()
-        with pytest.raises(ValueError):
-            reparam_sample(t, lift(t, params), np.zeros(3))
-
-    def test_tape_and_plain_transforms_agree(self):
+    def test_fit_step_and_plain_transforms_agree(self):
+        """The fit step's [1 | eps] [m; S^T] equals m + S eps (the final free
+        energy's transform) for every sample."""
         rng = np.random.default_rng(3)
         for _ in range(50):
             params = random_params(rng, correlation=bool(rng.integers(2)))
-            eps = rng.standard_normal(2)
-            t = Tape()
-            theta_nodes = reparam_sample(t, lift(t, params), eps)
-            tape_vals = np.array([t.value(n) for n in theta_nodes])
-            plain = params.m + cholesky_factor(params) @ eps
-            np.testing.assert_allclose(tape_vals, plain, rtol=1e-14)
+            eps = rng.standard_normal((1, 2))
+            theta = fit_step_samples(params, eps)
+            plain = params.m + eps @ cholesky_factor(params).T
+            np.testing.assert_allclose(theta, plain, rtol=1e-14)
 
     def test_sample_moments(self):
         """1e5 samples reproduce m and S S^T within Monte Carlo bounds."""
@@ -135,25 +127,6 @@ class TestReparamSample:
             assert abs(samples[:, i].mean() - params.m[i]) < bound
         emp = np.cov(samples.T)
         np.testing.assert_allclose(emp, c, rtol=0.02)
-
-    def test_gradient_through_transform(self):
-        """With eps frozen, a smooth scalar of theta* differentiates correctly
-        with respect to (m, v, u)."""
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            eps = rng.standard_normal(2)
-
-            def build(t, xs):
-                nodes = PosteriorNodes(
-                    m=(xs[0], xs[1]), v=(xs[2], xs[3]), u=(xs[4],),
-                    correlation_enabled=True,
-                )
-                theta = reparam_sample(t, nodes, eps)
-                return t.add(t.square(theta[0]), t.exp(theta[1]))
-
-            at = rng.uniform(-1, 1, size=5)
-            report = finite_diff_check(build, at, rtol=1e-5)
-            assert report.passed, report.max_rel_error
 
 
 class TestKl:
@@ -182,13 +155,18 @@ class TestKl:
         for _ in range(1000):
             assert kl_value(random_params(rng), random_prior(rng)) >= -1e-10
 
-    def test_tape_matches_plain(self):
+    def test_matches_full_matrix_formula(self):
+        """The 2x2 float algebra against the textbook formula on C = S S^T."""
         rng = np.random.default_rng(7)
         for _ in range(50):
             params, prior = random_params(rng), random_prior(rng)
-            t = Tape()
-            node = kl_to_prior(t, lift(t, params), prior)
-            assert t.value(node) == pytest.approx(kl_value(params, prior), rel=1e-12)
+            c, inv0 = covariance(params), np.linalg.inv(prior.C0)
+            d = params.m - prior.m0
+            expected = 0.5 * (
+                np.trace(inv0 @ c) - np.linalg.slogdet(c)[1]
+                + np.linalg.slogdet(prior.C0)[1] - 2 + d @ inv0 @ d
+            )
+            assert kl_value(params, prior) == pytest.approx(expected, rel=1e-12)
 
     def test_against_monte_carlo_oracle(self):
         """Closed form agrees with a sampled E_q[log q - log p] within 3 SE."""
@@ -202,28 +180,35 @@ class TestKl:
             se = diffs.std(ddof=1) / math.sqrt(draws.shape[0])
             assert abs(kl_value(params, prior) - diffs.mean()) < 3.0 * se
 
-    def test_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize("correlation", [True, False], ids=["corr", "nocorr"])
+    @pytest.mark.parametrize("diagonal_prior", [True, False], ids=["diagonal-prior", "full-prior"])
+    def test_gradient_matches_finite_differences(self, correlation, diagonal_prior):
+        """kl_and_grad's partials against central differences of kl_value; u
+        is not a free parameter without correlation, and the fit then passes
+        u = 0 and reads four partials."""
         rng = np.random.default_rng(9)
         prior = random_prior(rng)
+        if diagonal_prior:
+            prior = PriorSpec.diagonal(prior.m0, np.diag(prior.C0))
+        n_free = 5 if correlation else 4
 
-        def build(t, xs):
-            nodes = PosteriorNodes(
-                m=(xs[0], xs[1]), v=(xs[2], xs[3]), u=(xs[4],),
-                correlation_enabled=True,
-            )
-            return kl_to_prior(t, nodes, prior)
+        def kl_at(x):
+            u = x[4:] if correlation else [0.0]
+            params = PosteriorParams(m=x[:2], v=x[2:4], u=u, correlation_enabled=correlation)
+            return kl_value(params, prior)
 
-        for _ in range(10):
-            at = rng.uniform(-1.5, 1.5, size=5)
-            report = finite_diff_check(build, at, rtol=1e-5)
-            assert report.passed, report.max_rel_error
+        for _ in range(20):
+            at = rng.uniform(-1.5, 1.5, size=n_free)
+            u = at[4] if correlation else 0.0
+            grad = kl_and_grad(*at[:4], u, prior)[1 : 1 + n_free]
+            fd = central_differences(kl_at, at)
+            assert max_rel_error(grad, fd) <= 1e-5, (at, grad, fd)
 
     def test_dimension_mismatch(self):
         prior = PriorSpec(m0=[0.0], C0=[[1.0]])
         params = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.0])
-        t = Tape()
         with pytest.raises(ValueError):
-            kl_to_prior(t, lift(t, params), prior)
+            kl_value(params, prior)
 
 
 class TestDiagonalVariant:
@@ -241,10 +226,6 @@ class TestDiagonalVariant:
                 full.m + cholesky_factor(full) @ eps, diag.m + cholesky_factor(diag) @ eps
             )
             assert kl_value(full, prior) == kl_value(diag, prior)
-            t1, t2 = Tape(), Tape()
-            k1 = kl_to_prior(t1, lift(t1, full), prior)
-            k2 = kl_to_prior(t2, lift(t2, diag), prior)
-            assert t1.value(k1) == t2.value(k2)
 
 
 class TestExtraction:
