@@ -25,6 +25,9 @@ from svbayes.distributions import (
     sample_data,
     summarize,
 )
+from svbayes.engine import TrainConfig, fit
+from svbayes.grid_oracle import GridSpec, grid_posterior
+from svbayes.posterior import PriorSpec
 from svbayes.rng import Rng
 
 
@@ -126,6 +129,18 @@ class TestGaussianLoglik:
             at = [rng.uniform(-2, 2), rng.uniform(-1, 2)]
             assert_partials_match_central_differences(ModelKind.GAUSSIAN, data, at)
 
+    @pytest.mark.parametrize(
+        "offset, mu_shift, theta2",
+        [(1e4, 1.0, 0.5), (0.0, 0.7, -4.0), (0.0, 0.7, 5.0), (0.0, -50.0, 0.3)],
+        ids=["data-far-from-zero", "high-precision", "low-precision", "mu-far-from-data"],
+    )
+    def test_partials_in_each_regime(self, offset, mu_shift, theta2):
+        """The centred sums keep both partials accurate away from the unit
+        scale; mu sits `mu_shift` from the batch mean."""
+        data = np.random.default_rng(13).normal(offset, 2.0, size=25)
+        at = [data.mean() + mu_shift, theta2]
+        assert_partials_match_central_differences(ModelKind.GAUSSIAN, data, at)
+
 
 class TestFoldedNormal:
     def test_zero_mean_is_double_gaussian(self):
@@ -185,6 +200,21 @@ class TestFoldedNormal:
             loglik_at(ModelKind.FOLDED_NORMAL, [1.0, -0.5], np.zeros((1, 2)))
         with pytest.raises(DomainError):
             loglik_at(ModelKind.FOLDED_NORMAL, [0.0], np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("entry", ["loglik_at", "fit", "grid_posterior"])
+    def test_every_entry_point_rejects_nonpositive_data(self, entry):
+        """Zero, negative zero and a tiny negative value are outside y > 0."""
+        prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
+        run = {
+            "loglik_at": lambda y: loglik_at(ModelKind.FOLDED_NORMAL, y, np.zeros((1, 2))),
+            "fit": lambda y: fit(ModelKind.FOLDED_NORMAL, Dataset(y), prior, TrainConfig(epochs=1)),
+            "grid_posterior": lambda y: grid_posterior(
+                ModelKind.FOLDED_NORMAL, Dataset(y), prior, GridSpec(resolution=5)
+            ),
+        }[entry]
+        for y in ([0.0], [-0.0], [1.0, -0.5], [2.0, -1e-300]):
+            with pytest.raises(DomainError):
+                run(np.array(y))
 
 
 class TestLoglikTerms:

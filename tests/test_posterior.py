@@ -14,6 +14,7 @@ from svbayes.posterior import (
     cholesky_factor,
     covariance,
     extract_posterior,
+    factor,
     kl_and_grad,
     kl_value,
 )
@@ -76,6 +77,24 @@ class TestCholesky:
             _, logdet = np.linalg.slogdet(covariance(params))
             assert 2.0 * params.v.sum() == pytest.approx(logdet, rel=1e-10)
 
+    def test_factor_entries_match_cholesky_factor(self):
+        """The fit step's three plain-float entries of S are the matrix's,
+        bit for bit; without correlation the step passes u = 0."""
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            params = random_params(rng, correlation=bool(rng.integers(2)))
+            u = params.u[0] if params.correlation_enabled else 0.0
+            s00, s10, s11 = factor(params.v[0], params.v[1], u)
+            s = cholesky_factor(params)
+            assert (s00, s10, s11) == (s[0, 0], s[1, 0], s[1, 1])
+            assert s[0, 1] == 0.0
+
+    def test_factor_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            factor(710.0, 0.0, 0.0)
+        with pytest.raises(OverflowError):
+            factor(0.0, 710.0, 0.0)
+
 
 def fit_step_samples(params, eps):
     """The theta rows the fit step evaluates the likelihood at, for noise eps."""
@@ -102,6 +121,47 @@ class TestReparamSample:
         params = PosteriorParams(m=[1.5, -2.0], v=[0.7, 0.1], u=[0.4])
         theta = fit_step_samples(params, np.zeros((1, 2)))
         assert theta.tolist() == [[1.5, -2.0]]
+
+    def test_transform_by_hand(self):
+        # m = (2, -1), S = [[3, 0], [0.5, 2]], eps = (1, 2) -> theta = (5, 3.5)
+        params = PosteriorParams(m=[2.0, -1.0], v=[math.log(3.0), math.log(2.0)], u=[0.5])
+        theta = fit_step_samples(params, np.array([[1.0, 2.0]]))
+        np.testing.assert_allclose(theta, [[5.0, 3.5]], rtol=1e-15)
+
+    def test_noise_width_mismatch_rejected(self):
+        """Noise rows must be [1 | eps] with one eps per parameter."""
+        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]))
+        prior = PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
+        for width in (2, 4):
+            with pytest.raises(ValueError):
+                engine.free_energy_and_grad(
+                    ModelKind.GAUSSIAN, batch, 2, [0.0] * 5, np.ones((1, width)), prior, True
+                )
+
+    @pytest.mark.parametrize("correlation", [True, False], ids=["corr", "nocorr"])
+    def test_gradient_through_transform(self, correlation, monkeypatch):
+        """With the noise frozen and the likelihood replaced by the smooth
+        f(theta) = mu^2 + exp(theta2), the fit step's gradient (pulled back
+        through theta = m + S eps) matches central differences of its value."""
+
+        def smooth(kind, batch, mu, theta2, n_total):
+            return mu * mu + np.exp(theta2), 2.0 * mu, np.exp(theta2)
+
+        monkeypatch.setattr(distributions, "loglik_terms", smooth)
+        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]))
+        rng = np.random.default_rng(5)
+        prior = random_prior(rng)
+        for _ in range(10):
+            noise = np.column_stack((np.ones(3), rng.standard_normal((3, 2))))
+            at = rng.uniform(-1, 1, size=5 if correlation else 4)
+
+            def objective(zeta):
+                return engine.free_energy_and_grad(
+                    ModelKind.GAUSSIAN, batch, 2, list(zeta), noise, prior, correlation
+                )
+
+            fd = central_differences(lambda z: objective(z).free_energy, at)
+            assert max_rel_error(objective(at).grad, fd) <= 1e-5, (at, fd)
 
     def test_fit_step_and_plain_transforms_agree(self):
         """The fit step's [1 | eps] [m; S^T] equals m + S eps (the final free
@@ -167,6 +227,16 @@ class TestKl:
                 + np.linalg.slogdet(prior.C0)[1] - 2 + d @ inv0 @ d
             )
             assert kl_value(params, prior) == pytest.approx(expected, rel=1e-12)
+
+    def test_kl_and_grad_value_is_kl_value(self):
+        """The fit step's KL and the reported KL are one computation."""
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            params, prior = random_params(rng), random_prior(rng)
+            m0, m1 = params.m
+            v0, v1 = params.v
+            kl = kl_and_grad(m0, m1, v0, v1, params.u[0], prior)[0]
+            assert kl == kl_value(params, prior)
 
     def test_against_monte_carlo_oracle(self):
         """Closed form agrees with a sampled E_q[log q - log p] within 3 SE."""
