@@ -117,20 +117,21 @@ def write_data_csv(path: Path, data: Dataset) -> None:
 
 
 def read_data_csv(path: Path) -> Dataset:
+    """The `y` column of a data CSV, streamed line by line into one array."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as fh:
+            if fh.readline().strip() != "y":
+                raise DataFileError(f"{path}: expected a CSV with header 'y'")
+            try:  # blank lines are skipped
+                values = np.fromiter(map(float, filter(None, map(str.strip, fh))), float)
+            except ValueError as err:
+                raise DataFileError(f"{path}: malformed value ({err})") from err
     except OSError as err:
         raise DataFileError(f"cannot read data file {path}: {err}") from err
-    if not lines or lines[0].strip() != "y":
-        raise DataFileError(f"{path}: expected a CSV with header 'y'")
-    try:
-        values = [float(s) for s in lines[1:] if s.strip()]
-    except ValueError as err:
-        raise DataFileError(f"{path}: malformed value ({err})") from err
-    if not values:
+    if not values.size:
         raise DataFileError(f"{path}: no data rows")
     try:
-        return Dataset(np.array(values))
+        return Dataset(values)
     except ValueError as err:
         raise DataFileError(f"{path}: {err}") from err
 

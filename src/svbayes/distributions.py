@@ -11,8 +11,10 @@ needs, taken once per batch by :func:`summarize`.  The Gaussian likelihood
 is exact in the count, mean and centred sum of squares, so at L theta
 points it costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
 rescaled batch value with closed-form partials (the fit step) or value
-only; :func:`loglik_at` sums the full-data value at many theta points (the
-final free energy, the grid oracle).
+only, at one theta point given as floats (the one-sample fit step) or at L
+points given as arrays, through the same expressions; :func:`loglik_at`
+sums the full-data value at many theta points (the final free energy, the
+grid oracle).
 """
 
 from __future__ import annotations
@@ -195,12 +197,13 @@ def _checked_data(kind: ModelKind, y) -> Batch:
 
 
 def loglik_terms(
-    kind: ModelKind, batch: Batch, mu: np.ndarray, theta2: np.ndarray, n_total: int,
-    partials: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Rescaled batch log-likelihood at L theta points, optionally with partials.
+    kind: ModelKind, batch: Batch, mu, theta2, n_total: int, partials: bool = True,
+):
+    """Rescaled batch log-likelihood at theta points, optionally with partials.
 
-    Returns the (L,) values at the (mu, log variance) coordinates of
+    `mu` and `theta2` are the (mu, log variance) coordinates: two floats for
+    one point, or two (L,) arrays for L points.  Returns the values (numpy
+    scalars for floats, else (L,) arrays) of
 
         N/2 log(beta/2pi) + (N/M) sum_m t(y_m; mu, beta),    N = n_total,
 
@@ -211,7 +214,8 @@ def loglik_terms(
     data sit far from zero.  Folded Normal: t = -beta (y^2 + mu^2) / 2 + |z|
     + log1p(e^{-2|z|}), z = beta mu y, which cannot overflow; for y > 0 the
     |z| terms sum to beta |mu| sum_m y_m, and d/dz is tanh(z).  The value is
-    the same bits with or without partials.  The data are unchecked (see
+    the same bits with or without partials, and a point gives the same bits
+    as floats as it does as a row of arrays.  The data are unchecked (see
     `loglik_at`, `engine.fit`); overflow follows the numpy error state.
     """
     m = len(batch.y)
@@ -233,11 +237,11 @@ def loglik_terms(
     a = beta * np.abs(mu)
     m_mu = m * mu
     half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
-    buf = (-2.0 * a)[:, None] * y  # -2|z|, exactly
+    buf = np.multiply.outer(-2.0 * a, y)  # -2|z|, exactly
     if partials:
         tanh_y = np.tanh(-0.5 * buf) @ y  # sum_m y_m tanh|z_m| >= 0
     np.exp(buf, out=buf)
-    soft = np.add.reduce(np.log1p(buf, out=buf), axis=1)
+    soft = np.add.reduce(np.log1p(buf, out=buf), axis=-1)
     data = a * batch.sum_y + soft - half_sumsq
     scale = n_total / m
     value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data

@@ -5,12 +5,15 @@ theta = m + S eps and evaluates the stochastic free energy
 F = (1/L) sum_l loglik(theta_l) - KL with its exact gradient in closed
 form: the batch log-likelihood partials are pulled back through the
 transform (the reparameterization estimator) and the analytic KL gradient
-is subtracted.  Maximization runs as Adam descent on the negated objective.
+is subtracted.  Maximization runs as Adam ascent (`Adam(maximize=True)`).
 
 The step (:func:`free_energy_and_grad`) is fused for the two-parameter
-posterior: the samples and the pull-back of their partials are one matmul
-each on the noise widened to [1 | eps], around one likelihood call; S, the
-KL, the chain rule and Adam are plain floats on (m0, m1, v0, v1[, u]).
+posterior around one likelihood call; S, the KL, the chain rule and Adam
+are plain floats on (m0, m1, v0, v1[, u]).  At one sample per step (the
+paper's estimator and the default) theta and the pull-back of the partials
+are float products too, and the likelihood gets the sample as two floats;
+at L > 1 the samples and the pull-back are one matmul each on the noise
+widened to [1 | eps].
 `fit` checks the data once and summarizes each batch once (every epoch
 when shuffling).  The noise comes in blocks of up to NOISE_BLOCK_DRAWS
 normals that span epochs (a whole fit is one block at the usual sizes) and
@@ -162,23 +165,33 @@ def free_energy_and_grad(
     (L, 3) noise [1 | eps].  theta = [1 | eps] [m; S^T], and
     [ll | d_mu | d_theta2]^T [1 | eps] / L holds the Monte Carlo
     log-likelihood, the mean partials g (the pull-back to m) and
-    D = (1/L) g eps (the pull-back to S).  Through S_ii = exp(v_i) the v_i
-    partial is D_ii exp(v_i), the u partial is D_10; the KL and its gradient
-    come from `posterior.kl_and_grad`.  The batch is not checked (`fit`
+    D = (1/L) g eps (the pull-back to S).  At L = 1 these are float
+    products on the noise row and `distributions.loglik_terms` gets scalar
+    coordinates: the same formulas, which can differ from the matmuls only
+    in the last bit of theta.  Through S_ii = exp(v_i) the v_i partial is
+    D_ii exp(v_i), the u partial is D_10; the KL and its gradient come from
+    `posterior.kl_and_grad` on the step's S.  The batch is not checked (`fit`
     checks the whole dataset once).  Raises OverflowError or, under a
     raising numpy error state, FloatingPointError; a plain-float overflow
     shows as a non-finite value or gradient.
     """
     m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
     u = zeta[4] if correlation_enabled else 0.0
-    s00, s10, s11 = posterior.factor(v0, v1, u)
-    theta = epsilons @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
-    parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
-    # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
-    (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ epsilons).tolist()
+    s = s00, s10, s11 = posterior.factor(v0, v1, u)
     n = len(epsilons)
+    if n == 1:  # one sample: theta, the likelihood and g, D = g eps on floats
+        ((_, e0, e1),) = epsilons.tolist()
+        mc, g0, g1 = map(float, distributions.loglik_terms(
+            model, batch, m0 + s00 * e0, m1 + s10 * e0 + s11 * e1, n_total
+        ))
+        d00, d10, d11 = g0 * e0, g1 * e0, g1 * e1
+    else:
+        theta = epsilons @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
+        parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
+        # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
+        (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ epsilons).tolist()
     kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
-        m0, m1, v0, v1, u, prior
+        m0, m1, v0, v1, s, prior
     )
     grad = [g0 / n - dkl_dm0, g1 / n - dkl_dm1, d00 / n * s00 - dkl_dv0, d11 / n * s11 - dkl_dv1]
     if correlation_enabled:
@@ -210,13 +223,9 @@ def _pack(params: PosteriorParams) -> list[float]:
 
 
 def _unpack(zeta: list[float], template: PosteriorParams) -> PosteriorParams:
-    p = template.dim
-    u = zeta[2 * p :] if template.correlation_enabled else template.u
+    u = zeta[4:] if template.correlation_enabled else template.u
     return PosteriorParams(
-        m=zeta[:p],
-        v=zeta[p : 2 * p],
-        u=u,
-        correlation_enabled=template.correlation_enabled,
+        m=zeta[:2], v=zeta[2:4], u=u, correlation_enabled=template.correlation_enabled
     )
 
 
@@ -234,21 +243,15 @@ def fit(
     """
     if model is ModelKind.FOLDED_NORMAL and np.any(data.values <= 0.0):
         raise DomainError("folded normal data must be strictly positive")
-    p = prior.dim
-    if p != 2:
-        raise ValueError("supported models infer exactly two parameters")
-
     params = config.init if config.init is not None else PosteriorParams.initial(
         prior, config.correlation_enabled
     )
     if params.correlation_enabled != config.correlation_enabled:
         raise ValueError("init and config disagree on correlation_enabled")
-    if params.dim != p:
-        raise ValueError("init dimension does not match the prior")
 
     rng = Rng(config.seed)
     zeta = _pack(params)
-    optimizer = Adam(len(zeta), learning_rate=config.learning_rate)
+    optimizer = Adam(len(zeta), learning_rate=config.learning_rate, maximize=True)
     n_total = len(data)
     batch_size = n_total if config.batch_size is None else config.batch_size
     n_samples = config.mc_samples
@@ -256,7 +259,7 @@ def fit(
 
     # the steps whose noise one `standard_normals` call draws; a block never
     # spans a shuffle, so the stream order is that of per-step draws
-    block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * p))
+    block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * 2))
     noise, used = [], 0  # the drawn block and how many of its steps have run
     trace: list[TraceRecord] = []
     global_step = 0
@@ -274,21 +277,21 @@ def fit(
                         # the steps left before the next shuffle, or in the fit
                         epochs_left = 1 if config.shuffle else config.epochs - epoch
                         k = min(block_steps, epochs_left * len(batches) - step)
-                        draws = rng.standard_normals(k * n_samples * p).reshape(k, n_samples, p)
+                        draws = rng.standard_normals(k * n_samples * 2).reshape(k, n_samples, 2)
                         noise = np.concatenate((np.ones((k, n_samples, 1)), draws), axis=2)
                         used = 0
-                    obj = free_energy_and_grad(
+                    fe, mc, kl, grad = free_energy_and_grad(
                         model, batch, n_total, zeta, noise[used], prior, correlation
                     )
                     used += 1
                     # plain-float F = mc - KL can overflow without a numpy fault
-                    if not (math.isfinite(obj.free_energy) and all(map(math.isfinite, obj.grad))):
+                    if not (math.isfinite(fe) and all(map(math.isfinite, grad))):
                         raise DivergenceError(
                             "non-finite objective or gradient", global_step, np.array(zeta)
                         )
-                    # raises OverflowError on a non-finite moment or update
-                    zeta = optimizer.step(zeta, [-g for g in obj.grad])
-                    trace.append(TraceRecord(epoch, step, obj.free_energy, obj.kl, obj.mc_loglik))
+                    # ascends F; raises OverflowError on a non-finite moment or update
+                    zeta = optimizer.step(zeta, grad)
+                    trace.append(TraceRecord(epoch, step, fe, kl, mc))
                     global_step += 1
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(f"step failed: {err}", global_step, np.array(zeta)) from err

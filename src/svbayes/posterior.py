@@ -5,11 +5,11 @@ with S lower triangular: diagonal entries exp(v_i) (always positive), strict
 lower entries u_ij.  Samples are the deterministic transform
 theta = m + S eps of standard-normal noise, so gradients reach (m, v, u)
 while the noise stays outside the differentiated path.  The fitted models
-have two parameters, and the algebra is written for that case:
-:func:`factor` gives the three entries of S and :func:`kl_and_grad` the KL
-to an MVN prior with its gradient, both in plain Python floats, which is
-what the fit loop's per-step algebra runs on; :func:`kl_value` reads the
-same formula.
+have two parameters; the posterior and prior records accept only that case,
+and the algebra is written for it: :func:`factor` gives the three entries
+of S and :func:`kl_and_grad` the KL to an MVN prior with its gradient, both
+in plain Python floats, which is what the fit loop's per-step algebra runs
+on; :func:`kl_value` reads the same formula.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import numpy as np
 class PosteriorParams:
     """Hyper-parameters of the approximate posterior.
 
-    m: posterior means, length P.
-    v: log of the Cholesky diagonal, length P.
-    u: strict lower-triangle entries in row-major order, length P(P-1)/2;
-       ignored (treated as zero) when correlation_enabled is False.
+    m: posterior means, length 2.
+    v: log of the Cholesky diagonal, length 2.
+    u: the one strict lower-triangle entry S10, length 1; ignored (treated
+       as zero) when correlation_enabled is False.
     """
 
     m: np.ndarray
@@ -40,14 +40,11 @@ class PosteriorParams:
     def __post_init__(self) -> None:
         m = np.asarray(self.m, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if m.ndim != 1 or v.shape != m.shape:
-            raise ValueError("m and v must be 1-D vectors of equal length")
-        p = m.size
-        n_lower = p * (p - 1) // 2
-        u = self.u
-        u = np.zeros(n_lower) if u is None else np.asarray(u, dtype=float)
-        if u.shape != (n_lower,):
-            raise ValueError(f"u must have length {n_lower}, got {u.shape}")
+        if m.shape != (2,) or v.shape != (2,):
+            raise ValueError(f"m and v must have length 2, got {m.shape} and {v.shape}")
+        u = np.zeros(1) if self.u is None else np.asarray(self.u, dtype=float)
+        if u.shape != (1,):
+            raise ValueError(f"u must have length 1, got {u.shape}")
         for name, arr in (("m", m), ("v", v), ("u", u)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
@@ -62,18 +59,12 @@ class PosteriorParams:
     @classmethod
     def initial(cls, prior: "PriorSpec", correlation_enabled: bool = True) -> "PosteriorParams":
         """Neutral starting point: prior mean, unit scales, no correlation."""
-        p = prior.dim
-        return cls(
-            m=prior.m0.copy(),
-            v=np.zeros(p),
-            u=np.zeros(p * (p - 1) // 2),
-            correlation_enabled=correlation_enabled,
-        )
+        return cls(m=prior.m0.copy(), v=np.zeros(2), correlation_enabled=correlation_enabled)
 
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """MVN prior over the inference parameters."""
+    """MVN prior over the two inference parameters."""
 
     m0: np.ndarray
     C0: np.ndarray = field(repr=False)
@@ -81,9 +72,10 @@ class PriorSpec:
     def __post_init__(self) -> None:
         m0 = np.asarray(self.m0, dtype=float)
         C0 = np.asarray(self.C0, dtype=float)
-        p = m0.size
-        if m0.ndim != 1 or C0.shape != (p, p):
-            raise ValueError("prior mean and covariance shapes do not match")
+        if m0.shape != (2,) or C0.shape != (2, 2):
+            raise ValueError(
+                f"prior mean and covariance must be 2 and 2x2, got {m0.shape} and {C0.shape}"
+            )
         if not np.all(np.isfinite(m0)):
             raise ValueError("prior mean entries must be finite")
         if not np.allclose(C0, C0.T, atol=1e-12):
@@ -139,9 +131,7 @@ def factor(v0: float, v1: float, u: float) -> tuple[float, float, float]:
 
 
 def _raw(params: PosteriorParams) -> tuple[float, float, float, float, float]:
-    """(m0, m1, v0, v1, u) of a two-parameter posterior as plain floats."""
-    if params.dim != 2:
-        raise ValueError(f"expected a two-parameter posterior, got dimension {params.dim}")
+    """(m0, m1, v0, v1, u) of the posterior as plain floats."""
     (m0, m1), (v0, v1) = params.m.tolist(), params.v.tolist()
     return m0, m1, v0, v1, float(params.u[0]) if params.correlation_enabled else 0.0
 
@@ -158,18 +148,20 @@ def covariance(params: PosteriorParams) -> np.ndarray:
 
 
 def kl_and_grad(
-    m0: float, m1: float, v0: float, v1: float, u: float, prior: PriorSpec
+    m0: float, m1: float, v0: float, v1: float, s: tuple[float, float, float],
+    prior: PriorSpec,
 ) -> tuple[float, float, float, float, float, float]:
     """Closed-form KL(q || prior) and its gradient, in plain floats.
 
     KL = 1/2 [ Trace(C0^-1 C) - log|C| + log|C0| - P + (m - m0)^T C0^-1 (m - m0) ]
-    with C = S S^T, S = factor(v0, v1, u) and log|C| = 2 (v0 + v1).  With
-    A = C0^-1 S, returns the KL and its partials dKL/dm = C0^-1 (m - m0),
-    dKL/dv_i = A_ii exp(v_i) - 1 and dKL/du = A_10.  Python float arithmetic
+    with C = S S^T, `s` = (S00, S10, S11) = factor(v0, v1, u) as the caller
+    already has it, and log|C| = 2 (v0 + v1).  With A = C0^-1 S, returns the
+    KL and its partials dKL/dm = C0^-1 (m - m0), dKL/dv_i = A_ii exp(v_i) - 1
+    and dKL/du = A_10.  Python float arithmetic
     does not raise on overflow: an overflowing KL comes back as inf or nan.
     """
     (i00, i01), (i10, i11), (p0, p1), const = prior._kl_constants
-    s00, s10, s11 = factor(v0, v1, u)
+    s00, s10, s11 = s
     d0, d1 = m0 - p0, m1 - p1
     g0, g1 = i00 * d0 + i01 * d1, i10 * d0 + i11 * d1
     a00, a10, a11 = i00 * s00 + i01 * s10, i10 * s00 + i11 * s10, i11 * s11
@@ -182,9 +174,8 @@ def kl_and_grad(
 
 def kl_value(params: PosteriorParams, prior: PriorSpec) -> float:
     """Closed-form KL(q || prior) as a plain number."""
-    if prior.dim != params.dim:
-        raise ValueError(f"prior dimension {prior.dim} != posterior dimension {params.dim}")
-    return kl_and_grad(*_raw(params), prior)[0]
+    m0, m1, v0, v1, u = _raw(params)
+    return kl_and_grad(m0, m1, v0, v1, factor(v0, v1, u), prior)[0]
 
 
 class PosteriorSummary:

@@ -490,3 +490,45 @@ class TestColumnWriter:
             assert (out / f"panel_{panel}_svb_{label}.csv").read_bytes() == row_csv(
                 header, grid_rows(grid.mu_axis, grid.logvar_axis, mass, True)
             )
+
+
+class TestReadDataCsv:
+    def test_blank_lines_and_line_endings(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y\r\n1.5\r\n\r\n  -2e3 \n\n0.25")
+        assert cli.read_data_csv(path).values.tolist() == [1.5, -2000.0, 0.25]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "expected a CSV with header 'y'"),
+            ("x\n1.0\n", "expected a CSV with header 'y'"),
+            ("y\n1.0\npotato\n", "malformed value (could not convert string to float: 'potato')"),
+            ("y\n\n  \n", "no data rows"),
+            ("y\n1.0\nnan\n", "non-finite"),
+        ],
+        ids=["empty", "header", "malformed", "no-rows", "non-finite"],
+    )
+    def test_rejections(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(cli.DataFileError) as err:
+            cli.read_data_csv(path)
+        assert message in str(err.value)
+
+    def test_streams_large_file(self, tmp_path):
+        """200,000 rows (about 4 MB of text) read within 8 MB of traced peak:
+        the lines are never all held at once."""
+        import tracemalloc
+
+        values = np.random.default_rng(0).normal(1.0, 2.0, 200_000)
+        path = tmp_path / "big.csv"
+        cli.write_data_csv(path, Dataset(values))
+        tracemalloc.start()
+        try:
+            data = cli.read_data_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(data.values, values)
+        assert peak < 8 * 2**20, peak

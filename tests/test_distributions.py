@@ -255,6 +255,34 @@ class TestLoglikTerms:
             loglik_at(ModelKind.FOLDED_NORMAL, [1.0, 0.0], np.zeros((1, 2)))
 
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("partials", [True, False], ids=["partials", "value-only"])
+    def test_float_point_equals_one_row_bitwise(self, kind, partials):
+        """One (mu, theta2) point given as floats (the one-sample fit step)
+        gives the bits of the same point as a one-row array, on batches of
+        1, 10 and 100 points with data near 1, near 1e4 and down to 1e-300,
+        at mu = 0, -0.0, negative and far from the data, and at precisions
+        from e^-5 to e^30 (where the folded reflection term underflows)."""
+        rng = np.random.default_rng(15)
+        base = np.abs(rng.normal(1.0, 2.0, size=100))
+        tiny = np.concatenate(([1e-300, 5e-8], base[:8]))
+        batches = [base, base[:10], base[-1:], 1e4 + base[:10], tiny]
+        points = [(0.0, 0.3), (-0.0, 0.3), (-1.7, -0.5), (2.3, 1.2), (50.0, 0.0),
+                  (-50.0, 2.0), (1e4, -4.0), (0.4, 5.0), (3.0, -30.0), (-3.0, -30.0)]
+        for data in batches:
+            batch = summarize(kind, data)
+            for mu, theta2 in points:
+                at_floats = distributions.loglik_terms(kind, batch, mu, theta2, 100, partials)
+                at_row = distributions.loglik_terms(
+                    kind, batch, np.array([mu]), np.array([theta2]), 100, partials
+                )
+                for one, row in zip(at_floats, at_row):
+                    if row is None:
+                        assert one is None
+                        continue
+                    assert np.ndim(one) == 0 and row.shape == (1,)
+                    assert np.float64(one).tobytes() == row[0].tobytes(), (mu, theta2, one, row)
+
 
 class TestGaussianSufficientStatistics:
     """The Gaussian likelihood runs on (M, mean, centred sum of squares)

@@ -172,6 +172,38 @@ class TestClosedFormObjective:
             assert rel.max() <= 1e-4, (at, grad, fd)
 
 
+class TestOneSamplePath:
+    """At L = 1 the step runs on floats, at L > 1 on arrays: a one-sample
+    step equals a two-sample step whose rows are both its noise.  The paths
+    round theta and the pull-back differently, and a gradient entry can
+    cancel terms of the size of the objective, so they are compared to
+    rtol 1e-14 of the largest of F, its parts and the gradient entries."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("correlation", [True, False], ids=["corr", "nocorr"])
+    def test_float_step_equals_doubled_array_step(self, model, batch, correlation):
+        batch_values = BATCHES[batch](model_data(model).values)
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            params = PosteriorParams(
+                m=rng.uniform(-2, 3, size=2),
+                v=rng.uniform(-2, 1, size=2),
+                u=rng.uniform(-1, 1, size=1),
+                correlation_enabled=correlation,
+            )
+            zeta, eps = packed(params).tolist(), rng.standard_normal((1, 2))
+            one = free_energy_and_grad(model, batch_values, 100, zeta, eps, PRIOR, correlation)
+            two = free_energy_and_grad(
+                model, batch_values, 100, zeta, np.repeat(eps, 2, axis=0), PRIOR, correlation
+            )
+            assert all(type(x) is float for x in (*one[:3], *one.grad)), one
+            want = np.array([*two[:3], *two.grad])
+            np.testing.assert_allclose(
+                [*one[:3], *one.grad], want, rtol=0.0, atol=1e-14 * np.abs(want).max()
+            )
+
+
 class TestObjectiveParts:
     """The fit step's F, its two parts and its gradient at hand-checkable points."""
 

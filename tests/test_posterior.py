@@ -235,7 +235,7 @@ class TestKl:
             params, prior = random_params(rng), random_prior(rng)
             m0, m1 = params.m
             v0, v1 = params.v
-            kl = kl_and_grad(m0, m1, v0, v1, params.u[0], prior)[0]
+            kl = kl_and_grad(m0, m1, v0, v1, factor(v0, v1, params.u[0]), prior)[0]
             assert kl == kl_value(params, prior)
 
     def test_against_monte_carlo_oracle(self):
@@ -270,14 +270,14 @@ class TestKl:
         for _ in range(20):
             at = rng.uniform(-1.5, 1.5, size=n_free)
             u = at[4] if correlation else 0.0
-            grad = kl_and_grad(*at[:4], u, prior)[1 : 1 + n_free]
+            grad = kl_and_grad(*at[:4], factor(at[2], at[3], u), prior)[1 : 1 + n_free]
             fd = central_differences(kl_at, at)
             assert max_rel_error(grad, fd) <= 1e-5, (at, grad, fd)
 
     def test_dimension_mismatch(self):
-        prior = PriorSpec(m0=[0.0], C0=[[1.0]])
         params = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.0])
         with pytest.raises(ValueError):
+            prior = PriorSpec(m0=[0.0], C0=[[1.0]])
             kl_value(params, prior)
 
 
@@ -324,6 +324,35 @@ class TestExtraction:
         assert set(doc) == {"m", "C", "rho", "correlation_enabled"}
         assert doc["m"] == [1.0, 2.0]
         assert len(doc["C"]) == 2 and len(doc["C"][0]) == 2
+
+
+class TestTwoParameters:
+    """The posterior and the prior exist only for the two fitted parameters."""
+
+    @pytest.mark.parametrize(
+        "m, v, u",
+        [([2.0], [0.0], []), ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+         ([0.0, 0.0], [0.0], [0.0]), ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0])],
+        ids=["p1", "p3", "short-v", "long-u"],
+    )
+    def test_posterior_rejects_other_shapes(self, m, v, u):
+        with pytest.raises(ValueError, match="length"):
+            PosteriorParams(m=m, v=v, u=u)
+
+    @pytest.mark.parametrize(
+        "m0, c0",
+        [([0.0], [[1.0]]), ([0.0, 0.0, 0.0], np.eye(3)), ([0.0, 0.0], np.eye(3))],
+        ids=["p1", "p3", "mismatch"],
+    )
+    def test_prior_rejects_other_shapes(self, m0, c0):
+        with pytest.raises(ValueError, match="2x2"):
+            PriorSpec(m0=m0, C0=c0)
+
+    def test_initial_posterior_has_one_zero_u(self):
+        params = PosteriorParams.initial(PriorSpec.diagonal([0.5, -1.0], [4.0, 9.0]))
+        assert (params.m.tolist(), params.v.tolist(), params.u.tolist()) == (
+            [0.5, -1.0], [0.0, 0.0], [0.0]
+        )
 
 
 class TestPriorSpec:
