@@ -5,7 +5,7 @@ theta = m + S eps and evaluates the stochastic free energy
 F = (1/L) sum_l loglik(theta_l) - KL with its exact gradient in closed
 form: the batch log-likelihood partials are pulled back through the
 transform (the reparameterization estimator) and the analytic KL gradient
-is subtracted.  Maximization runs as Adam ascent (`Adam(maximize=True)`).
+is subtracted.  Maximization runs as Adam descent on the negated objective.
 
 The step (:func:`free_energy_and_grad`) is fused for the two-parameter
 posterior around one likelihood call; S, the KL, the chain rule and Adam
@@ -251,7 +251,7 @@ def fit(
 
     rng = Rng(config.seed)
     zeta = _pack(params)
-    optimizer = Adam(len(zeta), learning_rate=config.learning_rate, maximize=True)
+    optimizer = Adam(len(zeta), learning_rate=config.learning_rate)
     n_total = len(data)
     batch_size = n_total if config.batch_size is None else config.batch_size
     n_samples = config.mc_samples
@@ -289,8 +289,8 @@ def fit(
                         raise DivergenceError(
                             "non-finite objective or gradient", global_step, np.array(zeta)
                         )
-                    # ascends F; raises OverflowError on a non-finite moment or update
-                    zeta = optimizer.step(zeta, grad)
+                    # raises OverflowError on a non-finite moment or update
+                    zeta = optimizer.step(zeta, [-g for g in grad])
                     trace.append(TraceRecord(epoch, step, fe, kl, mc))
                     global_step += 1
         except (FloatingPointError, OverflowError) as err:
@@ -325,7 +325,7 @@ def _final_free_energy(
 ) -> tuple[float, float]:
     """Multi-sample estimate of F on the full data: (mean, standard error)."""
     kl = posterior.kl_value(params, prior)
-    epsilons = rng.standard_normals(n_samples * params.dim).reshape(n_samples, params.dim)
+    epsilons = rng.standard_normals(n_samples * 2).reshape(n_samples, 2)
     thetas = params.m + epsilons @ posterior.cholesky_factor(params).T
     values = distributions.loglik_at(model, data.values, thetas) - kl
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples))

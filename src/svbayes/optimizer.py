@@ -1,8 +1,7 @@
 """Adam optimizer over a flat hyper-parameter vector.
 
 Standard first-order Adam with bias correction.  The engine maximizes the
-free energy with an optimizer made with `maximize`, handing it the free
-energy's own gradient.  The optimizer is
+free energy by handing Adam the gradient of its negation.  The optimizer is
 a small mutable object: its settings are checked once, at construction,
 and each step advances its step count and moment estimates, one plain
 float per coordinate, so a step costs a handful of float operations per
@@ -24,7 +23,6 @@ class Adam:
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps_hat: float = 1e-8,
-        maximize: bool = False,
     ) -> None:
         if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
             raise ValueError(f"learning rate must be finite and >= 0, got {learning_rate}")
@@ -37,7 +35,6 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps_hat = eps_hat
-        self.maximize = maximize
         self.step_count = 0
         self.first_moment = [0.0] * size
         self.second_moment = [0.0] * size
@@ -45,14 +42,11 @@ class Adam:
     def step(self, zeta, grad) -> list[float]:
         """One bias-corrected update; returns the updated parameters.
 
-        `grad` is the gradient of the quantity being minimized, or maximized
-        for an optimizer made with `maximize` (the same parameters, bit for
-        bit, as minimizing with the negated gradient, which is never built);
-        `zeta` is left as it is.  One pass computes the moments, the update
-        and their checks: a non-finite gradient entry raises ValueError, a
-        non-finite moment or update (plain floats overflow to inf without a
-        fault; an infinite second moment would freeze its coordinate)
-        OverflowError.
+        `grad` is the gradient of the quantity being minimized; `zeta` is
+        left as it is.  One pass computes the moments, the update and their
+        checks: a non-finite gradient entry raises ValueError, a non-finite
+        moment or update (plain floats overflow to inf without a fault; an
+        infinite second moment would freeze its coordinate) OverflowError.
         The state is committed after the pass, so either error leaves it as
         it was.  Identical state and inputs give bitwise-identical outputs.
         """
@@ -63,8 +57,6 @@ class Adam:
             )
         t = self.step_count + 1
         b1, b2, lr, eps_hat = self.beta1, self.beta2, self.learning_rate, self.eps_hat
-        if self.maximize:
-            lr = -lr
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
         a1, a2 = 1.0 - b1, 1.0 - b2
         isfinite, sqrt = math.isfinite, math.sqrt

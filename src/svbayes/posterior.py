@@ -52,10 +52,6 @@ class PosteriorParams:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u", u)
 
-    @property
-    def dim(self) -> int:
-        return int(self.m.size)
-
     @classmethod
     def initial(cls, prior: "PriorSpec", correlation_enabled: bool = True) -> "PosteriorParams":
         """Neutral starting point: prior mean, unit scales, no correlation."""
@@ -85,10 +81,6 @@ class PriorSpec:
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "C0", C0)
 
-    @property
-    def dim(self) -> int:
-        return int(self.m0.size)
-
     @cached_property
     def C0_inv(self) -> np.ndarray:
         return np.linalg.inv(self.C0)
@@ -99,8 +91,8 @@ class PriorSpec:
 
     @cached_property
     def _kl_constants(self) -> tuple:
-        """C0^-1 rows, m0 and log|C0| - P as plain floats, for `kl_and_grad`."""
-        return (*self.C0_inv.tolist(), self.m0.tolist(), self.log_det_C0 - self.dim)
+        """C0^-1 rows, m0 and log|C0| - 2 as plain floats, for `kl_and_grad`."""
+        return (*self.C0_inv.tolist(), self.m0.tolist(), self.log_det_C0 - 2)
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
         """Prior log density at `points`, shape (..., P)."""
