@@ -11,7 +11,6 @@ from .distributions import (
     DomainError,
     ModelKind,
     NaturalParams,
-    ThetaVector,
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
@@ -40,7 +39,6 @@ from .posterior import (
     PosteriorParams,
     PosteriorSummary,
     PriorSpec,
-    extract_posterior,
     kl_value,
 )
 from .rng import Rng
@@ -63,11 +61,9 @@ __all__ = [
     "PosteriorSummary",
     "PriorSpec",
     "Rng",
-    "ThetaVector",
     "TraceRecord",
     "TrainConfig",
     "compare",
-    "extract_posterior",
     "fit",
     "folded_normal_log_pdf",
     "gaussian_log_pdf",

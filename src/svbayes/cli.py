@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,28 +41,6 @@ class DataFileError(RuntimeError):
     """An input file was missing or failed to parse."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside every output set."""
-
-    subcommand: str
-    configuration: dict
-    inputs: dict
-    outputs: dict
-    seed: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "artifact": "svbayes",
-            "version": __version__,
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "configuration": self.configuration,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-
-
 def _write_json(path: Path, obj: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -76,8 +53,15 @@ def _artifact(base: Path, suffix: str) -> Path:
     return base.with_name(base.name + suffix)
 
 
-def _write_manifest(base: Path, manifest: RunManifest) -> None:
-    _write_json(_artifact(base, ".manifest.json"), manifest.to_json_dict())
+def _write_manifest(
+    path: Path, *, subcommand: str, seed: int | None, configuration: dict, inputs: dict,
+    outputs: dict,
+) -> None:
+    """The reproducibility record of one run: its resolved settings and files."""
+    _write_json(path, {
+        "artifact": "svbayes", "version": __version__, "subcommand": subcommand, "seed": seed,
+        "configuration": configuration, "inputs": inputs, "outputs": outputs,
+    })
 
 
 def _reprs(values) -> list[str]:
@@ -156,7 +140,7 @@ def _grid_spec_from_args(args, model: ModelKind) -> GridSpec:
     if args.mu_range is not None:
         mu_range = tuple(args.mu_range)
     elif model is ModelKind.FOLDED_NORMAL:
-        mu_range = (0.0, 3.0)  # canonical halfplane: the likelihood is even in mu
+        mu_range = grid_oracle.FOLDED_MU_RANGE
     else:
         mu_range = grid_oracle.DEFAULT_MU_RANGE
     logvar_range = (
@@ -183,10 +167,13 @@ def cmd_generate(args) -> int:
     model = ModelKind(args.model)
     params = NaturalParams.from_mean_variance(args.mu, args.variance)
     data = sample_data(model, params, args.n, args.seed)
-    out = _artifact(Path(args.out), ".csv")
+    base = Path(args.out)
+    out = _artifact(base, ".csv")
     write_data_csv(out, data)
-    manifest = RunManifest(
+    _write_manifest(
+        _artifact(base, ".manifest.json"),
         subcommand="generate",
+        seed=args.seed,
         configuration={
             "model": model.value,
             "mu": args.mu,
@@ -195,9 +182,7 @@ def cmd_generate(args) -> int:
         },
         inputs={},
         outputs={"data": out.name},
-        seed=args.seed,
     )
-    _write_manifest(Path(args.out), manifest)
     return 0
 
 
@@ -235,14 +220,14 @@ def cmd_fit(args) -> int:
     out_trace = _artifact(base, ".trace.csv")
     _write_json(out_json, result.to_json_dict())
     write_trace_csv(result.trace, out_trace)
-    manifest = RunManifest(
+    _write_manifest(
+        _artifact(base, ".manifest.json"),
         subcommand="fit",
+        seed=args.seed,
         configuration={"model": args.model, **result.config.to_json_dict()},
         inputs={"data": str(args.data)},
         outputs={"result": out_json.name, "trace": out_trace.name},
-        seed=args.seed,
     )
-    _write_manifest(base, manifest)
     return 0
 
 
@@ -257,22 +242,22 @@ def cmd_grid(args) -> int:
     out_json = _artifact(base, ".summary.json")
     _write_columns(out_csv, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, False))
     _write_json(out_json, grid.summary_dict())
-    manifest = RunManifest(
+    _write_manifest(
+        _artifact(base, ".manifest.json"),
         subcommand="grid",
+        seed=None,
         configuration={
             "model": model.value,
             "mu_range": list(spec.mu_range),
             "logvar_range": list(spec.logvar_range),
             "resolution": list(spec.axis_counts),
             "include_prior": spec.include_prior,
-            "prior_mean": _per_dimension(args.prior_mean, "prior-mean"),
-            "prior_var": _per_dimension(args.prior_var, "prior-var"),
+            "prior_mean": prior.m0.tolist(),
+            "prior_var": np.diag(prior.C0).tolist(),
         },
         inputs={"data": str(args.data)},
         outputs={"mass": out_csv.name, "summary": out_json.name},
-        seed=None,
     )
-    _write_manifest(base, manifest)
     return 0
 
 
@@ -301,14 +286,14 @@ def cmd_compare(args) -> int:
         base = Path(args.out)
         out_json = _artifact(base, ".json")
         _write_json(out_json, report.to_json_dict())
-        manifest = RunManifest(
+        _write_manifest(
+            _artifact(base, ".manifest.json"),
             subcommand="compare",
+            seed=None,
             configuration={},
             inputs={"fit": str(args.fit_json), "grid_summary": str(args.grid_summary)},
             outputs={"report": out_json.name},
-            seed=None,
         )
-        _write_manifest(base, manifest)
     return 0
 
 
@@ -368,7 +353,9 @@ def cmd_figure(args) -> int:
         outputs["panel_a_true_pdf"] = pdf_path.name
 
         mu_range = (
-            (0.0, 3.0) if model is ModelKind.FOLDED_NORMAL else grid_oracle.DEFAULT_MU_RANGE
+            grid_oracle.FOLDED_MU_RANGE
+            if model is ModelKind.FOLDED_NORMAL
+            else grid_oracle.DEFAULT_MU_RANGE
         )
         # the reference grid reproduces the likelihood-only evaluation
         spec = GridSpec(mu_range=mu_range, include_prior=False)
@@ -393,8 +380,10 @@ def cmd_figure(args) -> int:
         _write_json(fit_path, result.to_json_dict())
         outputs[f"fit_{label}"] = fit_path.name
 
-    manifest = RunManifest(
+    _write_manifest(
+        out_dir / "manifest.json",
         subcommand="figure",
+        seed=args.seed,
         configuration={
             "figure_id": args.figure_id,
             "model": model.value,
@@ -408,9 +397,7 @@ def cmd_figure(args) -> int:
         },
         inputs={},
         outputs=outputs,
-        seed=args.seed,
     )
-    _write_json(out_dir / "manifest.json", manifest.to_json_dict())
     return 0
 
 

@@ -69,21 +69,6 @@ class NaturalParams:
 
 
 @dataclass(frozen=True)
-class ThetaVector:
-    """Inference-space parameters: (mu, log variance)."""
-
-    theta1: float
-    theta2: float
-
-    def to_natural(self) -> NaturalParams:
-        return NaturalParams(mu=self.theta1, beta=math.exp(-self.theta2))
-
-    @classmethod
-    def from_natural(cls, params: NaturalParams) -> "ThetaVector":
-        return cls(theta1=params.mu, theta2=-math.log(params.beta))
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Ordered real-valued measurements."""
 

@@ -15,10 +15,12 @@ are float products too, and the likelihood gets the sample as two floats;
 at L > 1 the samples and the pull-back are one matmul each on the noise
 widened to [1 | eps].
 `fit` checks the data once and summarizes each batch once (every epoch
-when shuffling).  The noise comes in blocks of up to NOISE_BLOCK_DRAWS
-normals that span epochs (a whole fit is one block at the usual sizes) and
-stop only at a shuffle, in the stream order of per-step draws, so
-everything downstream of the seed is deterministic.
+when shuffling).  Each step's value is checked once: F by `fit`, the
+gradient by the finiteness check Adam makes after its update anyway.  The
+noise comes in blocks of up to NOISE_BLOCK_DRAWS normals that span epochs
+(a whole fit is one block at the usual sizes) and stop only at a shuffle,
+in the stream order of per-step draws, so everything downstream of the
+seed is deterministic.
 The final free-energy re-estimate runs on `distributions.loglik_at`.
 """
 
@@ -237,9 +239,12 @@ def fit(
     Full-data mode takes one step per epoch on all points; mini-batch mode
     takes one step per batch, passing through the data once per epoch.  The
     data are checked once, here, and the noise drawn in blocks (see the
-    module docstring).  The returned final free energy re-estimates the
-    objective on the full data with `final_fe_samples` fresh draws, since
-    single-sample step values are noisy.
+    module docstring).  Each step's F is checked here and its gradient by
+    Adam's post-update check; a non-finite value, a numpy fault or an Adam
+    overflow raises DivergenceError with the step's index and its pre-step
+    zeta.  The returned final free energy re-estimates the objective on the
+    full data with `final_fe_samples` fresh draws, since single-sample step
+    values are noisy.
     """
     if model is ModelKind.FOLDED_NORMAL and np.any(data.values <= 0.0):
         raise DomainError("folded normal data must be strictly positive")
@@ -262,7 +267,6 @@ def fit(
     block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * 2))
     noise, used = [], 0  # the drawn block and how many of its steps have run
     trace: list[TraceRecord] = []
-    global_step = 0
     # an overflow or invalid operation anywhere in a step or in the final
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -285,16 +289,13 @@ def fit(
                     )
                     used += 1
                     # plain-float F = mc - KL can overflow without a numpy fault
-                    if not (math.isfinite(fe) and all(map(math.isfinite, grad))):
-                        raise DivergenceError(
-                            "non-finite objective or gradient", global_step, np.array(zeta)
-                        )
-                    # raises OverflowError on a non-finite moment or update
+                    if not math.isfinite(fe):
+                        raise DivergenceError("non-finite objective", len(trace), np.array(zeta))
+                    # raises OverflowError on a non-finite gradient, moment or update
                     zeta = optimizer.step(zeta, [-g for g in grad])
                     trace.append(TraceRecord(epoch, step, fe, kl, mc))
-                    global_step += 1
         except (FloatingPointError, OverflowError) as err:
-            raise DivergenceError(f"step failed: {err}", global_step, np.array(zeta)) from err
+            raise DivergenceError(f"step failed: {err}", len(trace), np.array(zeta)) from err
 
         params = _unpack(zeta, params)
         try:
@@ -303,15 +304,15 @@ def fit(
             )
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(
-                f"final free energy failed: {err}", global_step, np.array(zeta)
+                f"final free energy failed: {err}", len(trace), np.array(zeta)
             ) from err
     return FitResult(
-        posterior=posterior.extract_posterior(params),
+        posterior=posterior.PosteriorSummary(params),
         params=params,
         trace=tuple(trace),
         final_free_energy=final_fe,
         config=config,
-        steps=global_step,
+        steps=len(trace),
     )
 
 

@@ -30,6 +30,8 @@ class GridUnderflowError(RuntimeError):
 
 
 DEFAULT_MU_RANGE = (-1.0, 3.0)
+# the folded likelihood is even in mu, so its default grid is the half-plane mu >= 0
+FOLDED_MU_RANGE = (0.0, 3.0)
 DEFAULT_LOGVAR_RANGE = (float(np.log(0.5)), float(np.log(16.0)))
 DEFAULT_RESOLUTION = 201
 _WIDEN_HINT = "widen the ranges or increase the resolution"

@@ -9,7 +9,9 @@ have two parameters; the posterior and prior records accept only that case,
 and the algebra is written for it: :func:`factor` gives the three entries
 of S and :func:`kl_and_grad` the KL to an MVN prior with its gradient, both
 in plain Python floats, which is what the fit loop's per-step algebra runs
-on; :func:`kl_value` reads the same formula.
+on; :func:`kl_value` reads the same formula.  A prior keeps C0^-1 and
+log|C0| only as the cached floats `kl_and_grad` reads.  A fit returns its
+posterior as a :class:`PosteriorSummary`: mean, covariance, correlation.
 """
 
 from __future__ import annotations
@@ -82,17 +84,10 @@ class PriorSpec:
         object.__setattr__(self, "C0", C0)
 
     @cached_property
-    def C0_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.C0)
-
-    @cached_property
-    def log_det_C0(self) -> float:
-        return float(np.linalg.slogdet(self.C0)[1])
-
-    @cached_property
     def _kl_constants(self) -> tuple:
         """C0^-1 rows, m0 and log|C0| - 2 as plain floats, for `kl_and_grad`."""
-        return (*self.C0_inv.tolist(), self.m0.tolist(), self.log_det_C0 - 2)
+        log_det = float(np.linalg.slogdet(self.C0)[1])
+        return (*np.linalg.inv(self.C0).tolist(), self.m0.tolist(), log_det - 2)
 
     def log_pdf(self, points: np.ndarray) -> np.ndarray:
         """Prior log density at `points`, shape (..., P)."""
@@ -171,16 +166,13 @@ def kl_value(params: PosteriorParams, prior: PriorSpec) -> float:
 
 
 class PosteriorSummary:
-    """Extracted plain-number posterior: mean, covariance, correlation."""
+    """Plain-number view of the posterior: mean, covariance, correlation."""
 
     def __init__(self, params: PosteriorParams) -> None:
         self.mean = params.m.copy()
         self.cov = covariance(params)
         self.rho = float(self.cov[0, 1] / math.sqrt(self.cov[0, 0] * self.cov[1, 1]))
         self.correlation_enabled = params.correlation_enabled
-
-    def __iter__(self):
-        return iter((self.mean, self.cov, self.rho))
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,8 +181,3 @@ class PosteriorSummary:
             "rho": self.rho,
             "correlation_enabled": self.correlation_enabled,
         }
-
-
-def extract_posterior(params: PosteriorParams) -> PosteriorSummary:
-    """Plain-number (mean, covariance, correlation) view of the posterior."""
-    return PosteriorSummary(params)

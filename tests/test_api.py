@@ -1,12 +1,14 @@
 """The public namespace of the package."""
 
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import svbayes
-from svbayes import distributions
+from svbayes import distributions, posterior
 
 
 def test_every_exported_name_resolves():
@@ -18,6 +20,19 @@ def test_autodiff_tape_names_are_gone():
     gone = {"Tape", "finite_diff_check", "estimate_free_energy", "Gradient", "FiniteDiffReport"}
     assert gone.isdisjoint(svbayes.__all__)
     assert not [name for name in gone if hasattr(svbayes, name)]
+
+
+def test_unused_names_and_adam_settings_are_gone():
+    gone = {"ThetaVector", "extract_posterior"}
+    assert gone.isdisjoint(svbayes.__all__)
+    assert not [name for name in gone if hasattr(svbayes, name)]
+    assert not hasattr(distributions, "ThetaVector")
+    assert not hasattr(posterior, "extract_posterior")
+    assert not hasattr(svbayes.PosteriorSummary, "__iter__")
+    prior = svbayes.PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
+    assert not [name for name in ("C0_inv", "log_det_C0") if hasattr(prior, name)]
+    # beta1, beta2 and eps_hat are fixed constants of the optimizer module
+    assert list(inspect.signature(svbayes.Adam).parameters) == ["size", "learning_rate"]
 
 
 def test_domain_error_is_the_distributions_class():
@@ -35,3 +50,14 @@ def test_autodiff_placeholder_is_empty_and_not_imported():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(svbayes.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_readme_library_example_runs(capsys):
+    """The "Library use" block of README.md runs as written against the package."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["result"].steps == 400
+    assert "rho" in capsys.readouterr().out

@@ -15,7 +15,6 @@ from svbayes.distributions import (
     DomainError,
     ModelKind,
     NaturalParams,
-    ThetaVector,
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
@@ -70,14 +69,6 @@ def assert_partials_match_central_differences(kind, data, at):
 
 
 class TestParameterizations:
-    def test_theta_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            theta = ThetaVector(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            back = ThetaVector.from_natural(theta.to_natural())
-            assert back.theta1 == pytest.approx(theta.theta1, abs=1e-12)
-            assert back.theta2 == pytest.approx(theta.theta2, abs=1e-12)
-
     def test_natural_params_require_positive_precision(self):
         with pytest.raises(ValueError):
             NaturalParams(mu=0.0, beta=0.0)

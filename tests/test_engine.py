@@ -501,6 +501,27 @@ class TestFit:
         assert excinfo.value.step == 0
         np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_with_finite_objective_aborts(self, monkeypatch, bad):
+        """`fit` checks only F; a step with a finite F and a non-finite partial
+        still aborts at that step, through Adam's check, with the pre-step zeta."""
+        step_fn, zetas = engine.free_energy_and_grad, []
+
+        def bad_fourth_step(model, batch, n_total, zeta, *rest):
+            zetas.append(list(zeta))
+            obj = step_fn(model, batch, n_total, zeta, *rest)
+            if len(zetas) == 4:
+                obj = obj._replace(grad=[*obj.grad[:2], bad, *obj.grad[3:]])
+            assert math.isfinite(obj.free_energy)
+            return obj
+
+        monkeypatch.setattr(engine, "free_energy_and_grad", bad_fourth_step)
+        with pytest.raises(DivergenceError) as excinfo:
+            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=10))
+        assert excinfo.value.step == 3
+        assert excinfo.value.zeta.tolist() == zetas[3]
+        assert zetas[3] != zetas[0]
+
     def test_shuffle_is_reproducible_and_changes_order(self):
         data = example1_data()
         c1 = TrainConfig(epochs=8, batch_size=10, seed=3, shuffle=True, final_fe_samples=2)

@@ -10,10 +10,10 @@ from svbayes import distributions, engine
 from svbayes.distributions import ModelKind, summarize
 from svbayes.posterior import (
     PosteriorParams,
+    PosteriorSummary,
     PriorSpec,
     cholesky_factor,
     covariance,
-    extract_posterior,
     factor,
     kl_and_grad,
     kl_value,
@@ -301,26 +301,26 @@ class TestDiagonalVariant:
 class TestExtraction:
     def test_identity_case(self):
         params = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.0])
-        summary = extract_posterior(params)
+        summary = PosteriorSummary(params)
         np.testing.assert_array_equal(summary.cov, np.eye(2))
         assert summary.rho == 0.0
 
     def test_hand_computed_correlation(self):
         # S = [[1, 0], [1, 0.5]]: C = [[1, 1], [1, 1.25]], rho = 1/sqrt(1.25)
         params = PosteriorParams(m=[0.0, 0.0], v=[0.0, math.log(0.5)], u=[1.0])
-        mean, cov, rho = extract_posterior(params)
-        np.testing.assert_allclose(cov, [[1.0, 1.0], [1.0, 1.25]], rtol=1e-15)
-        assert rho == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
+        summary = PosteriorSummary(params)
+        np.testing.assert_allclose(summary.cov, [[1.0, 1.0], [1.0, 1.25]], rtol=1e-15)
+        assert summary.rho == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
 
     def test_disabled_correlation_rho_is_zero(self):
         params = PosteriorParams(
             m=[1.0, 2.0], v=[0.5, -0.5], u=[3.0], correlation_enabled=False
         )
-        assert extract_posterior(params).rho == 0.0
+        assert PosteriorSummary(params).rho == 0.0
 
     def test_json_shape(self):
         params = PosteriorParams(m=[1.0, 2.0], v=[0.0, 0.0], u=[0.2])
-        doc = extract_posterior(params).to_json_dict()
+        doc = PosteriorSummary(params).to_json_dict()
         assert set(doc) == {"m", "C", "rho", "correlation_enabled"}
         assert doc["m"] == [1.0, 2.0]
         assert len(doc["C"]) == 2 and len(doc["C"][0]) == 2
