@@ -136,18 +136,16 @@ def _per_dimension(values: list[float], flag: str) -> list[float]:
     raise ValueError(f"--{flag} takes one shared value or two per-dimension values")
 
 
+def _default_mu_range(model: ModelKind) -> tuple[float, float]:
+    folded = model is ModelKind.FOLDED_NORMAL
+    return grid_oracle.FOLDED_MU_RANGE if folded else grid_oracle.DEFAULT_MU_RANGE
+
+
 def _grid_spec_from_args(args, model: ModelKind) -> GridSpec:
-    if args.mu_range is not None:
-        mu_range = tuple(args.mu_range)
-    elif model is ModelKind.FOLDED_NORMAL:
-        mu_range = grid_oracle.FOLDED_MU_RANGE
-    else:
-        mu_range = grid_oracle.DEFAULT_MU_RANGE
-    logvar_range = (
-        tuple(args.logvar_range)
-        if args.logvar_range is not None
-        else grid_oracle.DEFAULT_LOGVAR_RANGE
-    )
+    mu_range = _default_mu_range(model) if args.mu_range is None else tuple(args.mu_range)
+    logvar_range = grid_oracle.DEFAULT_LOGVAR_RANGE
+    if args.logvar_range is not None:
+        logvar_range = tuple(args.logvar_range)
     return GridSpec(
         mu_range=mu_range,
         logvar_range=logvar_range,
@@ -175,10 +173,7 @@ def cmd_generate(args) -> int:
         subcommand="generate",
         seed=args.seed,
         configuration={
-            "model": model.value,
-            "mu": args.mu,
-            "variance": args.variance,
-            "n": args.n,
+            "model": model.value, "mu": args.mu, "variance": args.variance, "n": args.n
         },
         inputs={},
         outputs={"data": out.name},
@@ -352,13 +347,8 @@ def cmd_figure(args) -> int:
         _write_columns(pdf_path, "y,pdf", [_reprs(ys), _reprs(pdf(model, ys, params))])
         outputs["panel_a_true_pdf"] = pdf_path.name
 
-        mu_range = (
-            grid_oracle.FOLDED_MU_RANGE
-            if model is ModelKind.FOLDED_NORMAL
-            else grid_oracle.DEFAULT_MU_RANGE
-        )
         # the reference grid reproduces the likelihood-only evaluation
-        spec = GridSpec(mu_range=mu_range, include_prior=False)
+        spec = GridSpec(mu_range=_default_mu_range(model), include_prior=False)
         grid = grid_oracle.grid_posterior(model, data, prior, spec)
         grid_path = out_dir / "panel_b_grid.csv"
         _write_columns(grid_path, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, True))
@@ -406,17 +396,11 @@ def cmd_figure(args) -> int:
 
 def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--prior-mean",
-        type=float,
-        nargs="+",
-        default=[0.0],
+        "--prior-mean", type=float, nargs="+", default=[0.0],
         help="prior mean, one shared or two per-dimension values (default 0)",
     )
     parser.add_argument(
-        "--prior-var",
-        type=float,
-        nargs="+",
-        default=[100.0],
+        "--prior-var", type=float, nargs="+", default=[100.0],
         help="prior variance per dimension (default 100, noninformative)",
     )
 
@@ -489,6 +473,9 @@ def main(argv=None) -> int:
         return EXIT_GRID_UNDERFLOW
     except DivergenceError as err:
         print(f"error: optimization diverged: {err}", file=sys.stderr)
+        if err.recent:
+            last_f = ", ".join(repr(r.free_energy) for r in err.recent)
+            print(f"F over the {len(err.recent)} steps before: {last_f}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -11,10 +11,10 @@ needs, taken once per batch by :func:`summarize`.  The Gaussian likelihood
 is exact in the count, mean and centred sum of squares, so at L theta
 points it costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
 rescaled batch value with closed-form partials (the fit step) or value
-only, at one theta point given as floats (the one-sample fit step) or at L
-points given as arrays, through the same expressions; :func:`loglik_at`
-sums the full-data value at many theta points (the final free energy, the
-grid oracle).
+only, at one theta point given as floats (the one-sample fit step, which
+gets floats back) or at L points given as arrays, through the same
+expressions; :func:`loglik_at` sums the full-data value at many theta
+points (the final free energy, the grid oracle).
 """
 
 from __future__ import annotations
@@ -187,8 +187,8 @@ def loglik_terms(
     """Rescaled batch log-likelihood at theta points, optionally with partials.
 
     `mu` and `theta2` are the (mu, log variance) coordinates: two floats for
-    one point, or two (L,) arrays for L points.  Returns the values (numpy
-    scalars for floats, else (L,) arrays) of
+    one point, or two (L,) arrays for L points.  Returns the values (Python
+    floats for float coordinates, else (L,) arrays) of
 
         N/2 log(beta/2pi) + (N/M) sum_m t(y_m; mu, beta),    N = n_total,
 
@@ -201,10 +201,15 @@ def loglik_terms(
     |z| terms sum to beta |mu| sum_m y_m, and d/dz is tanh(z).  The value is
     the same bits with or without partials, and a point gives the same bits
     as floats as it does as a row of arrays.  The data are unchecked (see
-    `loglik_at`, `engine.fit`); overflow follows the numpy error state.
+    `loglik_at`, `engine.fit`).  Overflow in a numpy operation follows the
+    numpy error state; in the float arithmetic of a point it shows as an
+    inf or nan in the result.
     """
     m = len(batch.y)
-    beta = np.exp(-theta2)
+    # one point as floats runs on float arithmetic from here on; np.exp, not
+    # math.exp, which can differ in the last bit from an array row's np.exp
+    point = not isinstance(theta2, np.ndarray)
+    beta = float(np.exp(-theta2)) if point else np.exp(-theta2)
     if kind is ModelKind.GAUSSIAN:
         # (N/M)(beta/2) [SS_c + M (ybar - mu)^2], as beta [(N/2M) SS_c + (N/2) (ybar - mu)^2]
         half_n = 0.5 * n_total
@@ -219,7 +224,7 @@ def loglik_terms(
         raise ValueError(f"unknown model kind {kind!r}")
     # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
     y = batch.y
-    a = beta * np.abs(mu)
+    a = beta * abs(mu)
     m_mu = m * mu
     half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
     buf = np.multiply.outer(-2.0 * a, y)  # -2|z|, exactly
@@ -231,11 +236,13 @@ def loglik_terms(
     scale = n_total / m
     value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data
     if not partials:
-        return value, None, None
+        return (float(value) if point else value), None, None
     # partials of the data sum; beta = exp(-theta2) gives d/dtheta2 = -beta d/dbeta
-    d_mu = beta * (np.copysign(tanh_y, mu) - m_mu)  # tanh z = sign(mu) tanh|z|
-    d_theta2 = half_sumsq - a * tanh_y
-    return value, scale * d_mu, -0.5 * n_total + scale * d_theta2
+    d_mu = scale * (beta * (np.copysign(tanh_y, mu) - m_mu))  # tanh z = sign(mu) tanh|z|
+    d_theta2 = -0.5 * n_total + scale * (half_sumsq - a * tanh_y)
+    if point:  # the batch sums came back as numpy scalars
+        return float(value), float(d_mu), float(d_theta2)
+    return value, d_mu, d_theta2
 
 
 def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:

@@ -5,15 +5,17 @@ theta = m + S eps and evaluates the stochastic free energy
 F = (1/L) sum_l loglik(theta_l) - KL with its exact gradient in closed
 form: the batch log-likelihood partials are pulled back through the
 transform (the reparameterization estimator) and the analytic KL gradient
-is subtracted.  Maximization runs as Adam descent on the negated objective.
+is subtracted.  Adam ascends along that gradient.
 
 The step (:func:`free_energy_and_grad`) is fused for the two-parameter
 posterior around one likelihood call; S, the KL, the chain rule and Adam
 are plain floats on (m0, m1, v0, v1[, u]).  At one sample per step (the
-paper's estimator and the default) theta and the pull-back of the partials
-are float products too, and the likelihood gets the sample as two floats;
-at L > 1 the samples and the pull-back are one matmul each on the noise
-widened to [1 | eps].
+paper's estimator and the default) the whole step is float arithmetic
+from the noise draw to the Adam update: `fit` hands the sample's two
+floats to :func:`_one_sample_step`, which `free_energy_and_grad` also runs
+at L = 1, and the likelihood takes and returns floats.  At L > 1 the
+samples and the pull-back are one matmul each on the noise widened to
+[1 | eps].
 `fit` checks the data once and summarizes each batch once (every epoch
 when shuffling).  Each step's value is checked once: F by `fit`, the
 gradient by the finiteness check Adam makes after its update anyway.  The
@@ -27,7 +29,7 @@ The final free-energy re-estimate runs on `distributions.loglik_at`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,15 +43,20 @@ from .rng import Rng
 # Normal draws per `Rng.standard_normals` call in `fit`: a whole fit's
 # noise at the usual sizes, a bounded buffer at any step count and L.
 NOISE_BLOCK_DRAWS = 16_384
+# Trace records a DivergenceError keeps from before the failed step.
+DIVERGENCE_RECENT = 5
 
 
 class DivergenceError(RuntimeError):
-    """The objective or its gradient became non-finite during a fit."""
+    """The objective or its gradient became non-finite during a fit: at step
+    index `step`, from parameters `zeta`, after the steps whose trace records
+    `recent` holds (up to DIVERGENCE_RECENT, oldest first)."""
 
-    def __init__(self, message: str, step: int, zeta: np.ndarray) -> None:
-        super().__init__(f"{message} (step {step}, zeta={zeta.tolist()})")
-        self.step = step
-        self.zeta = zeta
+    def __init__(self, message: str, trace: Sequence[TraceRecord], zeta: Sequence[float]) -> None:
+        self.step = len(trace)
+        self.zeta = np.array(zeta)
+        self.recent = tuple(trace[-DIVERGENCE_RECENT:])
+        super().__init__(f"{message} (step {self.step}, zeta={self.zeta.tolist()})")
 
 
 @dataclass(frozen=True)
@@ -77,22 +84,9 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "mc_samples": self.mc_samples,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "correlation_enabled": self.correlation_enabled,
-            "final_fe_samples": self.final_fe_samples,
-            "shuffle": self.shuffle,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "init"}
         if self.init is not None:
-            out["init"] = {
-                "m": self.init.m.tolist(),
-                "v": self.init.v.tolist(),
-                "u": self.init.u.tolist(),
-            }
+            out["init"] = {name: getattr(self.init, name).tolist() for name in ("m", "v", "u")}
         return out
 
 
@@ -111,10 +105,7 @@ TRACE_CSV_HEADER = "epoch,step,F,kl,mc_loglik"
 
 def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
     lines = [TRACE_CSV_HEADER]
-    for r in trace:
-        lines.append(
-            f"{r.epoch},{r.step},{r.free_energy!r},{r.kl!r},{r.mc_loglik!r}"
-        )
+    lines += [f"{r.epoch},{r.step},{r.free_energy!r},{r.kl!r},{r.mc_loglik!r}" for r in trace]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -142,35 +133,54 @@ class FitResult:
         }
 
 
-class Objective(NamedTuple):
-    """Free energy, its two parts, and dF/dzeta packed like zeta."""
-
-    free_energy: float
-    mc_loglik: float
-    kl: float
-    grad: list[float]
+# A fit step's result: (F, mc_loglik, KL, dF/dzeta packed like zeta).
+StepResult = tuple[float, float, float, list[float]]
 
 
 def free_energy_and_grad(
-    model: ModelKind,
-    batch: distributions.Batch,
-    n_total: int,
-    zeta: Sequence[float],
-    epsilons: np.ndarray,
-    prior: PriorSpec,
-    correlation_enabled: bool,
-) -> Objective:
+    model: ModelKind, batch: distributions.Batch, n_total: int, zeta: Sequence[float],
+    epsilons: np.ndarray, prior: PriorSpec, correlation_enabled: bool,
+) -> StepResult:
     """Stochastic free energy and its exact gradient: the fused fit step.
 
     `zeta` packs (m0, m1, v0, v1[, u]) in the order `fit` optimizes them,
     `batch` is the `distributions.summarize` of the batch and `epsilons` the
-    (L, 3) noise [1 | eps].  theta = [1 | eps] [m; S^T], and
-    [ll | d_mu | d_theta2]^T [1 | eps] / L holds the Monte Carlo
+    (L, 3) noise [1 | eps].  At L = 1 this is :func:`_one_sample_step` on the
+    row's two floats, as `fit` runs it.  At L > 1, theta = [1 | eps] [m; S^T]
+    and [ll | d_mu | d_theta2]^T [1 | eps] / L holds the Monte Carlo
     log-likelihood, the mean partials g (the pull-back to m) and
-    D = (1/L) g eps (the pull-back to S).  At L = 1 these are float
-    products on the noise row and `distributions.loglik_terms` gets scalar
-    coordinates: the same formulas, which can differ from the matmuls only
-    in the last bit of theta.  Through S_ii = exp(v_i) the v_i partial is
+    D = (1/L) g eps (the pull-back to S), which can differ from the float
+    products only in the last bit of theta; the rest is as at L = 1.
+    """
+    n = len(epsilons)
+    if n == 1:
+        ((_, e0, e1),) = epsilons.tolist()
+        return _one_sample_step(model, batch, n_total, zeta, e0, e1, prior, correlation_enabled)
+    m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
+    u = zeta[4] if correlation_enabled else 0.0
+    s = s00, s10, s11 = posterior.factor(v0, v1, u)
+    theta = epsilons @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
+    parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
+    # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
+    (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ epsilons).tolist()
+    kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
+        m0, m1, v0, v1, s, prior
+    )
+    grad = [g0 / n - dkl_dm0, g1 / n - dkl_dm1, d00 / n * s00 - dkl_dv0, d11 / n * s11 - dkl_dv1]
+    if correlation_enabled:
+        grad.append(d10 / n - dkl_du)
+    return mc / n - kl, mc / n, kl, grad
+
+
+def _one_sample_step(
+    model: ModelKind, batch: distributions.Batch, n_total: int, zeta: Sequence[float],
+    e0: float, e1: float, prior: PriorSpec, correlation_enabled: bool,
+) -> StepResult:
+    """:func:`free_energy_and_grad` at the one sample eps = (e0, e1), on floats.
+
+    theta = m + S eps is three float products, `distributions.loglik_terms`
+    gets it as two floats and returns the value and the partials g, and the
+    pull-back to S is D = g eps.  Through S_ii = exp(v_i) the v_i partial is
     D_ii exp(v_i), the u partial is D_10; the KL and its gradient come from
     `posterior.kl_and_grad` on the step's S.  The batch is not checked (`fit`
     checks the whole dataset once).  Raises OverflowError or, under a
@@ -180,25 +190,15 @@ def free_energy_and_grad(
     m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
     u = zeta[4] if correlation_enabled else 0.0
     s = s00, s10, s11 = posterior.factor(v0, v1, u)
-    n = len(epsilons)
-    if n == 1:  # one sample: theta, the likelihood and g, D = g eps on floats
-        ((_, e0, e1),) = epsilons.tolist()
-        mc, g0, g1 = map(float, distributions.loglik_terms(
-            model, batch, m0 + s00 * e0, m1 + s10 * e0 + s11 * e1, n_total
-        ))
-        d00, d10, d11 = g0 * e0, g1 * e0, g1 * e1
-    else:
-        theta = epsilons @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
-        parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
-        # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
-        (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ epsilons).tolist()
+    mu, theta2 = m0 + s00 * e0, m1 + s10 * e0 + s11 * e1
+    mc, g0, g1 = distributions.loglik_terms(model, batch, mu, theta2, n_total)
     kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
         m0, m1, v0, v1, s, prior
     )
-    grad = [g0 / n - dkl_dm0, g1 / n - dkl_dm1, d00 / n * s00 - dkl_dv0, d11 / n * s11 - dkl_dv1]
+    grad = [g0 - dkl_dm0, g1 - dkl_dm1, g0 * e0 * s00 - dkl_dv0, g1 * e1 * s11 - dkl_dv1]
     if correlation_enabled:
-        grad.append(d10 / n - dkl_du)
-    return Objective(mc / n - kl, mc / n, kl, grad)
+        grad.append(g1 * e0 - dkl_du)
+    return mc - kl, mc, kl, grad
 
 
 def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
@@ -241,10 +241,10 @@ def fit(
     data are checked once, here, and the noise drawn in blocks (see the
     module docstring).  Each step's F is checked here and its gradient by
     Adam's post-update check; a non-finite value, a numpy fault or an Adam
-    overflow raises DivergenceError with the step's index and its pre-step
-    zeta.  The returned final free energy re-estimates the objective on the
-    full data with `final_fe_samples` fresh draws, since single-sample step
-    values are noisy.
+    overflow raises DivergenceError with the step's index, its pre-step
+    zeta and the last trace records before it.  The returned final free
+    energy re-estimates the objective on the full data with
+    `final_fe_samples` fresh draws, since single-sample step values are noisy.
     """
     if model is ModelKind.FOLDED_NORMAL and np.any(data.values <= 0.0):
         raise DomainError("folded normal data must be strictly positive")
@@ -265,7 +265,9 @@ def fit(
     # the steps whose noise one `standard_normals` call draws; a block never
     # spans a shuffle, so the stream order is that of per-step draws
     block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * 2))
-    noise, used = [], 0  # the drawn block and how many of its steps have run
+    # the drawn block and how many of its entries the steps have taken: at
+    # L = 1 a flat float list, two entries a step, else one [1 | eps] array a step
+    noise, used = [], 0
     trace: list[TraceRecord] = []
     # an overflow or invalid operation anywhere in a step or in the final
     # estimate makes its numbers meaningless: report it as a divergence
@@ -281,31 +283,36 @@ def fit(
                         # the steps left before the next shuffle, or in the fit
                         epochs_left = 1 if config.shuffle else config.epochs - epoch
                         k = min(block_steps, epochs_left * len(batches) - step)
-                        draws = rng.standard_normals(k * n_samples * 2).reshape(k, n_samples, 2)
-                        noise = np.concatenate((np.ones((k, n_samples, 1)), draws), axis=2)
+                        draws = rng.standard_normals(k * n_samples * 2)
+                        noise = draws.tolist() if n_samples == 1 else np.concatenate(
+                            (np.ones((k, n_samples, 1)), draws.reshape(k, n_samples, 2)), axis=2
+                        )
                         used = 0
-                    fe, mc, kl, grad = free_energy_and_grad(
-                        model, batch, n_total, zeta, noise[used], prior, correlation
-                    )
-                    used += 1
+                    if n_samples == 1:
+                        fe, mc, kl, grad = _one_sample_step(
+                            model, batch, n_total, zeta, noise[used], noise[used + 1],
+                            prior, correlation,
+                        )
+                        used += 2
+                    else:
+                        fe, mc, kl, grad = free_energy_and_grad(
+                            model, batch, n_total, zeta, noise[used], prior, correlation
+                        )
+                        used += 1
                     # plain-float F = mc - KL can overflow without a numpy fault
                     if not math.isfinite(fe):
-                        raise DivergenceError("non-finite objective", len(trace), np.array(zeta))
+                        raise DivergenceError("non-finite objective", trace, zeta)
                     # raises OverflowError on a non-finite gradient, moment or update
-                    zeta = optimizer.step(zeta, [-g for g in grad])
+                    zeta = optimizer.step(zeta, grad)
                     trace.append(TraceRecord(epoch, step, fe, kl, mc))
         except (FloatingPointError, OverflowError) as err:
-            raise DivergenceError(f"step failed: {err}", len(trace), np.array(zeta)) from err
+            raise DivergenceError(f"step failed: {err}", trace, zeta) from err
 
         params = _unpack(zeta, params)
         try:
-            final_fe = _final_free_energy(
-                model, data, params, prior, config.final_fe_samples, rng
-            )
+            final_fe = _final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
         except (FloatingPointError, OverflowError) as err:
-            raise DivergenceError(
-                f"final free energy failed: {err}", len(trace), np.array(zeta)
-            ) from err
+            raise DivergenceError(f"final free energy failed: {err}", trace, zeta) from err
     return FitResult(
         posterior=posterior.PosteriorSummary(params),
         params=params,
@@ -317,12 +324,8 @@ def fit(
 
 
 def _final_free_energy(
-    model: ModelKind,
-    data: Dataset,
-    params: PosteriorParams,
-    prior: PriorSpec,
-    n_samples: int,
-    rng: Rng,
+    model: ModelKind, data: Dataset, params: PosteriorParams, prior: PriorSpec,
+    n_samples: int, rng: Rng,
 ) -> tuple[float, float]:
     """Multi-sample estimate of F on the full data: (mean, standard error)."""
     kl = posterior.kl_value(params, prior)

@@ -35,6 +35,8 @@ FOLDED_MU_RANGE = (0.0, 3.0)
 DEFAULT_LOGVAR_RANGE = (float(np.log(0.5)), float(np.log(16.0)))
 DEFAULT_RESOLUTION = 201
 _WIDEN_HINT = "widen the ranges or increase the resolution"
+# a correlation below this in absolute value agrees with either sign
+RHO_SIGN_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -210,23 +212,21 @@ def compare_moments(
         )
     grid_variances = np.asarray(grid_variances, dtype=float)
     fit_variances = np.asarray(fit_variances, dtype=float)
+    grid_rho, fit_rho = float(grid_rho), float(fit_rho)
+    no_sign = abs(grid_rho) < RHO_SIGN_FLOOR or abs(fit_rho) < RHO_SIGN_FLOOR
     return ComparisonReport(
         mean_abs_diff=np.abs(grid_means - fit_means),
         variance_ratio=fit_variances / grid_variances,
-        rho_grid=float(grid_rho),
-        rho_fit=float(fit_rho),
-        rho_abs_diff=abs(float(grid_rho) - float(fit_rho)),
-        correlation_signs_agree=bool(np.sign(grid_rho) == np.sign(fit_rho)),
+        rho_grid=grid_rho,
+        rho_fit=fit_rho,
+        rho_abs_diff=abs(grid_rho - fit_rho),
+        correlation_signs_agree=bool(no_sign or np.sign(grid_rho) == np.sign(fit_rho)),
     )
 
 
 def compare(grid: GridResult, fit: FitResult) -> ComparisonReport:
     """Compare grid moments with a fitted posterior's moments."""
+    post = fit.posterior
     return compare_moments(
-        grid.means,
-        grid.variances,
-        grid.rho,
-        fit.posterior.mean,
-        np.diag(fit.posterior.cov),
-        fit.posterior.rho,
+        grid.means, grid.variances, grid.rho, post.mean, np.diag(post.cov), post.rho
     )

@@ -110,8 +110,9 @@ def test_criterion_1_gradient_correctness():
             rng.uniform(-2, 3, size=2), rng.uniform(-2, 1, size=2),
             rng.uniform(-1, 1, size=1),
         ])
-        fd = central_differences(lambda z: objective(z).free_energy, at)
-        worst = max(worst, max_rel_error(objective(at).grad, fd))
+        fd = central_differences(lambda z: objective(z)[0], at)
+        _, _, _, grad = objective(at)
+        worst = max(worst, max_rel_error(grad, fd))
     elapsed = time.monotonic() - start
     report(1, worst < 1e-4 and elapsed < 10.0,
            f"max rel err {worst:.2e} over 20 points in {elapsed:.1f}s")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from svbayes import cli, grid_oracle
+from svbayes import cli, engine, grid_oracle
 from svbayes.distributions import Dataset, ModelKind, NaturalParams, pdf, sample_data
 from svbayes.posterior import PriorSpec, mvn_log_pdf
 
@@ -162,6 +162,29 @@ class TestFit:
         ])
         assert code == cli.EXIT_DIVERGENCE
         assert "optimization diverged" in capsys.readouterr().err
+
+    def test_divergence_message_shows_the_last_free_energies(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        """A fit that diverges at step 7 prints F of the 5 steps before it,
+        as the trace of the same fit without the fault records them."""
+        args = ["fit", "--data", str(dataset), "--epochs", "10", "--out"]
+        assert run(args + [str(tmp_path / "clean")]) == 0
+        rows = (tmp_path / "clean.trace.csv").read_text().splitlines()[1:]
+        want = ", ".join(row.split(",")[2] for row in rows[2:7])
+        step_fn, steps = engine._one_sample_step, []
+
+        def nan_gradient_at_step_7(*step_args):
+            fe, mc, kl, grad = step_fn(*step_args)
+            steps.append(fe)
+            return fe, mc, kl, [math.nan] * len(grad) if len(steps) == 8 else grad
+
+        monkeypatch.setattr(engine, "_one_sample_step", nan_gradient_at_step_7)
+        capsys.readouterr()
+        assert run(args + [str(tmp_path / "f")]) == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert "(step 7, zeta=" in err
+        assert f"F over the 5 steps before: {want}\n" in err
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate_is_usage_error(self, dataset, tmp_path, capsys, lr):

@@ -85,15 +85,13 @@ def reference_objective(model, values, n_total, zeta, epsilons, prior, correlati
 def assert_matches_reference(model, batch, params, epsilons):
     """The fit step against `reference_objective` and its complex-step gradient."""
     zeta, corr = packed(params), params.correlation_enabled
-    obj = free_energy_and_grad(model, batch, 100, zeta, epsilons, PRIOR, corr)
+    fe, mc, kl, got = free_energy_and_grad(model, batch, 100, zeta, epsilons, PRIOR, corr)
     parts = reference_objective(model, batch, 100, zeta, epsilons, PRIOR, corr)
-    np.testing.assert_allclose(
-        [obj.free_energy, obj.mc_loglik, obj.kl], np.real(parts), rtol=1e-10, atol=0.0
-    )
+    np.testing.assert_allclose([fe, mc, kl], np.real(parts), rtol=1e-10, atol=0.0)
     grad = complex_step(
         lambda z: reference_objective(model, batch, 100, z, epsilons, PRIOR, corr)[0], zeta
     )
-    np.testing.assert_allclose(obj.grad, grad, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got, grad, rtol=1e-10, atol=0.0)
 
 
 class TestClosedFormObjective:
@@ -166,8 +164,8 @@ class TestClosedFormObjective:
                     model, data.values, 100, zeta, epsilons, PRIOR, correlation
                 )
 
-            grad = objective(at).grad
-            fd = central_differences(lambda z: objective(z).free_energy, at)
+            _, _, _, grad = objective(at)
+            fd = central_differences(lambda z: objective(z)[0], at)
             rel = np.abs(grad - fd) / np.maximum(np.abs(grad), np.abs(fd))
             assert rel.max() <= 1e-4, (at, grad, fd)
 
@@ -197,10 +195,10 @@ class TestOneSamplePath:
             two = free_energy_and_grad(
                 model, batch_values, 100, zeta, np.repeat(eps, 2, axis=0), PRIOR, correlation
             )
-            assert all(type(x) is float for x in (*one[:3], *one.grad)), one
-            want = np.array([*two[:3], *two.grad])
+            assert all(type(x) is float for x in (*one[:3], *one[3])), one
+            want = np.array([*two[:3], *two[3]])
             np.testing.assert_allclose(
-                [*one[:3], *one.grad], want, rtol=0.0, atol=1e-14 * np.abs(want).max()
+                [*one[:3], *one[3]], want, rtol=0.0, atol=1e-14 * np.abs(want).max()
             )
 
 
@@ -213,13 +211,13 @@ class TestObjectiveParts:
         prior = PriorSpec(m0=[0.5, 1.2], C0=np.diag([4.0, 4.0]))
         s = np.linalg.cholesky(prior.C0)
         params = PosteriorParams(m=prior.m0, v=np.log(np.diag(s)), u=[s[1, 0]])
-        obj = free_energy_and_grad(
+        fe, _, kl, _ = free_energy_and_grad(
             ModelKind.GAUSSIAN, data.values, 100, packed(params), np.zeros((1, 2)), prior, True
         )
-        assert obj.kl == pytest.approx(0.0, abs=1e-12)
+        assert kl == pytest.approx(0.0, abs=1e-12)
         mu, theta2 = prior.m0
         expected = log_pdf(ModelKind.GAUSSIAN, data.values, mu, math.exp(-theta2)).sum()
-        assert obj.free_energy == pytest.approx(expected, rel=1e-12)
+        assert fe == pytest.approx(expected, rel=1e-12)
 
     def test_kl_component_independent_of_noise(self):
         data = example1_data()
@@ -227,11 +225,11 @@ class TestObjectiveParts:
         rng = np.random.default_rng(1)
         values = []
         for _ in range(2):
-            obj = free_energy_and_grad(
+            fe, _, kl, _ = free_energy_and_grad(
                 ModelKind.GAUSSIAN, data.values, 100, zeta, rng.standard_normal((1, 2)),
                 PRIOR, True,
             )
-            values.append((obj.free_energy, obj.kl))
+            values.append((fe, kl))
         assert values[0][0] != values[1][0]  # stochastic likelihood part
         assert values[0][1] == values[1][1]  # deterministic KL part
 
@@ -239,19 +237,20 @@ class TestObjectiveParts:
         """F equals the MC likelihood term minus the KL term."""
         data = example1_data()
         rng = np.random.default_rng(2)
-        obj = free_energy_and_grad(
+        fe, mc, kl, _ = free_energy_and_grad(
             ModelKind.GAUSSIAN, data.values, 100, [1.0, 1.0, -0.5, -0.5, 0.3],
             rng.standard_normal((4, 2)), PRIOR, True,
         )
-        assert obj.free_energy == pytest.approx(obj.mc_loglik - obj.kl, rel=1e-10)
+        assert fe == pytest.approx(mc - kl, rel=1e-10)
 
     @staticmethod
     def assert_gradient_matches_central_differences(data, at, eps):
         def objective(zeta):
             return free_energy_and_grad(ModelKind.GAUSSIAN, data.values, 100, zeta, eps, PRIOR, True)
 
-        fd = central_differences(lambda z: objective(z).free_energy, at)
-        assert max_rel_error(objective(at).grad, fd) <= 1e-4, (at, fd)
+        fd = central_differences(lambda z: objective(z)[0], at)
+        _, _, _, grad = objective(at)
+        assert max_rel_error(grad, fd) <= 1e-4, (at, fd)
 
     def test_frozen_noise_gradient(self):
         rng = np.random.default_rng(3)
@@ -331,17 +330,31 @@ def reference_fit(model, data, prior, config):
             batches = make_batches(Dataset(rng.shuffle(data.values)), batch_size)
         for batch in batches:
             eps = rng.standard_normals(config.mc_samples * 2).reshape(config.mc_samples, 2)
-            obj = free_energy_and_grad(
+            fe, mc, kl, grad = free_energy_and_grad(
                 model, batch, len(data), zeta, eps, prior, config.correlation_enabled
             )
-            trace.append((obj.free_energy, obj.kl, obj.mc_loglik))
+            trace.append((fe, kl, mc))
             t += 1
-            grad = -np.asarray(obj.grad)
+            grad = -np.asarray(grad)  # textbook Adam descends on -F
             m = beta1 * m + (1.0 - beta1) * grad
             v = beta2 * v + (1.0 - beta2) * grad * grad
             m_hat, v_hat = m / (1.0 - beta1**t), v / (1.0 - beta2**t)
             zeta = zeta - lr * m_hat / (np.sqrt(v_hat) + eps_hat)
     return np.array(trace), zeta
+
+
+def assert_matches_reference_fit(result, model, data, config):
+    """`result` against `reference_fit`: the same bits at L = 1, where both
+    run the one-sample step and Adam's formulas, rtol 1e-12 at L > 1."""
+    trace, zeta = reference_fit(model, data, PRIOR, config)
+    got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
+    assert got.shape == trace.shape
+    if config.mc_samples == 1:
+        assert got.tolist() == trace.tolist()
+        assert packed(result.params).tolist() == zeta.tolist()
+    else:
+        np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(packed(result.params), zeta, rtol=1e-12, atol=0.0)
 
 
 class TestFusedLoop:
@@ -360,12 +373,7 @@ class TestFusedLoop:
             epochs=30, batch_size=batch_size, shuffle=shuffle, mc_samples=mc_samples,
             seed=9, correlation_enabled=correlation, final_fe_samples=2,
         )
-        result = fit(model, data, PRIOR, config)
-        trace, zeta = reference_fit(model, data, PRIOR, config)
-        got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
-        assert got.shape == trace.shape
-        np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(packed(result.params), zeta, rtol=1e-12, atol=0.0)
+        assert_matches_reference_fit(fit(model, data, PRIOR, config), model, data, config)
 
     @pytest.mark.parametrize("mc_samples", [1, 3])
     @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffled", "in-order"])
@@ -388,10 +396,7 @@ class TestFusedLoop:
         assert result.trace == default.trace
         assert packed(result.params).tobytes() == packed(default.params).tobytes()
         assert result.final_free_energy == default.final_free_energy
-        trace, zeta = reference_fit(ModelKind.GAUSSIAN, data, PRIOR, config)
-        got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
-        np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(packed(result.params), zeta, rtol=1e-12, atol=0.0)
+        assert_matches_reference_fit(result, ModelKind.GAUSSIAN, data, config)
 
 
 class TestFit:
@@ -505,22 +510,42 @@ class TestFit:
     def test_non_finite_gradient_with_finite_objective_aborts(self, monkeypatch, bad):
         """`fit` checks only F; a step with a finite F and a non-finite partial
         still aborts at that step, through Adam's check, with the pre-step zeta."""
-        step_fn, zetas = engine.free_energy_and_grad, []
+        step_fn, zetas = engine._one_sample_step, []
 
         def bad_fourth_step(model, batch, n_total, zeta, *rest):
             zetas.append(list(zeta))
-            obj = step_fn(model, batch, n_total, zeta, *rest)
+            fe, mc, kl, grad = step_fn(model, batch, n_total, zeta, *rest)
             if len(zetas) == 4:
-                obj = obj._replace(grad=[*obj.grad[:2], bad, *obj.grad[3:]])
-            assert math.isfinite(obj.free_energy)
-            return obj
+                grad = [*grad[:2], bad, *grad[3:]]
+            assert math.isfinite(fe)
+            return fe, mc, kl, grad
 
-        monkeypatch.setattr(engine, "free_energy_and_grad", bad_fourth_step)
+        monkeypatch.setattr(engine, "_one_sample_step", bad_fourth_step)
         with pytest.raises(DivergenceError) as excinfo:
             fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=10))
         assert excinfo.value.step == 3
         assert excinfo.value.zeta.tolist() == zetas[3]
         assert zetas[3] != zetas[0]
+
+    @pytest.mark.parametrize("failed_step", [3, 8])
+    def test_divergence_keeps_the_last_trace_records(self, monkeypatch, failed_step):
+        """A step that fails after others ran reports the trace records of the
+        up to DIVERGENCE_RECENT steps before it, as a clean fit records them."""
+        config = TrainConfig(epochs=10, final_fe_samples=2)
+        clean = fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, config)
+        step_fn, steps = engine._one_sample_step, []
+
+        def nan_gradient_at_failed_step(*step_args):
+            fe, mc, kl, grad = step_fn(*step_args)
+            steps.append(fe)
+            return fe, mc, kl, [math.nan] * len(grad) if len(steps) == failed_step + 1 else grad
+
+        monkeypatch.setattr(engine, "_one_sample_step", nan_gradient_at_failed_step)
+        with pytest.raises(DivergenceError) as excinfo:
+            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, config)
+        assert excinfo.value.step == failed_step
+        start = max(0, failed_step - engine.DIVERGENCE_RECENT)
+        assert excinfo.value.recent == clean.trace[start:failed_step]
 
     def test_shuffle_is_reproducible_and_changes_order(self):
         data = example1_data()

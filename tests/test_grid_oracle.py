@@ -238,6 +238,17 @@ class TestCompare:
         assert report.rho_abs_diff == 0.0
         assert report.correlation_signs_agree
 
+    def test_correlation_signs_below_the_floor_agree(self):
+        """A correlation within RHO_SIGN_FLOOR of zero agrees with either
+        sign (the README example's pair); two clear opposite signs do not."""
+        def agree(grid_rho, fit_rho):
+            report = compare_moments([0.0, 0.0], [1.0, 1.0], grid_rho, [0.0, 0.0], [1.0, 1.0], fit_rho)
+            return report.correlation_signs_agree
+
+        assert agree(-0.0002, 0.0322) and agree(0.0322, -0.0002)
+        assert not agree(-0.78, 0.30) and not agree(0.30, -0.78)
+        assert agree(-0.78, -0.30)
+
     def test_parameter_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compare_moments([0.0, 0.0], [1.0, 1.0], 0.0, [0.0], [1.0], 0.0)

@@ -1,4 +1,4 @@
-"""Adam update rule: first-step behavior, convergence, determinism."""
+"""Adam update rule (ascent): first-step behavior, convergence, determinism."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from svbayes.optimizer import Adam
 
 
 def textbook_adam(zeta, grads, lr=0.1, beta1=0.9, beta2=0.999, eps_hat=1e-8):
-    """Reference: the bias-corrected Adam of Kingma & Ba over numpy vectors."""
+    """Reference: the bias-corrected Adam of Kingma & Ba over numpy vectors,
+    descending along `grads`."""
     m = np.zeros_like(zeta)
     v = np.zeros_like(zeta)
     for t, grad in enumerate(grads, start=1):
@@ -32,14 +33,15 @@ class TestAdamStep:
         grad = np.array([3.0, -0.2, 10.0, -7.5])
         updated = np.array(opt.step(np.zeros(4), grad))
         np.testing.assert_allclose(np.abs(updated), 0.05, rtol=1e-6)
-        assert np.all(np.sign(updated) == -np.sign(grad))
+        assert np.all(np.sign(updated) == np.sign(grad))
 
     def test_minimizes_shifted_quadratic(self):
-        """Run-to-convergence on (x - 3)^2 from x = 0, lr = 0.1, 2000 steps."""
+        """Run-to-convergence on (x - 3)^2 from x = 0, ascending its negation,
+        lr = 0.1, 2000 steps."""
         opt = Adam(1, learning_rate=0.1)
         x = [0.0]
         for _ in range(2000):
-            x = opt.step(x, [2.0 * (x[0] - 3.0)])
+            x = opt.step(x, [-2.0 * (x[0] - 3.0)])
         assert abs(x[0] - 3.0) < 1e-3
 
     def test_determinism(self):
@@ -55,14 +57,15 @@ class TestAdamStep:
         assert runs[0] == runs[1]
 
     def test_matches_textbook_vector_adam(self):
-        """In-place float updates equal the numpy vector form bit for bit."""
+        """In-place float ascent equals the numpy vector descent on the
+        negated gradients bit for bit."""
         rng = np.random.default_rng(1)
         zeta = rng.uniform(-1, 1, size=5)
         grads = rng.normal(0.0, 3.0, size=(50, 5))
         opt = Adam(5, learning_rate=0.07)
         x = zeta.tolist()
         for grad in grads:
-            x = opt.step(x, grad.tolist())
+            x = opt.step(x, (-grad).tolist())
         np.testing.assert_array_equal(x, textbook_adam(zeta, grads, lr=0.07))
 
     def test_update_magnitude_bounded_after_first_step(self):
@@ -71,7 +74,7 @@ class TestAdamStep:
         x = np.array([0.0, 4.0])
         for step in range(500):
             prev = x
-            x = np.array(opt.step(x, 2.0 * (prev - np.array([3.0, -1.0]))))
+            x = np.array(opt.step(x, -2.0 * (prev - np.array([3.0, -1.0]))))
             if step >= 1:
                 assert np.all(np.abs(x - prev) <= 0.05 * (1.0 + 1e-6))
 
