@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, engine, grid_oracle
 from .distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
-from .engine import DivergenceError, FitResult, TrainConfig, write_trace_csv
+from .engine import DivergenceError, TrainConfig, write_trace_csv
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
 from .posterior import PriorSpec, mvn_log_pdf
 
@@ -200,16 +200,11 @@ def _train_config_from_args(args) -> TrainConfig:
     )
 
 
-def run_fit(args) -> FitResult:
-    model = ModelKind(args.model)
-    data = read_data_csv(Path(args.data))
-    prior = _prior_from_args(args)
-    config = _train_config_from_args(args)
-    return engine.fit(model, data, prior, config)
-
-
 def cmd_fit(args) -> int:
-    result = run_fit(args)
+    data = read_data_csv(Path(args.data))
+    result = engine.fit(
+        ModelKind(args.model), data, _prior_from_args(args), _train_config_from_args(args)
+    )
     base = Path(args.out)
     out_json = _artifact(base, ".json")
     out_trace = _artifact(base, ".trace.csv")

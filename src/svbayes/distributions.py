@@ -172,12 +172,17 @@ def summarize(kind: ModelKind, y) -> Batch:
     return Batch(y, sum_y, None, mean_lo, float(dev @ dev))
 
 
+def check_support(kind: ModelKind, y: np.ndarray) -> None:
+    """Raise DomainError unless every value of `y` lies in the support of `kind`."""
+    if kind is ModelKind.FOLDED_NORMAL and not np.all(y > 0.0):
+        raise DomainError("folded normal data must be strictly positive")
+
+
 def _checked_data(kind: ModelKind, y) -> Batch:
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("batch must be nonempty")
-    if kind is ModelKind.FOLDED_NORMAL and not np.all(y > 0.0):
-        raise DomainError("folded normal support is y > 0")
+    check_support(kind, y)
     return summarize(kind, y)
 
 

@@ -9,13 +9,12 @@ is subtracted.  Adam ascends along that gradient.
 
 The step (:func:`free_energy_and_grad`) is fused for the two-parameter
 posterior around one likelihood call; S, the KL, the chain rule and Adam
-are plain floats on (m0, m1, v0, v1[, u]).  At one sample per step (the
-paper's estimator and the default) the whole step is float arithmetic
-from the noise draw to the Adam update: `fit` hands the sample's two
-floats to :func:`_one_sample_step`, which `free_energy_and_grad` also runs
-at L = 1, and the likelihood takes and returns floats.  At L > 1 the
-samples and the pull-back are one matmul each on the noise widened to
-[1 | eps].
+are plain floats on (m0, m1, v0, v1[, u]).  It takes the noise in one of
+two forms and branches only from the samples to the pull-back: at one
+sample per step (the paper's estimator and the default) `fit` hands it
+the sample's float pair, so the whole step is float arithmetic from the
+noise draw to the Adam update; at L > 1 it gets the noise widened to
+[1 | eps], and the samples and the pull-back are one matmul each.
 `fit` checks the data once and summarizes each batch once (every epoch
 when shuffling).  Each step's value is checked once: F by `fit`, the
 gradient by the finiteness check Adam makes after its update anyway.  The
@@ -35,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import distributions, posterior
-from .distributions import Dataset, DomainError, ModelKind
+from .distributions import Dataset, ModelKind
 from .optimizer import Adam
 from .posterior import PosteriorParams, PriorSpec
 from .rng import Rng
@@ -139,65 +138,48 @@ StepResult = tuple[float, float, float, list[float]]
 
 def free_energy_and_grad(
     model: ModelKind, batch: distributions.Batch, n_total: int, zeta: Sequence[float],
-    epsilons: np.ndarray, prior: PriorSpec, correlation_enabled: bool,
+    noise, prior: PriorSpec, correlation_enabled: bool,
 ) -> StepResult:
-    """Stochastic free energy and its exact gradient: the fused fit step.
+    """Stochastic free energy and its exact gradient: the fit step.
 
-    `zeta` packs (m0, m1, v0, v1[, u]) in the order `fit` optimizes them,
-    `batch` is the `distributions.summarize` of the batch and `epsilons` the
-    (L, 3) noise [1 | eps].  At L = 1 this is :func:`_one_sample_step` on the
-    row's two floats, as `fit` runs it.  At L > 1, theta = [1 | eps] [m; S^T]
-    and [ll | d_mu | d_theta2]^T [1 | eps] / L holds the Monte Carlo
-    log-likelihood, the mean partials g (the pull-back to m) and
-    D = (1/L) g eps (the pull-back to S), which can differ from the float
-    products only in the last bit of theta; the rest is as at L = 1.
-    """
-    n = len(epsilons)
-    if n == 1:
-        ((_, e0, e1),) = epsilons.tolist()
-        return _one_sample_step(model, batch, n_total, zeta, e0, e1, prior, correlation_enabled)
-    m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
-    u = zeta[4] if correlation_enabled else 0.0
-    s = s00, s10, s11 = posterior.factor(v0, v1, u)
-    theta = epsilons @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
-    parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
-    # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
-    (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ epsilons).tolist()
-    kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
-        m0, m1, v0, v1, s, prior
-    )
-    grad = [g0 / n - dkl_dm0, g1 / n - dkl_dm1, d00 / n * s00 - dkl_dv0, d11 / n * s11 - dkl_dv1]
-    if correlation_enabled:
-        grad.append(d10 / n - dkl_du)
-    return mc / n - kl, mc / n, kl, grad
-
-
-def _one_sample_step(
-    model: ModelKind, batch: distributions.Batch, n_total: int, zeta: Sequence[float],
-    e0: float, e1: float, prior: PriorSpec, correlation_enabled: bool,
-) -> StepResult:
-    """:func:`free_energy_and_grad` at the one sample eps = (e0, e1), on floats.
-
-    theta = m + S eps is three float products, `distributions.loglik_terms`
-    gets it as two floats and returns the value and the partials g, and the
-    pull-back to S is D = g eps.  Through S_ii = exp(v_i) the v_i partial is
-    D_ii exp(v_i), the u partial is D_10; the KL and its gradient come from
-    `posterior.kl_and_grad` on the step's S.  The batch is not checked (`fit`
-    checks the whole dataset once).  Raises OverflowError or, under a
-    raising numpy error state, FloatingPointError; a plain-float overflow
-    shows as a non-finite value or gradient.
+    `zeta` packs (m0, m1, v0, v1[, u]) in the order `fit` optimizes them and
+    `batch` is the `distributions.summarize` of the batch.  `noise` is the
+    float pair (e0, e1) of one sample, as a list or tuple, or the (L, 3)
+    array [1 | eps] of L samples.  Only the samples and the pull-back depend
+    on the form.  One sample gives theta = m + S eps as three float products
+    and the pull-back to S as D = g eps; L samples give
+    theta = [1 | eps] [m; S^T] and [ll | d_mu | d_theta2]^T [1 | eps] / L,
+    which holds the Monte Carlo log-likelihood, the mean partials g (the
+    pull-back to m) and D = (1/L) g eps.  Through S_ii = exp(v_i) the v_i
+    partial is D_ii exp(v_i), the u partial is D_10; the KL and its gradient
+    come from `posterior.kl_and_grad` on the step's S.  The batch is not
+    checked (`fit` checks the whole dataset once).  Raises OverflowError or,
+    under a raising numpy error state, FloatingPointError; a plain-float
+    overflow shows as a non-finite value or gradient.
     """
     m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
     u = zeta[4] if correlation_enabled else 0.0
     s = s00, s10, s11 = posterior.factor(v0, v1, u)
-    mu, theta2 = m0 + s00 * e0, m1 + s10 * e0 + s11 * e1
-    mc, g0, g1 = distributions.loglik_terms(model, batch, mu, theta2, n_total)
+    if isinstance(noise, (list, tuple)):
+        e0, e1 = noise
+        mc, g0, g1 = distributions.loglik_terms(
+            model, batch, m0 + s00 * e0, m1 + s10 * e0 + s11 * e1, n_total
+        )
+        d00, d10, d11 = g0 * e0, g1 * e0, g1 * e1
+    else:
+        n = len(noise)
+        theta = noise @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
+        parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
+        # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
+        (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ noise).tolist()
+        # divided as floats, not as an array: the same bits, about 1 us a step less
+        mc, g0, g1, d00, d10, d11 = mc / n, g0 / n, g1 / n, d00 / n, d10 / n, d11 / n
     kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
         m0, m1, v0, v1, s, prior
     )
-    grad = [g0 - dkl_dm0, g1 - dkl_dm1, g0 * e0 * s00 - dkl_dv0, g1 * e1 * s11 - dkl_dv1]
+    grad = [g0 - dkl_dm0, g1 - dkl_dm1, d00 * s00 - dkl_dv0, d11 * s11 - dkl_dv1]
     if correlation_enabled:
-        grad.append(g1 * e0 - dkl_du)
+        grad.append(d10 - dkl_du)
     return mc - kl, mc, kl, grad
 
 
@@ -246,8 +228,7 @@ def fit(
     energy re-estimates the objective on the full data with
     `final_fe_samples` fresh draws, since single-sample step values are noisy.
     """
-    if model is ModelKind.FOLDED_NORMAL and np.any(data.values <= 0.0):
-        raise DomainError("folded normal data must be strictly positive")
+    distributions.check_support(model, data.values)
     params = config.init if config.init is not None else PosteriorParams.initial(
         prior, config.correlation_enabled
     )
@@ -265,8 +246,8 @@ def fit(
     # the steps whose noise one `standard_normals` call draws; a block never
     # spans a shuffle, so the stream order is that of per-step draws
     block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * 2))
-    # the drawn block and how many of its entries the steps have taken: at
-    # L = 1 a flat float list, two entries a step, else one [1 | eps] array a step
+    # the drawn block and how many of its steps have run: at L = 1 a list of
+    # float pairs, else one [1 | eps] array a step
     noise, used = [], 0
     trace: list[TraceRecord] = []
     # an overflow or invalid operation anywhere in a step or in the final
@@ -284,21 +265,14 @@ def fit(
                         epochs_left = 1 if config.shuffle else config.epochs - epoch
                         k = min(block_steps, epochs_left * len(batches) - step)
                         draws = rng.standard_normals(k * n_samples * 2)
-                        noise = draws.tolist() if n_samples == 1 else np.concatenate(
+                        noise = draws.reshape(k, 2).tolist() if n_samples == 1 else np.concatenate(
                             (np.ones((k, n_samples, 1)), draws.reshape(k, n_samples, 2)), axis=2
                         )
                         used = 0
-                    if n_samples == 1:
-                        fe, mc, kl, grad = _one_sample_step(
-                            model, batch, n_total, zeta, noise[used], noise[used + 1],
-                            prior, correlation,
-                        )
-                        used += 2
-                    else:
-                        fe, mc, kl, grad = free_energy_and_grad(
-                            model, batch, n_total, zeta, noise[used], prior, correlation
-                        )
-                        used += 1
+                    fe, mc, kl, grad = free_energy_and_grad(
+                        model, batch, n_total, zeta, noise[used], prior, correlation
+                    )
+                    used += 1
                     # plain-float F = mc - KL can overflow without a numpy fault
                     if not math.isfinite(fe):
                         raise DivergenceError("non-finite objective", trace, zeta)

@@ -172,14 +172,14 @@ class TestFit:
         assert run(args + [str(tmp_path / "clean")]) == 0
         rows = (tmp_path / "clean.trace.csv").read_text().splitlines()[1:]
         want = ", ".join(row.split(",")[2] for row in rows[2:7])
-        step_fn, steps = engine._one_sample_step, []
+        step_fn, steps = engine.free_energy_and_grad, []
 
         def nan_gradient_at_step_7(*step_args):
             fe, mc, kl, grad = step_fn(*step_args)
             steps.append(fe)
             return fe, mc, kl, [math.nan] * len(grad) if len(steps) == 8 else grad
 
-        monkeypatch.setattr(engine, "_one_sample_step", nan_gradient_at_step_7)
+        monkeypatch.setattr(engine, "free_energy_and_grad", nan_gradient_at_step_7)
         capsys.readouterr()
         assert run(args + [str(tmp_path / "f")]) == cli.EXIT_DIVERGENCE
         err = capsys.readouterr().err

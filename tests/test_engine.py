@@ -26,11 +26,15 @@ TRUE_PARAMS = NaturalParams.from_mean_variance(1.0, 4.0)
 
 
 def free_energy_and_grad(model, values, n_total, zeta, epsilons, prior, correlation_enabled):
-    """The fit step on raw batch values and (L, 2) noise eps, summarized and
-    widened to [1 | eps] here, as `fit` passes them."""
-    widened = np.column_stack((np.ones(len(epsilons)), epsilons))
+    """The fit step on raw batch values and (L, 2) noise eps, summarized here
+    and passed as `fit` passes them: at L = 1 the float pair (e0, e1), else
+    widened to [1 | eps]."""
+    if len(epsilons) == 1:
+        noise = epsilons[0].tolist()
+    else:
+        noise = np.column_stack((np.ones(len(epsilons)), epsilons))
     return engine.free_energy_and_grad(
-        model, summarize(model, values), n_total, zeta, widened, prior, correlation_enabled
+        model, summarize(model, values), n_total, zeta, noise, prior, correlation_enabled
     )
 
 
@@ -171,10 +175,11 @@ class TestClosedFormObjective:
 
 
 class TestOneSamplePath:
-    """At L = 1 the step runs on floats, at L > 1 on arrays: a one-sample
-    step equals a two-sample step whose rows are both its noise.  The paths
-    round theta and the pull-back differently, and a gradient entry can
-    cancel terms of the size of the objective, so they are compared to
+    """The step runs on floats for the float pair of one sample and on arrays
+    for [1 | eps]: a one-sample float step equals the array step on its
+    (1, 3) row and on a two-sample array whose rows are both its noise.  The
+    paths round theta and the pull-back differently, and a gradient entry
+    can cancel terms of the size of the objective, so they are compared to
     rtol 1e-14 of the largest of F, its parts and the gradient entries."""
 
     @pytest.mark.parametrize("model", list(ModelKind))
@@ -192,14 +197,19 @@ class TestOneSamplePath:
             )
             zeta, eps = packed(params).tolist(), rng.standard_normal((1, 2))
             one = free_energy_and_grad(model, batch_values, 100, zeta, eps, PRIOR, correlation)
+            row = engine.free_energy_and_grad(
+                model, summarize(model, batch_values), 100, zeta,
+                np.column_stack(([1.0], eps)), PRIOR, correlation,
+            )
             two = free_energy_and_grad(
                 model, batch_values, 100, zeta, np.repeat(eps, 2, axis=0), PRIOR, correlation
             )
             assert all(type(x) is float for x in (*one[:3], *one[3])), one
-            want = np.array([*two[:3], *two[3]])
-            np.testing.assert_allclose(
-                [*one[:3], *one[3]], want, rtol=0.0, atol=1e-14 * np.abs(want).max()
-            )
+            for other in (row, two):
+                want = np.array([*other[:3], *other[3]])
+                np.testing.assert_allclose(
+                    [*one[:3], *one[3]], want, rtol=0.0, atol=1e-14 * np.abs(want).max()
+                )
 
 
 class TestObjectiveParts:
@@ -510,7 +520,7 @@ class TestFit:
     def test_non_finite_gradient_with_finite_objective_aborts(self, monkeypatch, bad):
         """`fit` checks only F; a step with a finite F and a non-finite partial
         still aborts at that step, through Adam's check, with the pre-step zeta."""
-        step_fn, zetas = engine._one_sample_step, []
+        step_fn, zetas = engine.free_energy_and_grad, []
 
         def bad_fourth_step(model, batch, n_total, zeta, *rest):
             zetas.append(list(zeta))
@@ -520,7 +530,7 @@ class TestFit:
             assert math.isfinite(fe)
             return fe, mc, kl, grad
 
-        monkeypatch.setattr(engine, "_one_sample_step", bad_fourth_step)
+        monkeypatch.setattr(engine, "free_energy_and_grad", bad_fourth_step)
         with pytest.raises(DivergenceError) as excinfo:
             fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=10))
         assert excinfo.value.step == 3
@@ -533,14 +543,14 @@ class TestFit:
         up to DIVERGENCE_RECENT steps before it, as a clean fit records them."""
         config = TrainConfig(epochs=10, final_fe_samples=2)
         clean = fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, config)
-        step_fn, steps = engine._one_sample_step, []
+        step_fn, steps = engine.free_energy_and_grad, []
 
         def nan_gradient_at_failed_step(*step_args):
             fe, mc, kl, grad = step_fn(*step_args)
             steps.append(fe)
             return fe, mc, kl, [math.nan] * len(grad) if len(steps) == failed_step + 1 else grad
 
-        monkeypatch.setattr(engine, "_one_sample_step", nan_gradient_at_failed_step)
+        monkeypatch.setattr(engine, "free_energy_and_grad", nan_gradient_at_failed_step)
         with pytest.raises(DivergenceError) as excinfo:
             fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, config)
         assert excinfo.value.step == failed_step

@@ -129,13 +129,14 @@ class TestReparamSample:
         np.testing.assert_allclose(theta, [[5.0, 3.5]], rtol=1e-15)
 
     def test_noise_width_mismatch_rejected(self):
-        """Noise rows must be [1 | eps] with one eps per parameter."""
+        """Noise rows must be [1 | eps], and a one-sample float noise (e0, e1),
+        with one eps per parameter."""
         batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]))
         prior = PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
-        for width in (2, 4):
+        for noise in (np.ones((1, 2)), np.ones((1, 4)), (1.0,), (1.0, 1.0, 1.0)):
             with pytest.raises(ValueError):
                 engine.free_energy_and_grad(
-                    ModelKind.GAUSSIAN, batch, 2, [0.0] * 5, np.ones((1, width)), prior, True
+                    ModelKind.GAUSSIAN, batch, 2, [0.0] * 5, noise, prior, True
                 )
 
     @pytest.mark.parametrize("correlation", [True, False], ids=["corr", "nocorr"])
