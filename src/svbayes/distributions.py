@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ from .rng import Rng
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 # Likelihood terms (data point x theta row) per loglik_terms call in
-# loglik_at; bounds its working memory (one 512 KB buffer) whatever the N.
+# loglik_at; bounds its working memory (one 512 KB buffer per worker) whatever the N.
 CHUNK_TERMS = 65_536
 
 
@@ -250,18 +251,42 @@ def loglik_terms(
     return value, d_mu, d_theta2
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
     """Full-data log-likelihood at every (mu, log variance) row of `thetas`.
 
     Checks and summarizes the data once, then makes one value-only
     :func:`loglik_terms` call for the Gaussian (its cost does not depend on
     N), or one per chunk of at most CHUNK_TERMS terms (at least one row) for
-    the Folded Normal; never an (L, N) array.
+    the Folded Normal; never an (L, N) array.  The chunks split into
+    min(usable CPUs, chunks // 2) contiguous runs (one run: a serial loop)
+    evaluated at once, the first by the calling thread, all under its numpy
+    error state; the values are the serial loop's bits, and an error in any
+    run is raised here once every run has ended.
     """
     n = len(y)
     batch = _checked_data(kind, y)
     rows = max(1, len(thetas) if kind is ModelKind.GAUSSIAN else CHUNK_TERMS // n)
-    return np.concatenate([
-        loglik_terms(kind, batch, thetas[i : i + rows, 0], thetas[i : i + rows, 1], n, False)[0]
-        for i in range(0, len(thetas), rows)
-    ])
+    starts = range(0, len(thetas), rows)
+    err = np.geterr()  # a new thread does not inherit the caller's numpy error state
+
+    def evaluate(run):  # *thetas[i : i + rows].T: the chunk's mu and theta2 columns
+        with np.errstate(**err):
+            return [loglik_terms(kind, batch, *thetas[i : i + rows].T, n, False)[0] for i in run]
+
+    workers = min(_usable_cpus(), len(starts) // 2)
+    if workers < 2:
+        return np.concatenate(evaluate(starts))
+    from concurrent.futures import ThreadPoolExecutor  # only a spread call pays the import
+
+    cut = [len(starts) * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers - 1) as pool:  # leaving it joins every thread
+        futures = [pool.submit(evaluate, starts[a:b]) for a, b in zip(cut[1:], cut[2:])]
+        values = evaluate(starts[: cut[1]]) + [v for f in futures for v in f.result()]
+    return np.concatenate(values)

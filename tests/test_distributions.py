@@ -1,6 +1,7 @@
 """Densities, batch log-likelihoods, samplers, and the seeded generator."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -236,6 +237,84 @@ class TestLoglikTerms:
         thetas = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(rows, 2))
         direct = [log_pdf(kind, data, mu, math.exp(-t2)).sum() for mu, t2 in thetas]
         np.testing.assert_allclose(loglik_at(kind, data, thetas), direct, rtol=1e-12)
+
+    @staticmethod
+    def chunk_threads(monkeypatch, thetas):
+        """Record, by chunk in row order, the thread that evaluated it."""
+        calls = {}
+        inner = distributions.loglik_terms
+
+        def recorded(kind, batch, mu, theta2, *args):
+            first_row = int(np.flatnonzero(thetas[:, 0] == mu[0])[0])
+            calls[first_row] = threading.get_ident()
+            return inner(kind, batch, mu, theta2, *args)
+
+        monkeypatch.setattr(distributions, "loglik_terms", recorded)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize(
+        "n, chunk_terms, rows, chunks",
+        # 655 rows per chunk, the last one short; more points than chunk terms: a row each
+        [(100, CHUNK_TERMS, 6 * 655 + 17, 7), (55, 50, 9, 9)],
+        ids=["remainder-chunk", "row-per-chunk"],
+    )
+    def test_spread_chunks_equal_the_serial_loop_bitwise(
+        self, cpus, n, chunk_terms, rows, chunks, monkeypatch
+    ):
+        """Folded chunks spread over several CPUs give the bits of the serial
+        loop, in the same order; the calling thread evaluates the first
+        chunks (chunks // cpus of them) and no other."""
+        monkeypatch.setattr(distributions, "CHUNK_TERMS", chunk_terms)
+        rng = np.random.default_rng(16)
+        data = np.abs(rng.normal(1.0, 2.0, size=n))
+        thetas = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(rows, 2))
+        caller = threading.get_ident()
+        calls = self.chunk_threads(monkeypatch, thetas)
+        monkeypatch.setattr(distributions, "_usable_cpus", lambda: 1)
+        serial = loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)
+        assert len(calls) == chunks and set(calls.values()) == {caller}
+        calls.clear()
+        monkeypatch.setattr(distributions, "_usable_cpus", lambda: cpus)
+        spread = loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)
+        owners = [calls[row] for row in sorted(calls)]
+        assert len(owners) == chunks
+        assert owners.count(caller) == chunks // cpus
+        assert owners[: chunks // cpus] == [caller] * (chunks // cpus)
+        assert 1 < len(set(owners)) <= cpus
+        assert np.array_equal(spread, serial)
+
+    def test_under_two_chunks_per_cpu_stays_serial(self, monkeypatch):
+        """Three folded chunks (two CPUs would get less than two each), and
+        the Gaussian's one call, run in the calling thread."""
+        monkeypatch.setattr(distributions, "_usable_cpus", lambda: 4)
+        data = np.abs(np.random.default_rng(17).normal(1.0, 2.0, size=CHUNK_TERMS // 2))
+        thetas = np.column_stack((np.linspace(0.0, 1.0, 5), np.zeros(5)))  # 3 chunks
+        for kind in ModelKind:
+            calls = self.chunk_threads(monkeypatch, thetas)
+            loglik_at(kind, data, thetas)
+            assert len(calls) == (3 if kind is ModelKind.FOLDED_NORMAL else 1)
+            assert set(calls.values()) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("run", ["first", "last"])
+    def test_spread_chunks_keep_the_callers_error_state(self, run, monkeypatch):
+        """A precision of e^800 overflows.  In the last run (a worker thread)
+        or the first (the calling thread) it raises under the caller's
+        over="raise", after every thread has ended, and passes silently
+        under the caller's ignore."""
+        monkeypatch.setattr(distributions, "_usable_cpus", lambda: 2)
+        data = np.abs(np.random.default_rng(18).normal(1.0, 2.0, size=100))
+        thetas = np.column_stack((np.full(4 * 655, 1.0), np.zeros(4 * 655)))
+        bad = 0 if run == "first" else -1
+        thetas[bad, 1] = -800.0
+        alive = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)
+        assert threading.active_count() == alive
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)
+        assert np.isnan(values[bad]) and np.all(np.isfinite(np.delete(values, bad)))
+        assert threading.active_count() == alive
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -477,6 +477,21 @@ class TestFit:
         with pytest.raises(DomainError):
             fit(ModelKind.FOLDED_NORMAL, data, PRIOR, TrainConfig(epochs=1))
 
+    def test_folded_support_is_checked_before_the_first_step(self, monkeypatch):
+        """A zero in folded data stops the fit before any step runs on data
+        the likelihood's y > 0 sums assume away."""
+        step_fn, steps = engine.free_energy_and_grad, []
+
+        def counted(*args):
+            steps.append(args)
+            return step_fn(*args)
+
+        monkeypatch.setattr(engine, "free_energy_and_grad", counted)
+        data = Dataset(np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(DomainError):
+            fit(ModelKind.FOLDED_NORMAL, data, PRIOR, TrainConfig(epochs=3))
+        assert steps == []
+
     def test_divergent_initialization_aborts_with_diagnostics(self):
         data = example1_data()
         bad_init = PosteriorParams(m=[0.0, 0.0], v=[700.0, 700.0], u=[0.0])
