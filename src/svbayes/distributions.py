@@ -31,8 +31,9 @@ from .rng import Rng
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
-# Likelihood terms (data point x theta row) per loglik_terms call in
-# loglik_at; bounds its working memory (one 512 KB buffer per worker) whatever the N.
+# Likelihood terms (data point x theta row) per chunk of a folded value-only
+# call at many rows; bounds its working memory (one 512 KB buffer per call, so
+# one per worker in loglik_at) whatever the N.
 CHUNK_TERMS = 65_536
 
 
@@ -233,11 +234,20 @@ def loglik_terms(
     a = beta * abs(mu)
     m_mu = m * mu
     half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
-    buf = np.multiply.outer(-2.0 * a, y)  # -2|z|, exactly
-    if partials:
-        tanh_y = np.tanh(-0.5 * buf) @ y  # sum_m y_m tanh|z_m| >= 0
-    np.exp(buf, out=buf)
-    soft = np.add.reduce(np.log1p(buf, out=buf), axis=-1)
+    if point or partials:
+        buf = np.multiply.outer(-2.0 * a, y)  # -2|z|, exactly
+        if partials:
+            tanh_y = np.tanh(-0.5 * buf) @ y  # sum_m y_m tanh|z_m| >= 0
+        np.exp(buf, out=buf)
+        soft = np.add.reduce(np.log1p(buf, out=buf), axis=-1)
+    else:  # many rows, value only: CHUNK_TERMS terms (at least a row) at a time in one
+        # aligned buffer; each row sums on its own, whatever chunk it lands in
+        neg2a, rows, soft = -2.0 * a, max(1, CHUNK_TERMS // m), np.empty(len(a))
+        buf = _scratch(min(rows, len(a)) * m).reshape(-1, m)
+        for i in range(0, len(a), rows):
+            part = buf[: min(rows, len(a) - i)]
+            np.exp(np.multiply.outer(neg2a[i : i + rows], y, out=part), out=part)
+            np.add.reduce(np.log1p(part, out=part), axis=-1, out=soft[i : i + rows])
     data = a * batch.sum_y + soft - half_sumsq
     scale = n_total / m
     value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data
@@ -251,6 +261,13 @@ def loglik_terms(
     return value, d_mu, d_theta2
 
 
+def _scratch(size: int) -> np.ndarray:
+    """An uninitialized float64 array of `size` that starts on a 64-byte boundary."""
+    raw = np.empty(size + 7)  # numpy aligns to at least 8 bytes: a start is 7 steps away at most
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip : skip + size]
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -262,31 +279,32 @@ def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
     """Full-data log-likelihood at every (mu, log variance) row of `thetas`.
 
     Checks and summarizes the data once, then makes one value-only
-    :func:`loglik_terms` call for the Gaussian (its cost does not depend on
-    N), or one per chunk of at most CHUNK_TERMS terms (at least one row) for
-    the Folded Normal; never an (L, N) array.  The chunks split into
-    min(usable CPUs, chunks // 2) contiguous runs (one run: a serial loop)
-    evaluated at once, the first by the calling thread, all under its numpy
-    error state; the values are the serial loop's bits, and an error in any
-    run is raised here once every run has ended.
+    :func:`loglik_terms` call per run of rows; never an (L, N) array.  The
+    Gaussian's cost does not depend on N, so it makes one call.  The Folded
+    Normal's rows split into chunks of at most CHUNK_TERMS terms (at least
+    one row) and the chunks into min(usable CPUs, chunks // 2) contiguous
+    runs (one run: a single call), evaluated at once, the first by the
+    calling thread, all under its numpy error state.  A call sums its rows a
+    chunk at a time in one buffer, so the values are the bits of a single
+    call, and an error in any run is raised here once every run has ended.
     """
     n = len(y)
     batch = _checked_data(kind, y)
-    rows = max(1, len(thetas) if kind is ModelKind.GAUSSIAN else CHUNK_TERMS // n)
-    starts = range(0, len(thetas), rows)
+    rows = max(1, CHUNK_TERMS // n)  # rows per folded chunk
+    chunks = 1 if kind is ModelKind.GAUSSIAN else -(-len(thetas) // rows)
+    workers = min(_usable_cpus(), chunks // 2)
     err = np.geterr()  # a new thread does not inherit the caller's numpy error state
 
-    def evaluate(run):  # *thetas[i : i + rows].T: the chunk's mu and theta2 columns
+    def evaluate(a, b):  # *thetas[a:b].T: the run's mu and theta2 columns
         with np.errstate(**err):
-            return [loglik_terms(kind, batch, *thetas[i : i + rows].T, n, False)[0] for i in run]
+            return loglik_terms(kind, batch, *thetas[a:b].T, n, False)[0]
 
-    workers = min(_usable_cpus(), len(starts) // 2)
     if workers < 2:
-        return np.concatenate(evaluate(starts))
+        return evaluate(0, len(thetas))
     from concurrent.futures import ThreadPoolExecutor  # only a spread call pays the import
 
-    cut = [len(starts) * k // workers for k in range(workers + 1)]
+    cut = [rows * (chunks * k // workers) for k in range(workers + 1)]
     with ThreadPoolExecutor(workers - 1) as pool:  # leaving it joins every thread
-        futures = [pool.submit(evaluate, starts[a:b]) for a, b in zip(cut[1:], cut[2:])]
-        values = evaluate(starts[: cut[1]]) + [v for f in futures for v in f.result()]
+        futures = [pool.submit(evaluate, a, b) for a, b in zip(cut[1:], cut[2:])]
+        values = [evaluate(0, cut[1])] + [f.result() for f in futures]
     return np.concatenate(values)

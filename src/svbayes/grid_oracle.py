@@ -9,7 +9,8 @@ stochastic fits are judged.
 The likelihood comes from `distributions.loglik_at`, the evaluator the
 fit's final free energy uses, at the flattened (n_mu * n_logvar, 2) node
 matrix, so its working memory is O(grid), plus for the Folded Normal one
-chunk of at most max(N, `distributions.CHUNK_TERMS`) terms per CPU it runs on.
+reused buffer of at most max(N, `distributions.CHUNK_TERMS`) terms per CPU
+it runs on: one likelihood call per CPU, summing a chunk of nodes at a time.
 """
 
 from __future__ import annotations

@@ -239,14 +239,14 @@ class TestLoglikTerms:
         np.testing.assert_allclose(loglik_at(kind, data, thetas), direct, rtol=1e-12)
 
     @staticmethod
-    def chunk_threads(monkeypatch, thetas):
-        """Record, by chunk in row order, the thread that evaluated it."""
+    def run_threads(monkeypatch, thetas):
+        """Record, by first row, each likelihood call's row count and thread."""
         calls = {}
         inner = distributions.loglik_terms
 
         def recorded(kind, batch, mu, theta2, *args):
             first_row = int(np.flatnonzero(thetas[:, 0] == mu[0])[0])
-            calls[first_row] = threading.get_ident()
+            calls[first_row] = (len(mu), threading.get_ident())
             return inner(kind, batch, mu, theta2, *args)
 
         monkeypatch.setattr(distributions, "loglik_terms", recorded)
@@ -259,42 +259,86 @@ class TestLoglikTerms:
         [(100, CHUNK_TERMS, 6 * 655 + 17, 7), (55, 50, 9, 9)],
         ids=["remainder-chunk", "row-per-chunk"],
     )
-    def test_spread_chunks_equal_the_serial_loop_bitwise(
+    def test_spread_runs_equal_one_call_bitwise(
         self, cpus, n, chunk_terms, rows, chunks, monkeypatch
     ):
-        """Folded chunks spread over several CPUs give the bits of the serial
-        loop, in the same order; the calling thread evaluates the first
-        chunks (chunks // cpus of them) and no other."""
+        """One CPU makes one folded call for every row.  Several CPUs make one
+        call per run of whole chunks, at least two each, the runs tiling the
+        rows in order; the calling thread makes the first (chunks // cpus
+        chunks) and no other.  Every row has the bits of the one-CPU call and
+        of the one-point float path."""
         monkeypatch.setattr(distributions, "CHUNK_TERMS", chunk_terms)
+        per_chunk = max(1, chunk_terms // n)
         rng = np.random.default_rng(16)
         data = np.abs(rng.normal(1.0, 2.0, size=n))
         thetas = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(rows, 2))
         caller = threading.get_ident()
-        calls = self.chunk_threads(monkeypatch, thetas)
+        calls = self.run_threads(monkeypatch, thetas)
         monkeypatch.setattr(distributions, "_usable_cpus", lambda: 1)
         serial = loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)
-        assert len(calls) == chunks and set(calls.values()) == {caller}
+        assert calls == {0: (rows, caller)}
         calls.clear()
         monkeypatch.setattr(distributions, "_usable_cpus", lambda: cpus)
         spread = loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)
-        owners = [calls[row] for row in sorted(calls)]
-        assert len(owners) == chunks
-        assert owners.count(caller) == chunks // cpus
-        assert owners[: chunks // cpus] == [caller] * (chunks // cpus)
-        assert 1 < len(set(owners)) <= cpus
-        assert np.array_equal(spread, serial)
+        firsts = sorted(calls)
+        sizes = [calls[row][0] for row in firsts]
+        owners = [calls[row][1] for row in firsts]
+        assert len(firsts) == cpus and firsts == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == rows and all(s % per_chunk == 0 and s >= 2 * per_chunk for s in sizes[:-1])
+        assert sizes[0] == per_chunk * (chunks // cpus) and owners[0] == caller
+        assert caller not in owners[1:] and 1 < len(set(owners)) <= cpus
+        assert spread.tobytes() == serial.tobytes()
+        monkeypatch.undo()
+        batch = summarize(ModelKind.FOLDED_NORMAL, data)
+        for (mu, theta2), value in zip(thetas.tolist(), spread):
+            point = distributions.loglik_terms(ModelKind.FOLDED_NORMAL, batch, mu, theta2, n, False)[0]
+            assert np.float64(point).tobytes() == value.tobytes(), (mu, theta2)
 
-    def test_under_two_chunks_per_cpu_stays_serial(self, monkeypatch):
+    def test_under_two_chunks_per_cpu_is_one_call_on_the_caller(self, monkeypatch):
         """Three folded chunks (two CPUs would get less than two each), and
-        the Gaussian's one call, run in the calling thread."""
+        the Gaussian whatever its rows, make one call in the calling thread."""
         monkeypatch.setattr(distributions, "_usable_cpus", lambda: 4)
         data = np.abs(np.random.default_rng(17).normal(1.0, 2.0, size=CHUNK_TERMS // 2))
         thetas = np.column_stack((np.linspace(0.0, 1.0, 5), np.zeros(5)))  # 3 chunks
         for kind in ModelKind:
-            calls = self.chunk_threads(monkeypatch, thetas)
+            calls = self.run_threads(monkeypatch, thetas)
             loglik_at(kind, data, thetas)
-            assert len(calls) == (3 if kind is ModelKind.FOLDED_NORMAL else 1)
-            assert set(calls.values()) == {threading.get_ident()}
+            assert calls == {0: (5, threading.get_ident())}
+
+    def test_folded_loglik_at_memory_is_one_chunk_buffer_per_run(self, monkeypatch):
+        """1,000 rows at N = 10,000 (an 80 MB (L, N) array) on two CPUs: one
+        call per run, and a traced peak within twice a 512 KB chunk buffer
+        per run plus O(rows)."""
+        monkeypatch.setattr(distributions, "_usable_cpus", lambda: 2)
+        data = np.abs(1.0 + 2.0 * np.random.default_rng(33).standard_normal(10_000))
+        thetas = np.random.default_rng(34).uniform([-2.0, -1.0], [2.0, 2.0], size=(1_000, 2))
+        calls = self.run_threads(monkeypatch, thetas)
+        loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)  # the first spread call imports the pool
+        calls.clear()
+        tracemalloc.start()
+        try:
+            values = loglik_at(ModelKind.FOLDED_NORMAL, data, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 2
+        assert peak < 2 * 2 * CHUNK_TERMS * 8 + 32 * thetas.nbytes, peak
+        for i in (0, 499, 500, 999):
+            m, t = thetas[i]
+            direct = log_pdf(ModelKind.FOLDED_NORMAL, data, m, math.exp(-t)).sum()
+            assert values[i] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 655, CHUNK_TERMS, CHUNK_TERMS + 3])
+    def test_scratch_buffer_is_64_byte_aligned(self, size):
+        """The chunk buffer starts on a 64-byte boundary whatever the size,
+        over allocations that leave the heap at different offsets."""
+        held = []
+        for pad in range(9):
+            held.append(np.empty(pad))
+            buf = distributions._scratch(size)
+            assert buf.dtype == np.float64 and buf.shape == (size,)
+            assert buf.flags.c_contiguous and buf.flags.writeable
+            assert buf.ctypes.data % 64 == 0
 
     @pytest.mark.parametrize("run", ["first", "last"])
     def test_spread_chunks_keep_the_callers_error_state(self, run, monkeypatch):
