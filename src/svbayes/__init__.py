@@ -37,7 +37,6 @@ from .grid_oracle import (
 from .optimizer import Adam
 from .posterior import (
     PosteriorParams,
-    PosteriorSummary,
     PriorSpec,
     kl_value,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ModelKind",
     "NaturalParams",
     "PosteriorParams",
-    "PosteriorSummary",
     "PriorSpec",
     "Rng",
     "TraceRecord",

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +34,7 @@ EXIT_DOMAIN = 4
 EXIT_DIVERGENCE = 5
 EXIT_GRID_UNDERFLOW = 6
 
-# Rows per formatted block of a data CSV; bounds its memory whatever the N.
+# Rows per formatted write of a CSV; bounds its memory whatever the size.
 DATA_CHUNK_ROWS = 65_536
 
 
@@ -69,35 +70,42 @@ def _reprs(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _write_columns(path: Path, header: str, columns) -> None:
-    """CSV of equal-length columns of preformatted strings, one join."""
+def _write_columns(path: Path, header: str, blocks) -> None:
+    """CSV of preformatted strings under `header`, one join and write per
+    block: `blocks` yields lists of equal-length columns of whole rows."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*columns)), ""]))
+        fh.write(header + "\n")
+        for columns in blocks:
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _grid_columns(mu_axis, logvar_axis, mass, variance: bool) -> tuple[str, list]:
-    """Header and mu, logvar[, variance], mass columns in row-major grid order.
+def _grid_columns(mu_axis, logvar_axis, mass, variance: bool) -> tuple[str, Iterator[list]]:
+    """Header and blocks of mu, logvar[, variance], mass columns in row-major
+    grid order, each as many whole mu-lines as fit in DATA_CHUNK_ROWS rows
+    (one line if a line is longer).
 
     Each axis value is formatted once (a mu string repeats n_logvar times,
-    the logvar strings are tiled n_mu times); the variance is
+    the per-line strings are tiled once per line); the variance is
     `math.exp(logvar)`, which is not always bitwise `np.exp`.
     """
-    lv = _reprs(logvar_axis)
-    columns = [[s for s in _reprs(mu_axis) for _ in lv], lv * len(mu_axis)]
-    if variance:
-        columns.append(_reprs([math.exp(x) for x in logvar_axis.tolist()]) * len(mu_axis))
+    mus, lv = _reprs(mu_axis), _reprs(logvar_axis)
+    per_line = [lv, _reprs([math.exp(x) for x in logvar_axis.tolist()])] if variance else [lv]
+    k = max(1, DATA_CHUNK_ROWS // len(lv))
+
+    def block(i: int) -> list:
+        lines = mus[i : i + k]
+        repeated = [s for s in lines for _ in lv]
+        return [repeated, *(c * len(lines) for c in per_line), _reprs(mass[i : i + k])]
+
     header = "mu,logvar,variance,mass" if variance else "mu,logvar,mass"
-    return header, columns + [_reprs(mass)]
+    return header, map(block, range(0, len(mus), k))
 
 
 def write_data_csv(path: Path, data: Dataset) -> None:
     """The `y` column, formatted and written DATA_CHUNK_ROWS values at a time."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("y\n")
-        for i in range(0, len(data), DATA_CHUNK_ROWS):
-            fh.write("\n".join(_reprs(data.values[i : i + DATA_CHUNK_ROWS])) + "\n")
+    chunks = range(0, len(data), DATA_CHUNK_ROWS)
+    _write_columns(path, "y", ([_reprs(data.values[i : i + DATA_CHUNK_ROWS])] for i in chunks))
 
 
 def read_data_csv(path: Path) -> Dataset:
@@ -308,9 +316,6 @@ def cmd_figure(args) -> int:
         raise ValueError(f"figure id must be one of {sorted(_FIGURES)}")
     settings = _FIGURES[args.figure_id]
     model: ModelKind = settings["model"]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     params = NaturalParams.from_mean_variance(_TRUE_MU, _TRUE_VARIANCE)
     data = sample_data(model, params, _N_SAMPLES, args.seed)
     prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
@@ -324,8 +329,13 @@ def cmd_figure(args) -> int:
         )
         fits[label] = engine.fit(model, data, prior, config)
 
-    outputs = {}
+    # the first write (`_write_json`) makes the directory: a refused seed or a
+    # diverged fit leaves nothing behind
+    out_dir, outputs = Path(args.out_dir), {}
     for label, result in fits.items():
+        fit_path = out_dir / f"fit_{label}.json"
+        _write_json(fit_path, result.to_json_dict())
+        outputs[f"fit_{label}"] = fit_path.name
         trace_path = out_dir / f"trace_{label}.csv"
         write_trace_csv(result.trace, trace_path)
         outputs[f"trace_{label}"] = trace_path.name
@@ -339,7 +349,7 @@ def cmd_figure(args) -> int:
         lo = 1e-6 if model is ModelKind.FOLDED_NORMAL else _TRUE_MU - 4 * sigma
         ys = np.linspace(lo, _TRUE_MU + 4 * sigma, 201)
         pdf_path = out_dir / "panel_a_true_pdf.csv"
-        _write_columns(pdf_path, "y,pdf", [_reprs(ys), _reprs(pdf(model, ys, params))])
+        _write_columns(pdf_path, "y,pdf", [[_reprs(ys), _reprs(pdf(model, ys, params))]])
         outputs["panel_a_true_pdf"] = pdf_path.name
 
         # the reference grid reproduces the likelihood-only evaluation
@@ -353,17 +363,12 @@ def cmd_figure(args) -> int:
 
         nodes = grid_oracle.grid_nodes(grid.mu_axis, grid.logvar_axis)
         for panel, label in (("c", "nocorr"), ("d", "corr")):
-            summary = fits[label].posterior
-            log_q = mvn_log_pdf(nodes, summary.mean, summary.cov)
+            q = fits[label].posterior
+            log_q = mvn_log_pdf(nodes, q.mean, q.cov)
             mass = grid_oracle.normalize_log_density(log_q)
             path = out_dir / f"panel_{panel}_svb_{label}.csv"
             _write_columns(path, *_grid_columns(grid.mu_axis, grid.logvar_axis, mass, True))
             outputs[f"panel_{panel}_svb"] = path.name
-
-    for label, result in fits.items():
-        fit_path = out_dir / f"fit_{label}.json"
-        _write_json(fit_path, result.to_json_dict())
-        outputs[f"fit_{label}"] = fit_path.name
 
     _write_manifest(
         out_dir / "manifest.json",

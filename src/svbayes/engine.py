@@ -111,10 +111,10 @@ def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged posterior plus the full optimization record."""
+    """The fitted posterior record (its mean, cov and rho are views of the
+    five fitted numbers) plus the full optimization record."""
 
-    posterior: posterior.PosteriorSummary
-    params: PosteriorParams = field(repr=False)
+    posterior: PosteriorParams
     trace: tuple[TraceRecord, ...] = field(repr=False)
     final_free_energy: tuple[float, float]  # (mean, standard error)
     config: TrainConfig
@@ -199,20 +199,6 @@ def _cut(values: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return [values[i : i + batch_size] for i in range(0, len(values), batch_size)]
 
 
-def _pack(params: PosteriorParams) -> list[float]:
-    parts = [params.m, params.v]
-    if params.correlation_enabled:
-        parts.append(params.u)
-    return np.concatenate(parts).tolist()
-
-
-def _unpack(zeta: list[float], template: PosteriorParams) -> PosteriorParams:
-    u = zeta[4:] if template.correlation_enabled else template.u
-    return PosteriorParams(
-        m=zeta[:2], v=zeta[2:4], u=u, correlation_enabled=template.correlation_enabled
-    )
-
-
 def fit(
     model: ModelKind, data: Dataset, prior: PriorSpec, config: TrainConfig
 ) -> FitResult:
@@ -229,14 +215,12 @@ def fit(
     `final_fe_samples` fresh draws, since single-sample step values are noisy.
     """
     distributions.check_support(model, data.values)
-    params = config.init if config.init is not None else PosteriorParams.initial(
-        prior, config.correlation_enabled
-    )
+    params = config.init or PosteriorParams.initial(prior, config.correlation_enabled)
     if params.correlation_enabled != config.correlation_enabled:
         raise ValueError("init and config disagree on correlation_enabled")
 
     rng = Rng(config.seed)
-    zeta = _pack(params)
+    zeta = params.zeta
     optimizer = Adam(len(zeta), learning_rate=config.learning_rate)
     n_total = len(data)
     batch_size = n_total if config.batch_size is None else config.batch_size
@@ -282,14 +266,13 @@ def fit(
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(f"step failed: {err}", trace, zeta) from err
 
-        params = _unpack(zeta, params)
+        params = PosteriorParams.from_zeta(zeta, correlation)
         try:
             final_fe = _final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(f"final free energy failed: {err}", trace, zeta) from err
     return FitResult(
-        posterior=posterior.PosteriorSummary(params),
-        params=params,
+        posterior=params,
         trace=tuple(trace),
         final_free_energy=final_fe,
         config=config,

@@ -227,7 +227,5 @@ def compare_moments(
 
 def compare(grid: GridResult, fit: FitResult) -> ComparisonReport:
     """Compare grid moments with a fitted posterior's moments."""
-    post = fit.posterior
-    return compare_moments(
-        grid.means, grid.variances, grid.rho, post.mean, np.diag(post.cov), post.rho
-    )
+    q = fit.posterior
+    return compare_moments(grid.means, grid.variances, grid.rho, q.mean, np.diag(q.cov), q.rho)

@@ -10,8 +10,10 @@ and the algebra is written for it: :func:`factor` gives the three entries
 of S and :func:`kl_and_grad` the KL to an MVN prior with its gradient, both
 in plain Python floats, which is what the fit loop's per-step algebra runs
 on; :func:`kl_value` reads the same formula.  A prior keeps C0^-1 and
-log|C0| only as the cached floats `kl_and_grad` reads.  A fit returns its
-posterior as a :class:`PosteriorSummary`: mean, covariance, correlation.
+log|C0| only as the cached floats `kl_and_grad` reads.  One
+:class:`PosteriorParams` record holds the five fitted numbers: it packs
+them into the float list Adam ascends and back, and a fit returns it with
+the mean, covariance, correlation and JSON views read from it.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PosteriorParams:
-    """Hyper-parameters of the approximate posterior.
+    """Hyper-parameters of the approximate posterior: the one record of a fit.
 
     m: posterior means, length 2.
     v: log of the Cholesky diagonal, length 2.
     u: the one strict lower-triangle entry S10, length 1; ignored (treated
        as zero) when correlation_enabled is False.
+    The arrays are read-only copies of the inputs.
     """
 
     m: np.ndarray
@@ -40,24 +43,63 @@ class PosteriorParams:
     correlation_enabled: bool = True
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if m.shape != (2,) or v.shape != (2,):
-            raise ValueError(f"m and v must have length 2, got {m.shape} and {v.shape}")
-        u = np.zeros(1) if self.u is None else np.asarray(self.u, dtype=float)
-        if u.shape != (1,):
-            raise ValueError(f"u must have length 1, got {u.shape}")
-        for name, arr in (("m", m), ("v", v), ("u", u)):
+        u = np.zeros(1) if self.u is None else self.u
+        arrays = {n: np.array(x, dtype=float) for n, x in (("m", self.m), ("v", self.v), ("u", u))}
+        shapes = [arr.shape for arr in arrays.values()]
+        if shapes != [(2,), (2,), (1,)]:
+            raise ValueError(f"m, v and u must have lengths 2, 2 and 1, got shapes {shapes}")
+        for name, arr in arrays.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite entries in {name}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u", u)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def initial(cls, prior: "PriorSpec", correlation_enabled: bool = True) -> "PosteriorParams":
         """Neutral starting point: prior mean, unit scales, no correlation."""
-        return cls(m=prior.m0.copy(), v=np.zeros(2), correlation_enabled=correlation_enabled)
+        return cls(m=prior.m0, v=np.zeros(2), correlation_enabled=correlation_enabled)
+
+    @classmethod
+    def from_zeta(cls, zeta: Sequence[float], correlation_enabled: bool) -> "PosteriorParams":
+        """The record of a packed list (see `zeta`)."""
+        u = zeta[4:] if correlation_enabled else None
+        return cls(m=zeta[:2], v=zeta[2:4], u=u, correlation_enabled=correlation_enabled)
+
+    @property
+    def zeta(self) -> list[float]:
+        """(m0, m1, v0, v1[, u]) as floats, u only with correlation: Adam's list."""
+        u = self.u.tolist() if self.correlation_enabled else []
+        return self.m.tolist() + self.v.tolist() + u
+
+    @property
+    def s(self) -> tuple[float, float, float]:
+        """Entries (S00, S10, S11) of the factor S; u counts as 0 without correlation."""
+        (v0, v1), (u,) = self.v.tolist(), self.u.tolist()
+        return factor(v0, v1, u if self.correlation_enabled else 0.0)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.m
+
+    @property
+    def cov(self) -> np.ndarray:
+        """C = S S^T, from the float entries of S."""
+        s = cholesky_factor(self)
+        return s @ s.T
+
+    @property
+    def rho(self) -> float:
+        c = self.cov
+        return float(c[0, 1] / math.sqrt(c[0, 0] * c[1, 1]))
+
+    def to_json_dict(self) -> dict:
+        """The fit JSON's `posterior` block: mean, covariance, correlation."""
+        return {
+            "m": self.m.tolist(),
+            "C": self.cov.tolist(),
+            "rho": self.rho,
+            "correlation_enabled": self.correlation_enabled,
+        }
 
 
 @dataclass(frozen=True)
@@ -117,21 +159,10 @@ def factor(v0: float, v1: float, u: float) -> tuple[float, float, float]:
     return math.exp(v0), u, math.exp(v1)
 
 
-def _raw(params: PosteriorParams) -> tuple[float, float, float, float, float]:
-    """(m0, m1, v0, v1, u) of the posterior as plain floats."""
-    (m0, m1), (v0, v1) = params.m.tolist(), params.v.tolist()
-    return m0, m1, v0, v1, float(params.u[0]) if params.correlation_enabled else 0.0
-
-
 def cholesky_factor(params: PosteriorParams) -> np.ndarray:
     """Lower-triangular S of the posterior covariance C = S S^T."""
-    s00, s10, s11 = factor(*_raw(params)[2:])
+    s00, s10, s11 = params.s
     return np.array([[s00, 0.0], [s10, s11]])
-
-
-def covariance(params: PosteriorParams) -> np.ndarray:
-    s = cholesky_factor(params)
-    return s @ s.T
 
 
 def kl_and_grad(
@@ -161,23 +192,4 @@ def kl_and_grad(
 
 def kl_value(params: PosteriorParams, prior: PriorSpec) -> float:
     """Closed-form KL(q || prior) as a plain number."""
-    m0, m1, v0, v1, u = _raw(params)
-    return kl_and_grad(m0, m1, v0, v1, factor(v0, v1, u), prior)[0]
-
-
-class PosteriorSummary:
-    """Plain-number view of the posterior: mean, covariance, correlation."""
-
-    def __init__(self, params: PosteriorParams) -> None:
-        self.mean = params.m.copy()
-        self.cov = covariance(params)
-        self.rho = float(self.cov[0, 1] / math.sqrt(self.cov[0, 0] * self.cov[1, 1]))
-        self.correlation_enabled = params.correlation_enabled
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.mean.tolist(),
-            "C": self.cov.tolist(),
-            "rho": self.rho,
-            "correlation_enabled": self.correlation_enabled,
-        }
+    return kl_and_grad(*params.m.tolist(), *params.v.tolist(), params.s, prior)[0]

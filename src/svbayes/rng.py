@@ -3,7 +3,7 @@
 The generator is pinned per release so that a seed identifies one exact
 stream on every platform:
 
-* state seeding: one round of splitmix64 over the 64-bit seed,
+* state seeding: one round of splitmix64 over the seed, in [0, 2^64),
 * uniforms: xorshift64* with the high 53 bits mapped into [0, 1),
 * normals: basic Box-Muller transform; each draw consumes exactly two
   uniforms and keeps only the cosine branch, so the stream position is a
@@ -65,7 +65,9 @@ class Rng:
     """xorshift64* stream with Box-Muller normal deviates."""
 
     def __init__(self, seed: int) -> None:
-        self._state = _splitmix64(int(seed) & _MASK64)
+        if not 0 <= int(seed) <= _MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self._state = _splitmix64(int(seed))
         if self._state == 0:  # xorshift requires nonzero state
             self._state = 0x9E3779B97F4A7C15
 

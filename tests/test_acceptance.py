@@ -29,7 +29,6 @@ from svbayes.posterior import (
     PosteriorParams,
     PriorSpec,
     cholesky_factor,
-    covariance,
     kl_value,
 )
 
@@ -140,7 +139,7 @@ def test_criterion_2_kl_closed_form_vs_monte_carlo():
             ok, detail = False, f"negative KL {closed}"
             break
         s = cholesky_factor(params)
-        c = covariance(params)
+        c = params.cov
         draws = params.m + rng.standard_normal((100_000, 2)) @ s.T
         diff = draws - params.m
         inv = np.linalg.inv(c)
@@ -167,7 +166,7 @@ def test_criterion_3_reparameterization_moments():
     eps = np.random.default_rng(2718).standard_normal((100_000, 2))
     s = cholesky_factor(params)
     draws = params.m + eps @ s.T
-    c = covariance(params)
+    c = params.cov
     mean_ok = all(
         abs(draws[:, i].mean() - params.m[i]) < 4.0 * math.sqrt(c[i, i]) / math.sqrt(1e5)
         for i in range(2)

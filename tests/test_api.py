@@ -1,5 +1,6 @@
 """The public namespace of the package."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import svbayes
-from svbayes import distributions, posterior
+from svbayes import distributions, engine, posterior
 
 
 def test_every_exported_name_resolves():
@@ -23,12 +24,14 @@ def test_autodiff_tape_names_are_gone():
 
 
 def test_unused_names_and_adam_settings_are_gone():
-    gone = {"ThetaVector", "extract_posterior"}
+    gone = {"ThetaVector", "extract_posterior", "PosteriorSummary"}
     assert gone.isdisjoint(svbayes.__all__)
     assert not [name for name in gone if hasattr(svbayes, name)]
     assert not hasattr(distributions, "ThetaVector")
-    assert not hasattr(posterior, "extract_posterior")
-    assert not hasattr(svbayes.PosteriorSummary, "__iter__")
+    assert not [n for n in ("extract_posterior", "PosteriorSummary", "_raw") if hasattr(posterior, n)]
+    assert not [n for n in ("_pack", "_unpack") if hasattr(engine, n)]
+    assert "params" not in {f.name for f in dataclasses.fields(svbayes.FitResult)}
+    assert not hasattr(svbayes.PosteriorParams, "__iter__")
     prior = svbayes.PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
     assert not [name for name in ("C0_inv", "log_det_C0") if hasattr(prior, name)]
     # beta1, beta2 and eps_hat are fixed constants of the optimizer module

@@ -373,6 +373,29 @@ class TestFigure:
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
+class TestSeedRange:
+    """A seed outside [0, 2^64) is a usage error that writes nothing: it
+    would otherwise alias the in-range seed it equals modulo 2^64."""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["generate", "fit", "figure"])
+    def test_out_of_range_seed_exits_2_without_artifacts(self, dataset, tmp_path, command, seed):
+        out = tmp_path / "out"
+        argv = {
+            "generate": ["generate", "--n", "5", "--out", str(out)],
+            "fit": ["fit", "--data", str(dataset), "--epochs", "2", "--out", str(out)],
+            "figure": ["figure", "6", "--out-dir", str(out)],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        assert run(argv + ["--seed", seed]) == cli.EXIT_USAGE
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_largest_seed_still_runs(self, dataset, tmp_path):
+        argv = ["fit", "--data", str(dataset), "--epochs", "2", "--seed", str(2**64 - 1)]
+        assert run(argv + ["--out", str(tmp_path / "f")]) == 0
+        assert json.loads((tmp_path / "f.json").read_text())["config"]["seed"] == 2**64 - 1
+
+
 class TestDottedOutputBases:
     """Every artifact is named `<base><suffix>`, so two bases that differ only
     after a dot write disjoint files, each manifest naming its own."""
@@ -433,7 +456,9 @@ class TestColumnWriter:
 
     def test_awkward_floats(self, tmp_path):
         path = tmp_path / "w.csv"
-        cli._write_columns(path, "a,b", [cli._reprs(self.AWKWARD), cli._reprs(self.AWKWARD[::-1])])
+        cli._write_columns(
+            path, "a,b", [[cli._reprs(self.AWKWARD), cli._reprs(self.AWKWARD[::-1])]]
+        )
         assert path.read_bytes() == row_csv("a,b", zip(self.AWKWARD, self.AWKWARD[::-1]))
         assert path.read_text().splitlines()[1] == "-0.0,1.7976931348623157e+308"
 
@@ -461,11 +486,44 @@ class TestColumnWriter:
         spec = grid_oracle.GridSpec(resolution=(11, 7))
         prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
         grid = grid_oracle.grid_posterior(ModelKind.GAUSSIAN, data, prior, spec)
-        header, columns = cli._grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, False)
+        header, blocks = cli._grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, False)
         assert header == "mu,logvar,mass"
+        (columns,) = blocks
         assert [len(c) for c in columns] == [11 * 7] * 3
         assert columns[0][:8] == [repr(float(grid.mu_axis[0]))] * 7 + [repr(float(grid.mu_axis[1]))]
         assert sum(float(x) for x in columns[2]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("chunk_rows", [10, 3], ids=["two-lines-a-block", "line-too-long"])
+    def test_grid_csv_in_blocks(self, tmp_path, monkeypatch, chunk_rows):
+        """Blocks of whole mu-lines (7 lines of 4 nodes: three blocks of two
+        and one of one), or one line a block where a line is longer than a
+        block: the bytes of the per-row formatting either way."""
+        monkeypatch.setattr(cli, "DATA_CHUNK_ROWS", chunk_rows)
+        mu, lv = np.linspace(-1.0, 3.0, 7), np.linspace(-0.7, 2.8, 4)
+        mass = np.random.default_rng(3).dirichlet(np.ones(28)).reshape(7, 4)
+        path = tmp_path / "g.csv"
+        cli._write_columns(path, *cli._grid_columns(mu, lv, mass, True))
+        header = "mu,logvar,variance,mass"
+        assert path.read_bytes() == row_csv(header, grid_rows(mu, lv, mass, True))
+
+    def test_large_grid_write_is_blocked(self, tmp_path):
+        """A 600 x 600 grid CSV (360,000 rows, ~27 MB of text) is written
+        within 40 MB of traced peak (about 106 MB formatted in one piece): the
+        rows are never all formatted at once."""
+        import tracemalloc
+
+        mu, lv = np.linspace(-1.0, 3.0, 600), np.linspace(-0.7, 2.8, 600)
+        mass = np.random.default_rng(4).random((600, 600))
+        path = tmp_path / "g.csv"
+        tracemalloc.start()
+        try:
+            cli._write_columns(path, *cli._grid_columns(mu, lv, mass, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = path.read_text().splitlines()
+        assert len(lines) == 600 * 600 + 1 and lines[-1].endswith(repr(float(mass[-1, -1])))
+        assert peak < 40 * 2**20, peak
 
     @pytest.mark.parametrize("model", ["gaussian", "folded-normal"])
     def test_grid_mass_csv(self, tmp_path, model):

@@ -131,7 +131,7 @@ class TestClosedFormObjective:
                     epochs=epochs, seed=3, correlation_enabled=correlation,
                     final_fe_samples=2,
                 ),
-            ).params
+            ).posterior
             for batch in BATCHES.values():
                 for n_samples in (1, 3):
                     epsilons = rng.standard_normal((n_samples, 2))
@@ -150,7 +150,7 @@ class TestClosedFormObjective:
                     epochs=epochs, seed=5, correlation_enabled=correlation,
                     final_fe_samples=2,
                 ),
-            ).params)
+            ).posterior)
             for epochs in (10, 400)
         ]
         random_points = [
@@ -279,7 +279,7 @@ class TestObjectiveParts:
                 TrainConfig(epochs=epochs, seed=11, final_fe_samples=2),
             )
             eps = rng.standard_normal((1, 2))
-            self.assert_gradient_matches_central_differences(data, packed(res.params), eps)
+            self.assert_gradient_matches_central_differences(data, packed(res.posterior), eps)
 
 
 class TestMakeBatches:
@@ -361,10 +361,10 @@ def assert_matches_reference_fit(result, model, data, config):
     assert got.shape == trace.shape
     if config.mc_samples == 1:
         assert got.tolist() == trace.tolist()
-        assert packed(result.params).tolist() == zeta.tolist()
+        assert packed(result.posterior).tolist() == zeta.tolist()
     else:
         np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(packed(result.params), zeta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(packed(result.posterior), zeta, rtol=1e-12, atol=0.0)
 
 
 class TestFusedLoop:
@@ -404,7 +404,7 @@ class TestFusedLoop:
         monkeypatch.setattr(engine, "NOISE_BLOCK_DRAWS", 16)
         result = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
         assert result.trace == default.trace
-        assert packed(result.params).tobytes() == packed(default.params).tobytes()
+        assert packed(result.posterior).tobytes() == packed(default.posterior).tobytes()
         assert result.final_free_energy == default.final_free_energy
         assert_matches_reference_fit(result, ModelKind.GAUSSIAN, data, config)
 
@@ -416,18 +416,18 @@ class TestFit:
             ModelKind.GAUSSIAN, data, PRIOR,
             TrainConfig(epochs=1, learning_rate=0.0, final_fe_samples=2),
         )
-        np.testing.assert_array_equal(res.params.m, PRIOR.m0)
-        np.testing.assert_array_equal(res.params.v, np.zeros(2))
-        np.testing.assert_array_equal(res.params.u, np.zeros(1))
+        np.testing.assert_array_equal(res.posterior.m, PRIOR.m0)
+        np.testing.assert_array_equal(res.posterior.v, np.zeros(2))
+        np.testing.assert_array_equal(res.posterior.u, np.zeros(1))
 
     def test_same_seed_bitwise_identical(self):
         data = example1_data()
         config = TrainConfig(epochs=30, seed=5, final_fe_samples=50)
         r1 = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
         r2 = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
-        np.testing.assert_array_equal(r1.params.m, r2.params.m)
-        np.testing.assert_array_equal(r1.params.v, r2.params.v)
-        np.testing.assert_array_equal(r1.params.u, r2.params.u)
+        np.testing.assert_array_equal(r1.posterior.m, r2.posterior.m)
+        np.testing.assert_array_equal(r1.posterior.v, r2.posterior.v)
+        np.testing.assert_array_equal(r1.posterior.u, r2.posterior.u)
         assert r1.trace == r2.trace
         assert r1.final_free_energy == r2.final_free_energy
 

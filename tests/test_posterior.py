@@ -10,10 +10,8 @@ from svbayes import distributions, engine
 from svbayes.distributions import ModelKind, summarize
 from svbayes.posterior import (
     PosteriorParams,
-    PosteriorSummary,
     PriorSpec,
     cholesky_factor,
-    covariance,
     factor,
     kl_and_grad,
     kl_value,
@@ -53,14 +51,14 @@ class TestCholesky:
         # S = [[1, 0], [0.5, 1]] so C = [[1, 0.5], [0.5, 1.25]]
         params = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.5])
         np.testing.assert_allclose(
-            covariance(params), [[1.0, 0.5], [0.5, 1.25]], rtol=1e-15
+            params.cov, [[1.0, 0.5], [0.5, 1.25]], rtol=1e-15
         )
 
     def test_disabled_correlation_zeroes_offdiagonals(self):
         params = PosteriorParams(
             m=[0.0, 0.0], v=[0.3, -0.2], u=[5.0], correlation_enabled=False
         )
-        c = covariance(params)
+        c = params.cov
         assert c[0, 1] == 0.0 and c[1, 0] == 0.0
 
     def test_positive_definite_for_random_params(self):
@@ -68,13 +66,13 @@ class TestCholesky:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             params = random_params(rng)
-            assert np.all(np.linalg.eigvalsh(covariance(params)) > 0.0)
+            assert np.all(np.linalg.eigvalsh(params.cov) > 0.0)
 
     def test_log_det_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             params = random_params(rng)
-            _, logdet = np.linalg.slogdet(covariance(params))
+            _, logdet = np.linalg.slogdet(params.cov)
             assert 2.0 * params.v.sum() == pytest.approx(logdet, rel=1e-10)
 
     def test_factor_entries_match_cholesky_factor(self):
@@ -183,7 +181,7 @@ class TestReparamSample:
         eps = rng.standard_normal((100_000, 2))
         s = cholesky_factor(params)
         samples = params.m + eps @ s.T
-        c = covariance(params)
+        c = params.cov
         for i in range(2):
             bound = 4.0 * math.sqrt(c[i, i]) / math.sqrt(100_000)
             assert abs(samples[:, i].mean() - params.m[i]) < bound
@@ -222,7 +220,7 @@ class TestKl:
         rng = np.random.default_rng(7)
         for _ in range(50):
             params, prior = random_params(rng), random_prior(rng)
-            c, inv0 = covariance(params), np.linalg.inv(prior.C0)
+            c, inv0 = params.cov, np.linalg.inv(prior.C0)
             d = params.m - prior.m0
             expected = 0.5 * (
                 np.trace(inv0 @ c) - np.linalg.slogdet(c)[1]
@@ -246,7 +244,7 @@ class TestKl:
         for _ in range(5):
             params, prior = random_params(rng), random_prior(rng)
             s = cholesky_factor(params)
-            c = covariance(params)
+            c = params.cov
             draws = params.m + rng.standard_normal((100_000, 2)) @ s.T
             diffs = mvn_log_pdf(draws, params.m, c) - prior.log_pdf(draws)
             se = diffs.std(ddof=1) / math.sqrt(draws.shape[0])
@@ -303,29 +301,73 @@ class TestDiagonalVariant:
 class TestExtraction:
     def test_identity_case(self):
         params = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.0])
-        summary = PosteriorSummary(params)
-        np.testing.assert_array_equal(summary.cov, np.eye(2))
-        assert summary.rho == 0.0
+        np.testing.assert_array_equal(params.cov, np.eye(2))
+        assert params.rho == 0.0
 
     def test_hand_computed_correlation(self):
         # S = [[1, 0], [1, 0.5]]: C = [[1, 1], [1, 1.25]], rho = 1/sqrt(1.25)
         params = PosteriorParams(m=[0.0, 0.0], v=[0.0, math.log(0.5)], u=[1.0])
-        summary = PosteriorSummary(params)
-        np.testing.assert_allclose(summary.cov, [[1.0, 1.0], [1.0, 1.25]], rtol=1e-15)
-        assert summary.rho == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
+        np.testing.assert_allclose(params.cov, [[1.0, 1.0], [1.0, 1.25]], rtol=1e-15)
+        assert params.rho == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
 
     def test_disabled_correlation_rho_is_zero(self):
         params = PosteriorParams(
             m=[1.0, 2.0], v=[0.5, -0.5], u=[3.0], correlation_enabled=False
         )
-        assert PosteriorSummary(params).rho == 0.0
+        assert params.rho == 0.0
 
     def test_json_shape(self):
         params = PosteriorParams(m=[1.0, 2.0], v=[0.0, 0.0], u=[0.2])
-        doc = PosteriorSummary(params).to_json_dict()
+        doc = params.to_json_dict()
         assert set(doc) == {"m", "C", "rho", "correlation_enabled"}
         assert doc["m"] == [1.0, 2.0]
         assert len(doc["C"]) == 2 and len(doc["C"][0]) == 2
+
+
+class TestRecord:
+    """One record holds the five fitted numbers and packs them for Adam."""
+
+    @pytest.mark.parametrize("correlation", [True, False])
+    def test_zeta_round_trip_is_bitwise(self, correlation):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            params = random_params(rng, correlation=correlation)
+            zeta = params.zeta
+            assert all(type(x) is float for x in zeta)
+            assert zeta[:4] == params.m.tolist() + params.v.tolist()
+            assert zeta[4:] == (params.u.tolist() if correlation else [])
+            back = PosteriorParams.from_zeta(zeta, correlation)
+            assert back.correlation_enabled is correlation
+            assert back.zeta == zeta
+            assert back.m.tobytes() == params.m.tobytes()
+            assert back.v.tobytes() == params.v.tobytes()
+            assert back.cov.tobytes() == params.cov.tobytes()
+            assert back.to_json_dict() == params.to_json_dict()
+
+    def test_u_is_ignored_without_correlation(self):
+        """Off, u is neither packed nor read: a record with u = 7.7 packs,
+        factors and reports like its u = 0 twin, and unpacks to u = 0."""
+        kw = dict(m=[0.3, -1.0], v=[0.2, 0.4], correlation_enabled=False)
+        with_u, without = PosteriorParams(u=[7.7], **kw), PosteriorParams(**kw)
+        assert with_u.zeta == without.zeta == [0.3, -1.0, 0.2, 0.4]
+        assert with_u.s == without.s and with_u.s[1] == 0.0
+        assert with_u.to_json_dict() == without.to_json_dict()
+        assert PosteriorParams.from_zeta(with_u.zeta, False).u.tolist() == [0.0]
+
+    def test_views_match_the_factor(self):
+        """`cov` is S S^T of `cholesky_factor`, `mean` is m, bit for bit."""
+        params = random_params(np.random.default_rng(13))
+        s = cholesky_factor(params)
+        assert params.cov.tobytes() == (s @ s.T).tobytes()
+        assert params.mean.tobytes() == params.m.tobytes()
+
+    def test_arrays_are_read_only_copies(self):
+        m = np.array([1.0, 2.0])
+        params = PosteriorParams(m=m, v=[0.0, 0.0])
+        m[0] = 5.0
+        assert params.m.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            params.m[0] = 3.0
 
 
 class TestTwoParameters:

@@ -161,3 +161,11 @@ def test_import_builds_no_table():
     )
     env = {**os.environ, "PYTHONPATH": str(Path(svbayes.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64) + 5])
+def test_seed_outside_64_bits_is_rejected(seed):
+    """Masking to 64 bits would give each of these the stream of an in-range
+    seed (-1 that of 2^64 - 1); the generator refuses them instead."""
+    with pytest.raises(ValueError, match="seed"):
+        Rng(seed)
