@@ -12,7 +12,8 @@ is exact in the count, mean and centred sum of squares, so at L theta
 points it costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
 rescaled batch value with closed-form partials (the fit step) or value
 only, at one theta point given as floats (the one-sample fit step, which
-gets floats back) or at L points given as arrays, through the same
+gets floats back: past the Folded Normal's per-point terms and their sums it
+is float arithmetic) or at L points given as arrays, through the same
 expressions; :func:`loglik_at` sums the full-data value at many theta
 points (the final free energy, the grid oracle).
 """
@@ -207,7 +208,9 @@ def loglik_terms(
     + log1p(e^{-2|z|}), z = beta mu y, which cannot overflow; for y > 0 the
     |z| terms sum to beta |mu| sum_m y_m, and d/dz is tanh(z).  The value is
     the same bits with or without partials, and a point gives the same bits
-    as floats as it does as a row of arrays.  The data are unchecked (see
+    as floats as it does as a row of arrays: at a point only the Folded
+    Normal's per-point terms are an array, its two sums are made floats at
+    once and the rest is float arithmetic.  The data are unchecked (see
     `loglik_at`, `engine.fit`).  Overflow in a numpy operation follows the
     numpy error state; in the float arithmetic of a point it shows as an
     inf or nan in the result.
@@ -232,32 +235,33 @@ def loglik_terms(
     # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
     y = batch.y
     a = beta * abs(mu)
-    m_mu = m * mu
-    half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
     if point or partials:
-        buf = np.multiply.outer(-2.0 * a, y)  # -2|z|, exactly
-        if partials:
-            tanh_y = np.tanh(-0.5 * buf) @ y  # sum_m y_m tanh|z_m| >= 0
+        buf = y * (-2.0 * a) if point else np.multiply.outer(-2.0 * a, y)  # -2|z|, exactly
+        if partials:  # sum_m y_m tanh|z_m| >= 0; a point's reductions are made floats
+            tanh_y = np.tanh(-0.5 * buf) @ y
+            tanh_y = float(tanh_y) if point else tanh_y
         np.exp(buf, out=buf)
         soft = np.add.reduce(np.log1p(buf, out=buf), axis=-1)
+        soft = float(soft) if point else soft
     else:  # many rows, value only: CHUNK_TERMS terms (at least a row) at a time in one
         # aligned buffer; each row sums on its own, whatever chunk it lands in
-        neg2a, rows, soft = -2.0 * a, max(1, CHUNK_TERMS // m), np.empty(len(a))
+        rows, soft = max(1, CHUNK_TERMS // m), np.empty(len(a))
         buf = _scratch(min(rows, len(a)) * m).reshape(-1, m)
         for i in range(0, len(a), rows):
             part = buf[: min(rows, len(a) - i)]
-            np.exp(np.multiply.outer(neg2a[i : i + rows], y, out=part), out=part)
+            np.exp(np.multiply.outer(-2.0 * a[i : i + rows], y, out=part), out=part)
             np.add.reduce(np.log1p(part, out=part), axis=-1, out=soft[i : i + rows])
+        buf = part = None  # the row tail below does not hold the buffer
+    half_sumsq = beta * (0.5 * batch.yy + 0.5 * (m * mu) * mu)
     data = a * batch.sum_y + soft - half_sumsq
     scale = n_total / m
     value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data
     if not partials:
-        return (float(value) if point else value), None, None
+        return value, None, None
     # partials of the data sum; beta = exp(-theta2) gives d/dtheta2 = -beta d/dbeta
-    d_mu = scale * (beta * (np.copysign(tanh_y, mu) - m_mu))  # tanh z = sign(mu) tanh|z|
+    copysign = math.copysign if point else np.copysign  # tanh z = sign(mu) tanh|z|
+    d_mu = scale * (beta * (copysign(tanh_y, mu) - m * mu))
     d_theta2 = -0.5 * n_total + scale * (half_sumsq - a * tanh_y)
-    if point:  # the batch sums came back as numpy scalars
-        return float(value), float(d_mu), float(d_theta2)
     return value, d_mu, d_theta2
 
 

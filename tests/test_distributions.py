@@ -328,6 +328,29 @@ class TestLoglikTerms:
             direct = log_pdf(ModelKind.FOLDED_NORMAL, data, m, math.exp(-t)).sum()
             assert values[i] == pytest.approx(direct, rel=1e-12)
 
+    def test_value_only_rows_hold_few_row_arrays(self):
+        """One value-only call at 20,000 rows: the chunk loop holds its
+        512 KB buffer and three row arrays, the tail after it eight row
+        arrays (the values among them) and no buffer, so the traced peak
+        stays below the buffer plus six row arrays; a tail that still held
+        the buffer would not."""
+        data = np.abs(1.0 + 2.0 * np.random.default_rng(35).standard_normal(1_000))
+        mu, theta2 = np.random.default_rng(36).uniform([-2.0, -1.0], [2.0, 2.0], (20_000, 2)).T
+        batch = summarize(ModelKind.FOLDED_NORMAL, data)
+        tracemalloc.start()
+        try:
+            values = distributions.loglik_terms(
+                ModelKind.FOLDED_NORMAL, batch, mu, theta2, len(data), False
+            )[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_TERMS * 8 + 6 * values.nbytes, peak
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_no_rows_give_no_values(self, kind):
+        assert loglik_at(kind, [1.0, 2.0], np.zeros((0, 2))).shape == (0,)
+
     @pytest.mark.parametrize("size", [1, 7, 8, 9, 655, CHUNK_TERMS, CHUNK_TERMS + 3])
     def test_scratch_buffer_is_64_byte_aligned(self, size):
         """The chunk buffer starts on a 64-byte boundary whatever the size,
@@ -376,7 +399,8 @@ class TestLoglikTerms:
         gives the bits of the same point as a one-row array, on batches of
         1, 10 and 100 points with data near 1, near 1e4 and down to 1e-300,
         at mu = 0, -0.0, negative and far from the data, and at precisions
-        from e^-5 to e^30 (where the folded reflection term underflows)."""
+        from e^-5 to e^30 (where the folded reflection term underflows).
+        The floats' results are Python floats, not numpy scalars."""
         rng = np.random.default_rng(15)
         base = np.abs(rng.normal(1.0, 2.0, size=100))
         tiny = np.concatenate(([1e-300, 5e-8], base[:8]))
@@ -394,7 +418,7 @@ class TestLoglikTerms:
                     if row is None:
                         assert one is None
                         continue
-                    assert np.ndim(one) == 0 and row.shape == (1,)
+                    assert type(one) is float and row.shape == (1,)
                     assert np.float64(one).tobytes() == row[0].tobytes(), (mu, theta2, one, row)
 
 
