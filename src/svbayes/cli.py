@@ -6,11 +6,6 @@ re-running with the recorded settings.  Output conventions: CSV for tabular
 plot data, JSON for structured results, `repr` floats throughout for exact
 round-trips, `\\n` line endings, UTF-8.
 
-The argument parser is built once per process, on the first `main` call
-(never at import), and reused: callers that run `main` many times in one
-process (tests, a benchmark loop, a notebook) skip the ~1 ms rebuild, while
-a one-shot `svbayes` process builds it once either way.
-
 Exit codes: 0 success, 2 usage or invalid argument, 3 unreadable or
 malformed input file, 4 model domain violation, 5 divergence abort,
 6 grid underflow.
@@ -19,7 +14,6 @@ malformed input file, 4 model domain violation, 5 divergence abort,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -411,7 +405,6 @@ def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svbayes",
@@ -471,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except GridUnderflowError as err:

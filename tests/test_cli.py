@@ -396,33 +396,6 @@ class TestSeedRange:
         assert json.loads((tmp_path / "f.json").read_text())["config"]["seed"] == 2**64 - 1
 
 
-class TestRepeatedMain:
-    """`main` builds its parser once per process and reuses it; a later call
-    must not see what an earlier one parsed (the shared list defaults of
-    --prior-mean and --prior-var included)."""
-
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_repeated_calls_write_the_bytes_of_first_calls(self, dataset, tmp_path):
-        commands = [
-            ["fit", "--data", str(dataset), "--prior-var", "50", "25"],
-            ["fit", "--data", str(dataset)],
-            ["grid", "--data", str(dataset)],
-        ]
-        for run_dir, first_call in (("first", True), ("repeated", False)):
-            for k, argv in enumerate(commands):
-                if first_call:
-                    cli.build_parser.cache_clear()
-                assert run([*argv, "--out", str(tmp_path / run_dir / str(k) / "out")]) == 0
-        first = tmp_path / "first"
-        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
-        assert len(files) == 3 * 3  # each writes its manifest and two artifacts
-        for path in files:
-            assert read(tmp_path / "repeated" / path) == read(first / path), path
-        assert read(first / "0" / "out.json") != read(first / "1" / "out.json")  # the prior counts
-
-
 class TestDottedOutputBases:
     """Every artifact is named `<base><suffix>`, so two bases that differ only
     after a dot write disjoint files, each manifest naming its own."""
