@@ -158,7 +158,6 @@ def _grid_spec_from_args(args, model: ModelKind) -> GridSpec:
         mu_range=mu_range,
         logvar_range=logvar_range,
         resolution=args.resolution,
-        include_prior=not args.no_prior,
     )
 
 
@@ -234,7 +233,7 @@ def cmd_grid(args) -> int:
     data = read_data_csv(Path(args.data))
     prior = _prior_from_args(args)
     spec = _grid_spec_from_args(args, model)
-    grid = grid_oracle.grid_posterior(model, data, prior, spec)
+    grid = grid_oracle.grid_posterior(model, data, None if args.no_prior else prior, spec)
     base = Path(args.out)
     out_csv = _artifact(base, ".csv")
     out_json = _artifact(base, ".summary.json")
@@ -249,7 +248,7 @@ def cmd_grid(args) -> int:
             "mu_range": list(spec.mu_range),
             "logvar_range": list(spec.logvar_range),
             "resolution": list(spec.axis_counts),
-            "include_prior": spec.include_prior,
+            "include_prior": not args.no_prior,
             "prior_mean": prior.m0.tolist(),
             "prior_var": np.diag(prior.C0).tolist(),
         },
@@ -279,6 +278,8 @@ def cmd_compare(args) -> int:
         )
     except KeyError as err:
         raise DataFileError(f"incompatible artifacts: missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise DataFileError(f"incompatible artifacts: {err}") from err
     print(report.table())
     if args.out is not None:
         base = Path(args.out)
@@ -353,8 +354,8 @@ def cmd_figure(args) -> int:
         outputs["panel_a_true_pdf"] = pdf_path.name
 
         # the reference grid reproduces the likelihood-only evaluation
-        spec = GridSpec(mu_range=_default_mu_range(model), include_prior=False)
-        grid = grid_oracle.grid_posterior(model, data, prior, spec)
+        spec = GridSpec(mu_range=_default_mu_range(model))
+        grid = grid_oracle.grid_posterior(model, data, None, spec)
         grid_path = out_dir / "panel_b_grid.csv"
         _write_columns(grid_path, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, True))
         _write_json(out_dir / "panel_b_grid.summary.json", grid.summary_dict())

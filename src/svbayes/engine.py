@@ -17,11 +17,11 @@ noise draw to the Adam update; at L > 1 it gets the noise widened to
 [1 | eps], and the samples and the pull-back are one matmul each.
 `fit` checks the data once and summarizes each batch once (every epoch
 when shuffling).  Each step's value is checked once: F by `fit`, the
-gradient by the finiteness check Adam makes after its update anyway.  The
-noise comes in blocks of up to NOISE_BLOCK_DRAWS normals that span epochs
-(a whole fit is one block at the usual sizes) and stop only at a shuffle,
-in the stream order of per-step draws, so everything downstream of the
-seed is deterministic.
+gradient by the finiteness check Adam makes after its update anyway.  One
+generator, `_noise`, owns the draw order: `fit` opens one stream for the
+whole fit, or one per epoch right after its shuffle, and the stream draws
+lazily in blocks of up to NOISE_BLOCK_DRAWS normals, in the stream order of
+per-step draws, so everything downstream of the seed is deterministic.
 The final free-energy re-estimate runs on `distributions.loglik_at`.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .optimizer import Adam
 from .posterior import PosteriorParams, PriorSpec
 from .rng import Rng
 
-# Normal draws per `Rng.standard_normals` call in `fit`: a whole fit's
+# Normal draws per `Rng.standard_normals` call in `_noise`: a whole fit's
 # noise at the usual sizes, a bounded buffer at any step count and L.
 NOISE_BLOCK_DRAWS = 16_384
 # Trace records a DivergenceError keeps from before the failed step.
@@ -206,12 +206,11 @@ def fit(
 
     Full-data mode takes one step per epoch on all points; mini-batch mode
     takes one step per batch, passing through the data once per epoch.  The
-    data are checked once, here, and the noise drawn in blocks (see the
-    module docstring).  Each step's F is checked here and its gradient by
-    Adam's post-update check; a non-finite value, a numpy fault or an Adam
-    overflow raises DivergenceError with the step's index, its pre-step
-    zeta and the last trace records before it.  The returned final free
-    energy re-estimates the objective on the full data with
+    data are checked once, here.  Each step's F is checked here and its
+    gradient by Adam's post-update check; a non-finite value, a numpy fault
+    or an Adam overflow raises DivergenceError with the step's index, its
+    pre-step zeta and the last trace records before it.  The returned final
+    free energy re-estimates the objective on the full data with
     `final_fe_samples` fresh draws, since single-sample step values are noisy.
     """
     distributions.check_support(model, data.values)
@@ -227,36 +226,22 @@ def fit(
     n_samples = config.mc_samples
     correlation = config.correlation_enabled
 
-    # the steps whose noise one `standard_normals` call draws; a block never
-    # spans a shuffle, so the stream order is that of per-step draws
-    block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * 2))
-    # the drawn block and how many of its steps have run: at L = 1 a list of
-    # float pairs, else one [1 | eps] array a step
-    noise, used = [], 0
     trace: list[TraceRecord] = []
     # an overflow or invalid operation anywhere in a step or in the final
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             batches = [distributions.summarize(model, b) for b in make_batches(data, batch_size)]
+            noise = _noise(rng, config.epochs * len(batches), n_samples)
             for epoch in range(config.epochs):
                 if config.shuffle:
                     shuffled = _cut(rng.shuffle(data.values), batch_size)
                     batches = [distributions.summarize(model, b) for b in shuffled]
-                for step, batch in enumerate(batches):
-                    if used == len(noise):
-                        # the steps left before the next shuffle, or in the fit
-                        epochs_left = 1 if config.shuffle else config.epochs - epoch
-                        k = min(block_steps, epochs_left * len(batches) - step)
-                        draws = rng.standard_normals(k * n_samples * 2)
-                        noise = draws.reshape(k, 2).tolist() if n_samples == 1 else np.concatenate(
-                            (np.ones((k, n_samples, 1)), draws.reshape(k, n_samples, 2)), axis=2
-                        )
-                        used = 0
+                    noise = _noise(rng, len(batches), n_samples)
+                for step, (batch, eps) in enumerate(zip(batches, noise)):
                     fe, mc, kl, grad = free_energy_and_grad(
-                        model, batch, n_total, zeta, noise[used], prior, correlation
+                        model, batch, n_total, zeta, eps, prior, correlation
                     )
-                    used += 1
                     # plain-float F = mc - KL can overflow without a numpy fault
                     if not math.isfinite(fe):
                         raise DivergenceError("non-finite objective", trace, zeta)
@@ -278,6 +263,20 @@ def fit(
         config=config,
         steps=len(trace),
     )
+
+
+def _noise(rng: Rng, steps: int, n_samples: int) -> Iterator[list[float] | np.ndarray]:
+    """The noise of `steps` fit steps: a float pair a step at one sample, else
+    one [1 | eps] array of shape (n_samples, 3).  Drawn lazily, at most
+    NOISE_BLOCK_DRAWS normals per `standard_normals` call (the last block is
+    short), so `rng` moves on exactly as per-step draws would move it."""
+    block_steps = max(1, NOISE_BLOCK_DRAWS // (n_samples * 2))
+    for lo in range(0, steps, block_steps):
+        k = min(block_steps, steps - lo)
+        draws = rng.standard_normals(k * n_samples * 2)
+        yield from draws.reshape(k, 2).tolist() if n_samples == 1 else np.concatenate(
+            (np.ones((k, n_samples, 1)), draws.reshape(k, n_samples, 2)), axis=2
+        )
 
 
 def _final_free_energy(

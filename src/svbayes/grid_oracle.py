@@ -47,15 +47,14 @@ class GridSpec:
     mu_range: tuple[float, float] = DEFAULT_MU_RANGE
     logvar_range: tuple[float, float] = DEFAULT_LOGVAR_RANGE
     resolution: int | tuple[int, int] = DEFAULT_RESOLUTION
-    include_prior: bool = True
 
     def __post_init__(self) -> None:
         for name, (lo, hi) in (
             ("mu_range", self.mu_range),
             ("logvar_range", self.logvar_range),
         ):
-            if not lo < hi:
-                raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"{name} must be finite with lo < hi, got ({lo}, {hi})")
         n_mu, n_logvar = self.axis_counts
         if n_mu < 2 or n_logvar < 2:
             raise ValueError("resolution must be >= 2 nodes per axis")
@@ -116,11 +115,11 @@ def grid_posterior(
 ) -> GridResult:
     """Evaluate and normalize the posterior over the grid.
 
-    With `include_prior` false (or no prior given) the result is the
-    normalized likelihood alone.  Raises GridUnderflowError when the grid
-    has no finite peak or either marginal standard deviation is below half
-    the node spacing of its axis (the nodes do not resolve it), and
-    DomainError for data outside the model's support.
+    With `prior` None the result is the normalized likelihood alone.
+    Raises GridUnderflowError when the grid has no finite peak or either
+    marginal standard deviation is below half the node spacing of its axis
+    (the nodes do not resolve it), and DomainError for data outside the
+    model's support.
     """
     n_mu, n_logvar = spec.axis_counts
     mu_axis = np.linspace(*spec.mu_range, n_mu)
@@ -129,7 +128,7 @@ def grid_posterior(
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         log_post = loglik_at(model, data.values, nodes)
-        if spec.include_prior and prior is not None:
+        if prior is not None:
             log_post = log_post + prior.log_pdf(nodes)
         mass = normalize_log_density(log_post.reshape(n_mu, n_logvar))
 
@@ -205,15 +204,16 @@ def compare_moments(
     fit_variances,
     fit_rho: float,
 ) -> ComparisonReport:
-    grid_means = np.asarray(grid_means, dtype=float)
-    fit_means = np.asarray(fit_means, dtype=float)
-    if grid_means.shape != fit_means.shape:
-        raise ValueError(
-            f"parameter count mismatch: {grid_means.shape} vs {fit_means.shape}"
-        )
-    grid_variances = np.asarray(grid_variances, dtype=float)
-    fit_variances = np.asarray(fit_variances, dtype=float)
+    grid_means, fit_means, grid_variances, fit_variances = moments = [
+        np.asarray(a, dtype=float) for a in (grid_means, fit_means, grid_variances, fit_variances)
+    ]
+    if len({a.shape for a in moments}) != 1:
+        shapes = [a.shape for a in moments]
+        raise ValueError(f"parameter count mismatch: grid/fit means, grid/fit variances {shapes}")
     grid_rho, fit_rho = float(grid_rho), float(fit_rho)
+    finite = np.isfinite(moments).all() and math.isfinite(grid_rho) and math.isfinite(fit_rho)
+    if not (finite and (grid_variances > 0.0).all() and (fit_variances > 0.0).all()):
+        raise ValueError("moments must be finite and variances positive")
     no_sign = abs(grid_rho) < RHO_SIGN_FLOOR or abs(fit_rho) < RHO_SIGN_FLOOR
     return ComparisonReport(
         mean_abs_diff=np.abs(grid_means - fit_means),

@@ -253,6 +253,12 @@ class TestGrid:
         ])
         assert code == cli.EXIT_GRID_UNDERFLOW
 
+    def test_non_finite_range_is_usage_error(self, dataset, tmp_path):
+        code = run([
+            "grid", "--data", str(dataset), "--mu-range", "-1", "1e400", "--out", str(tmp_path / "g"),
+        ])
+        assert code == cli.EXIT_USAGE
+
     def test_one_node_mass_exit_code(self, tmp_path):
         """10,000 points on 5 nodes per axis put all mass on one mu node;
         the grid exits 6 instead of writing a zero variance."""
@@ -337,6 +343,42 @@ class TestCompare:
             str(tmp_path / "grid.summary.json"),
         ])
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "document, field, value",
+        [
+            ("fit", "rho", None),
+            ("fit", "posterior", [1.0, 2.0]),
+            ("fit", "C", [[1.0, 0.0]]),
+            ("grid", "variances", [1.0]),
+            ("fit", "rho", float("nan")),
+            ("grid", "variances", [0.0, 1.0]),
+        ],
+        ids=[
+            "null-rho", "list-posterior", "C-1x2", "one-grid-variance", "nan-rho",
+            "zero-grid-variance",
+        ],
+    )
+    def test_malformed_field_exit(self, dataset, tmp_path, capsys, document, field, value):
+        """A field of the wrong type or shape, a non-finite value or a zero
+        variance is an input error, not a traceback or a table of broadcast,
+        infinite or nan ratios."""
+        assert run([
+            "grid", "--data", str(dataset), "--resolution", "21", "--out", str(tmp_path / "grid"),
+        ]) == 0
+        grid_doc = json.loads((tmp_path / "grid.summary.json").read_text())
+        fit_doc = {"posterior": {"m": [1.0, 1.0], "C": [[1.0, 0.1], [0.1, 1.0]], "rho": 0.1}}
+        if document == "grid":
+            grid_doc[field] = value
+        elif field == "posterior":
+            fit_doc[field] = value
+        else:
+            fit_doc["posterior"][field] = value
+        (tmp_path / "f.json").write_text(json.dumps(fit_doc))
+        (tmp_path / "g.json").write_text(json.dumps(grid_doc))
+        capsys.readouterr()
+        assert run(["compare", str(tmp_path / "f.json"), str(tmp_path / "g.json")]) == cli.EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
 
 class TestFigure:
@@ -557,8 +599,7 @@ class TestColumnWriter:
             "y,pdf", zip(ys, pdf(kind, ys, params))
         )
         mu_range = (0.0, 3.0) if kind is ModelKind.FOLDED_NORMAL else grid_oracle.DEFAULT_MU_RANGE
-        spec = grid_oracle.GridSpec(mu_range=mu_range, include_prior=False)
-        grid = grid_oracle.grid_posterior(kind, data, None, spec)
+        grid = grid_oracle.grid_posterior(kind, data, None, grid_oracle.GridSpec(mu_range=mu_range))
         header = "mu,logvar,variance,mass"
         assert (out / "panel_b_grid.csv").read_bytes() == row_csv(
             header, grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, True)

@@ -327,7 +327,8 @@ class TestMakeBatches:
 
 def reference_fit(model, data, prior, config):
     """The fit loop written plainly: per-step noise draws, the objective, and
-    textbook vector Adam; returns (trace rows, final zeta)."""
+    textbook vector Adam, then the final free energy from the same stream;
+    returns (trace rows, final zeta, final F)."""
     lr, beta1, beta2, eps_hat = config.learning_rate, 0.9, 0.999, 1e-8
     rng = Rng(config.seed)
     zeta = packed(PosteriorParams.initial(prior, config.correlation_enabled))
@@ -350,25 +351,30 @@ def reference_fit(model, data, prior, config):
             v = beta2 * v + (1.0 - beta2) * grad * grad
             m_hat, v_hat = m / (1.0 - beta1**t), v / (1.0 - beta2**t)
             zeta = zeta - lr * m_hat / (np.sqrt(v_hat) + eps_hat)
-    return np.array(trace), zeta
+    params = PosteriorParams.from_zeta(zeta, config.correlation_enabled)
+    final_fe = engine._final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
+    return np.array(trace), zeta, final_fe
 
 
 def assert_matches_reference_fit(result, model, data, config):
     """`result` against `reference_fit`: the same bits at L = 1, where both
-    run the one-sample step and Adam's formulas, rtol 1e-12 at L > 1."""
-    trace, zeta = reference_fit(model, data, PRIOR, config)
+    run the one-sample step and Adam's formulas, rtol 1e-12 at L > 1.  The
+    final F matches too, so the fit's noise drew nothing past its last step."""
+    trace, zeta, final_fe = reference_fit(model, data, PRIOR, config)
     got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
     assert got.shape == trace.shape
     if config.mc_samples == 1:
         assert got.tolist() == trace.tolist()
         assert packed(result.posterior).tolist() == zeta.tolist()
+        assert result.final_free_energy == final_fe
     else:
         np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(packed(result.posterior), zeta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.final_free_energy, final_fe, rtol=1e-12, atol=0.0)
 
 
 class TestFusedLoop:
-    """`fit` (block draws, in-place Adam) against the plain reference loop."""
+    """`fit` (the lazy noise stream, in-place Adam) against the plain reference loop."""
 
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Grid posterior evaluation, its summary moments, and the comparison report."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -36,6 +35,11 @@ class TestGridSpec:
             GridSpec(mu_range=(1.0, 1.0))
         with pytest.raises(ValueError):
             GridSpec(logvar_range=(2.0, -2.0))
+        # 1e400 parses as inf: linspace would fill the axis with nan
+        with pytest.raises(ValueError):
+            GridSpec(mu_range=(-1.0, 1e400))
+        with pytest.raises(ValueError):
+            GridSpec(logvar_range=(float("nan"), 1.0))
         with pytest.raises(ValueError):
             GridSpec(resolution=1)
         assert GridSpec(resolution=(51, 21)).axis_counts == (51, 21)
@@ -104,8 +108,7 @@ class TestNormalization:
         """The figures' 201 x 201 likelihood grids at N = 100 spread their
         mass: no marginal node carries more than 5% of it."""
         data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=seed)
-        spec = GridSpec(mu_range=mu_range, include_prior=False)
-        grid = grid_posterior(model, data, PRIOR, spec)
+        grid = grid_posterior(model, data, None, GridSpec(mu_range=mu_range))
         assert max(grid.mass.sum(axis=1).max(), grid.mass.sum(axis=0).max()) <= 0.05
 
 
@@ -143,7 +146,6 @@ class TestChunkedEvaluation:
     def test_mass_matches_direct_density_sum(self, model, prior, n, chunk_terms, spec, monkeypatch):
         monkeypatch.setattr(distributions, "CHUNK_TERMS", chunk_terms)
         data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), n, seed=17)
-        spec = dataclasses.replace(spec, include_prior=prior is not None)
         grid = grid_posterior(model, data, prior, spec)
         np.testing.assert_allclose(
             grid.mass, self.direct_mass(model, data, prior, spec), rtol=0, atol=1e-12
@@ -168,7 +170,7 @@ class TestMoments:
     def test_single_point_map_symmetry(self):
         """One observation at 0 with a symmetric mu axis puts the MAP at 0."""
         data = Dataset(np.array([0.0]))
-        spec = GridSpec(mu_range=(-2.0, 2.0), resolution=(41, 21), include_prior=False)
+        spec = GridSpec(mu_range=(-2.0, 2.0), resolution=(41, 21))
         grid = grid_posterior(ModelKind.GAUSSIAN, data, None, spec)
         assert grid.map_point[0] == 0.0
 
@@ -211,9 +213,7 @@ class TestMoments:
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=5)
         flat = PriorSpec(m0=[0.0, 0.0], C0=np.diag([1e12, 1e12]))
         with_prior = grid_posterior(ModelKind.GAUSSIAN, data, flat, GridSpec(resolution=101))
-        without = grid_posterior(
-            ModelKind.GAUSSIAN, data, None, GridSpec(resolution=101, include_prior=False)
-        )
+        without = grid_posterior(ModelKind.GAUSSIAN, data, None, GridSpec(resolution=101))
         np.testing.assert_allclose(with_prior.mass, without.mass, atol=1e-9)
         np.testing.assert_allclose(with_prior.means, without.means, atol=1e-9)
 
