@@ -26,7 +26,7 @@ from . import __version__, engine, grid_oracle
 from .distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
 from .engine import DivergenceError, TrainConfig, write_trace_csv
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
-from .posterior import PriorSpec, mvn_log_pdf
+from .posterior import PriorSpec, correlation, mvn_log_pdf
 
 EXIT_USAGE = 2
 EXIT_INPUT = 3
@@ -130,45 +130,19 @@ def read_data_csv(path: Path) -> Dataset:
 
 def _prior_from_args(args) -> PriorSpec:
     means = _per_dimension(args.prior_mean, "prior-mean")
-    variances = _per_dimension(args.prior_var, "prior-var")
-    if not all(0.0 < v < math.inf for v in variances):
-        raise ValueError("--prior-var entries must be positive and finite")
-    return PriorSpec.diagonal(means, variances)
+    return PriorSpec.diagonal(means, _per_dimension(args.prior_var, "prior-var"))
 
 
 def _per_dimension(values: list[float], flag: str) -> list[float]:
-    if len(values) == 1:
-        return [values[0], values[0]]
-    if len(values) == 2:
-        return list(values)
-    raise ValueError(f"--{flag} takes one shared value or two per-dimension values")
-
-
-def _default_mu_range(model: ModelKind) -> tuple[float, float]:
-    folded = model is ModelKind.FOLDED_NORMAL
-    return grid_oracle.FOLDED_MU_RANGE if folded else grid_oracle.DEFAULT_MU_RANGE
-
-
-def _grid_spec_from_args(args, model: ModelKind) -> GridSpec:
-    mu_range = _default_mu_range(model) if args.mu_range is None else tuple(args.mu_range)
-    logvar_range = grid_oracle.DEFAULT_LOGVAR_RANGE
-    if args.logvar_range is not None:
-        logvar_range = tuple(args.logvar_range)
-    return GridSpec(
-        mu_range=mu_range,
-        logvar_range=logvar_range,
-        resolution=args.resolution,
-    )
+    if len(values) not in (1, 2):
+        raise ValueError(f"--{flag} takes one shared value or two per-dimension values")
+    return [values[0], values[-1]]
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
-    if args.variance <= 0:
-        raise ValueError("--variance must be positive")
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     model = ModelKind(args.model)
     params = NaturalParams.from_mean_variance(args.mu, args.variance)
     data = sample_data(model, params, args.n, args.seed)
@@ -188,16 +162,12 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _train_config_from_args(args) -> TrainConfig:
-    if args.batch_size == "full":
-        batch_size = None
-    else:
-        batch_size = int(args.batch_size)
-        if batch_size < 1:
-            raise ValueError("--batch-size must be a positive integer or 'full'")
-    return TrainConfig(
+def cmd_fit(args) -> int:
+    data = read_data_csv(Path(args.data))
+    prior = _prior_from_args(args)
+    config = TrainConfig(
         epochs=args.epochs,
-        batch_size=batch_size,
+        batch_size=None if args.batch_size == "full" else int(args.batch_size),
         mc_samples=args.mc_samples,
         learning_rate=args.lr,
         seed=args.seed,
@@ -205,13 +175,7 @@ def _train_config_from_args(args) -> TrainConfig:
         final_fe_samples=args.final_fe_samples,
         shuffle=args.shuffle,
     )
-
-
-def cmd_fit(args) -> int:
-    data = read_data_csv(Path(args.data))
-    result = engine.fit(
-        ModelKind(args.model), data, _prior_from_args(args), _train_config_from_args(args)
-    )
+    result = engine.fit(ModelKind(args.model), data, prior, config)
     base = Path(args.out)
     out_json = _artifact(base, ".json")
     out_trace = _artifact(base, ".trace.csv")
@@ -231,9 +195,10 @@ def cmd_fit(args) -> int:
 def cmd_grid(args) -> int:
     model = ModelKind(args.model)
     data = read_data_csv(Path(args.data))
-    prior = _prior_from_args(args)
-    spec = _grid_spec_from_args(args, model)
-    grid = grid_oracle.grid_posterior(model, data, None if args.no_prior else prior, spec)
+    prior = None if args.no_prior else _prior_from_args(args)
+    mu_range = grid_oracle.default_mu_range(model) if args.mu_range is None else args.mu_range
+    spec = GridSpec(tuple(mu_range), tuple(args.logvar_range), args.resolution)
+    grid = grid_oracle.grid_posterior(model, data, prior, spec)
     base = Path(args.out)
     out_csv = _artifact(base, ".csv")
     out_json = _artifact(base, ".summary.json")
@@ -248,9 +213,9 @@ def cmd_grid(args) -> int:
             "mu_range": list(spec.mu_range),
             "logvar_range": list(spec.logvar_range),
             "resolution": list(spec.axis_counts),
-            "include_prior": not args.no_prior,
-            "prior_mean": prior.m0.tolist(),
-            "prior_var": np.diag(prior.C0).tolist(),
+            "include_prior": prior is not None,
+            "prior_mean": None if prior is None else prior.m0.tolist(),
+            "prior_var": None if prior is None else np.diag(prior.C0).tolist(),
         },
         inputs={"data": str(args.data)},
         outputs={"mass": out_csv.name, "summary": out_json.name},
@@ -268,13 +233,15 @@ def cmd_compare(args) -> int:
         raise DataFileError(f"malformed JSON input: {err}") from err
     try:
         post = fit_doc["posterior"]
+        cov = np.asarray(post["C"], dtype=float)
+        if cov.shape != (2, 2):
+            raise ValueError(f"the fit's C must be 2x2, got shape {cov.shape}")
+        # a zero or non-finite variance gives an inf or nan rho; compare_moments refuses both
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fit_rho = correlation(cov)
         report = compare_moments(
-            grid_doc["means"],
-            grid_doc["variances"],
-            grid_doc["rho"],
-            post["m"],
-            np.diag(np.asarray(post["C"], dtype=float)),
-            post["rho"],
+            grid_doc["means"], grid_doc["variances"], grid_doc["rho"],
+            post["m"], np.diag(cov), fit_rho,
         )
     except KeyError as err:
         raise DataFileError(f"incompatible artifacts: missing field {err}") from err
@@ -324,9 +291,7 @@ def cmd_figure(args) -> int:
     fits = {}
     for label, corr in (("nocorr", False), ("corr", True)):
         config = TrainConfig(
-            batch_size=settings["batch_size"],
-            seed=args.seed,
-            correlation_enabled=corr,
+            batch_size=settings["batch_size"], seed=args.seed, correlation_enabled=corr
         )
         fits[label] = engine.fit(model, data, prior, config)
 
@@ -354,7 +319,7 @@ def cmd_figure(args) -> int:
         outputs["panel_a_true_pdf"] = pdf_path.name
 
         # the reference grid reproduces the likelihood-only evaluation
-        spec = GridSpec(mu_range=_default_mu_range(model))
+        spec = GridSpec(mu_range=grid_oracle.default_mu_range(model))
         grid = grid_oracle.grid_posterior(model, data, None, spec)
         grid_path = out_dir / "panel_b_grid.csv"
         _write_columns(grid_path, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, True))
@@ -426,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the approximate posterior to a dataset")
     p.add_argument("--data", required=True, help="input data CSV")
     p.add_argument("--model", choices=[m.value for m in ModelKind], default="gaussian")
-    p.add_argument("--epochs", type=int, default=400)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", default="full", help="points per step, or 'full'")
-    p.add_argument("--mc-samples", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mc-samples", type=int, default=TrainConfig.mc_samples)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--no-correlation", action="store_true")
-    p.add_argument("--final-fe-samples", type=int, default=1000)
+    p.add_argument("--final-fe-samples", type=int, default=TrainConfig.final_fe_samples)
     p.add_argument("--shuffle", action="store_true")
     _add_prior_flags(p)
     p.add_argument("--out", required=True, help="output base path")
@@ -442,8 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=[m.value for m in ModelKind], default="gaussian")
     p.add_argument("--mu-range", type=float, nargs=2, default=None)
-    p.add_argument("--logvar-range", type=float, nargs=2, default=None)
-    p.add_argument("--resolution", type=int, default=201)
+    p.add_argument(
+        "--logvar-range", type=float, nargs=2, default=grid_oracle.DEFAULT_LOGVAR_RANGE
+    )
+    p.add_argument("--resolution", type=int, default=grid_oracle.DEFAULT_RESOLUTION)
     p.add_argument("--no-prior", action="store_true")
     _add_prior_flags(p)
     p.add_argument("--out", required=True, help="output base path")

@@ -60,7 +60,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings for one fit; `batch_size=None` means full-data steps."""
+    """Settings for one fit, the one home of their defaults and checks: epochs
+    and mc_samples >= 1, final_fe_samples >= 2, a finite learning rate >= 0.
+    `batch_size=None` means full-data steps; `make_batches` checks a size."""
 
     epochs: int = 400
     batch_size: int | None = None
@@ -70,7 +72,6 @@ class TrainConfig:
     correlation_enabled: bool = True
     final_fe_samples: int = 1000
     shuffle: bool = False
-    init: PosteriorParams | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -83,10 +84,7 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "init"}
-        if self.init is not None:
-            out["init"] = {name: getattr(self.init, name).tolist() for name in ("m", "v", "u")}
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class TraceRecord(NamedTuple):
@@ -214,12 +212,8 @@ def fit(
     `final_fe_samples` fresh draws, since single-sample step values are noisy.
     """
     distributions.check_support(model, data.values)
-    params = config.init or PosteriorParams.initial(prior, config.correlation_enabled)
-    if params.correlation_enabled != config.correlation_enabled:
-        raise ValueError("init and config disagree on correlation_enabled")
-
     rng = Rng(config.seed)
-    zeta = params.zeta
+    zeta = PosteriorParams.initial(prior, config.correlation_enabled).zeta
     optimizer = Adam(len(zeta), learning_rate=config.learning_rate)
     n_total = len(data)
     batch_size = n_total if config.batch_size is None else config.batch_size

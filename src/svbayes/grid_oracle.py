@@ -40,6 +40,11 @@ _WIDEN_HINT = "widen the ranges or increase the resolution"
 RHO_SIGN_FLOOR = 0.05
 
 
+def default_mu_range(model: ModelKind) -> tuple[float, float]:
+    """The mu range a grid over `model`'s likelihood uses when none is given."""
+    return FOLDED_MU_RANGE if model is ModelKind.FOLDED_NORMAL else DEFAULT_MU_RANGE
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis ranges and node counts for the evaluation grid."""
@@ -214,6 +219,9 @@ def compare_moments(
     finite = np.isfinite(moments).all() and math.isfinite(grid_rho) and math.isfinite(fit_rho)
     if not (finite and (grid_variances > 0.0).all() and (fit_variances > 0.0).all()):
         raise ValueError("moments must be finite and variances positive")
+    # a computed correlation may pass 1 by a few ulps, no more
+    if max(abs(grid_rho), abs(fit_rho)) > 1.0 + 1e-12:
+        raise ValueError(f"correlations must be in [-1, 1], got grid {grid_rho}, fit {fit_rho}")
     no_sign = abs(grid_rho) < RHO_SIGN_FLOOR or abs(fit_rho) < RHO_SIGN_FLOOR
     return ComparisonReport(
         mean_abs_diff=np.abs(grid_means - fit_means),

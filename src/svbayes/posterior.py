@@ -89,8 +89,7 @@ class PosteriorParams:
 
     @property
     def rho(self) -> float:
-        c = self.cov
-        return float(c[0, 1] / math.sqrt(c[0, 0] * c[1, 1]))
+        return correlation(self.cov)
 
     def to_json_dict(self) -> dict:
         """The fit JSON's `posterior` block: mean, covariance, correlation."""
@@ -104,7 +103,9 @@ class PosteriorParams:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """MVN prior over the two inference parameters."""
+    """MVN prior over the two inference parameters, and the one judge of its
+    validity: a length-2 finite mean and a 2x2 finite, symmetric, positive
+    definite covariance whose inverse is finite too (the KL reads C0^-1)."""
 
     m0: np.ndarray
     C0: np.ndarray = field(repr=False)
@@ -118,10 +119,14 @@ class PriorSpec:
             )
         if not np.all(np.isfinite(m0)):
             raise ValueError("prior mean entries must be finite")
+        if not np.all(np.isfinite(C0)):
+            raise ValueError("prior covariance entries must be finite")
         if not np.allclose(C0, C0.T, atol=1e-12):
             raise ValueError("prior covariance must be symmetric")
         if np.any(np.linalg.eigvalsh(C0) <= 0.0):
             raise ValueError("prior covariance must be positive definite")
+        if not np.all(np.isfinite(np.linalg.inv(C0))):
+            raise ValueError("prior covariance must have a finite inverse")
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "C0", C0)
 
@@ -146,6 +151,11 @@ def mvn_log_pdf(points, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     quad = np.einsum("...i,ij,...j->...", diff, np.linalg.inv(cov), diff)
     log_det = float(np.linalg.slogdet(cov)[1])
     return -0.5 * (quad + log_det + len(mean) * math.log(2.0 * math.pi))
+
+
+def correlation(cov: np.ndarray) -> float:
+    """rho = C01 / sqrt(C00 C11) of a 2x2 covariance array."""
+    return float(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]))
 
 
 def factor(v0: float, v1: float, u: float) -> tuple[float, float, float]:

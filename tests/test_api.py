@@ -31,6 +31,8 @@ def test_unused_names_and_adam_settings_are_gone():
     assert not [n for n in ("extract_posterior", "PosteriorSummary", "_raw") if hasattr(posterior, n)]
     assert not [n for n in ("_pack", "_unpack") if hasattr(engine, n)]
     assert "params" not in {f.name for f in dataclasses.fields(svbayes.FitResult)}
+    # a fit starts from PosteriorParams.initial; no setting overrides it
+    assert "init" not in {f.name for f in dataclasses.fields(svbayes.TrainConfig)}
     assert not hasattr(svbayes.PosteriorParams, "__iter__")
     prior = svbayes.PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
     assert not [name for name in ("C0_inv", "log_det_C0") if hasattr(prior, name)]

@@ -197,14 +197,23 @@ class TestFit:
         assert not (tmp_path / "f.json").exists()
 
     @pytest.mark.parametrize("command", ["fit", "grid"])
-    @pytest.mark.parametrize("var", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("var", ["nan", "inf", "0", "1e-320"])
     def test_bad_prior_variance_is_usage_error(self, dataset, tmp_path, capsys, command, var):
+        """PriorSpec judges the prior: 1e-320 is positive, but its inverse is
+        not finite, so it exits 2 instead of diverging or underflowing."""
         code = run([
             command, "--data", str(dataset), "--prior-var", var,
-            "--out", str(tmp_path / "f"),
+            "--out", str(tmp_path / "out" / "f"),
         ])
         assert code == cli.EXIT_USAGE
-        assert "--prior-var entries must be positive and finite" in capsys.readouterr().err
+        message = {
+            "nan": "prior covariance entries must be finite",
+            "inf": "prior covariance entries must be finite",
+            "0": "prior covariance must be positive definite",
+            "1e-320": "prior covariance must have a finite inverse",
+        }[var]
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["fit", "grid"])
     @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
@@ -245,6 +254,24 @@ class TestGrid:
         s1 = json.loads((tmp_path / "g1.summary.json").read_text())
         s2 = json.loads((tmp_path / "g2.summary.json").read_text())
         np.testing.assert_allclose(s1["means"], s2["means"], atol=1e-9)
+
+    def test_no_prior_builds_and_records_no_prior(self, dataset, tmp_path):
+        """Under --no-prior the prior flags are not read: a nan variance is
+        no error, and the manifest's prior fields are null."""
+        assert run([
+            "grid", "--data", str(dataset), "--resolution", "31", "--no-prior",
+            "--prior-var", "nan", "--out", str(tmp_path / "g"),
+        ]) == 0
+        config = json.loads((tmp_path / "g.manifest.json").read_text())["configuration"]
+        assert config["include_prior"] is False
+        assert config["prior_mean"] is None and config["prior_var"] is None
+        assert run([
+            "grid", "--data", str(dataset), "--resolution", "31", "--out", str(tmp_path / "p"),
+        ]) == 0
+        config = json.loads((tmp_path / "p.manifest.json").read_text())["configuration"]
+        assert (config["include_prior"], config["prior_mean"], config["prior_var"]) == (
+            True, [0.0, 0.0], [100.0, 100.0]
+        )
 
     def test_underflow_exit_code(self, dataset, tmp_path):
         code = run([
@@ -347,16 +374,19 @@ class TestCompare:
     @pytest.mark.parametrize(
         "document, field, value",
         [
-            ("fit", "rho", None),
+            ("fit", "C", None),
             ("fit", "posterior", [1.0, 2.0]),
             ("fit", "C", [[1.0, 0.0]]),
             ("grid", "variances", [1.0]),
-            ("fit", "rho", float("nan")),
+            ("fit", "C", [[1.0, float("nan")], [float("nan"), 1.0]]),
             ("grid", "variances", [0.0, 1.0]),
+            ("fit", "C", [[0.0, 0.0], [0.0, 1.0]]),
+            ("fit", "C", [[1.0, 2.0], [2.0, 1.0]]),
+            ("grid", "rho", -3.0),
         ],
         ids=[
-            "null-rho", "list-posterior", "C-1x2", "one-grid-variance", "nan-rho",
-            "zero-grid-variance",
+            "null-C", "list-posterior", "C-1x2", "one-grid-variance", "nan-C",
+            "zero-grid-variance", "zero-fit-variance", "fit-rho-2", "grid-rho-minus-3",
         ],
     )
     def test_malformed_field_exit(self, dataset, tmp_path, capsys, document, field, value):
@@ -379,6 +409,21 @@ class TestCompare:
         capsys.readouterr()
         assert run(["compare", str(tmp_path / "f.json"), str(tmp_path / "g.json")]) == cli.EXIT_INPUT
         assert capsys.readouterr().out == ""
+
+    def test_fit_correlation_comes_from_its_covariance(self, dataset, tmp_path):
+        """The fit JSON's `rho` is a view of its `C`; compare reads C only, so
+        a stray rho field neither passes nor changes the report."""
+        assert run([
+            "grid", "--data", str(dataset), "--resolution", "21", "--out", str(tmp_path / "grid"),
+        ]) == 0
+        fit_doc = {"posterior": {"m": [1.0, 1.0], "C": [[4.0, 0.5], [0.5, 1.0]], "rho": 5.0}}
+        (tmp_path / "f.json").write_text(json.dumps(fit_doc))
+        assert run([
+            "compare", str(tmp_path / "f.json"), str(tmp_path / "grid.summary.json"),
+            "--out", str(tmp_path / "cmp"),
+        ]) == 0
+        report = json.loads((tmp_path / "cmp.json").read_text())
+        assert report["rho_fit"] == 0.25
 
 
 class TestFigure:

@@ -54,6 +54,12 @@ BATCHES = {
 }
 
 
+def start_from(monkeypatch, init):
+    """Make `fit` start from `init`: its one starting point is
+    `PosteriorParams.initial(prior, correlation_enabled)`."""
+    monkeypatch.setattr(PosteriorParams, "initial", lambda prior, correlation_enabled: init)
+
+
 def packed(params):
     parts = [params.m, params.v]
     if params.correlation_enabled:
@@ -498,11 +504,11 @@ class TestFit:
             fit(ModelKind.FOLDED_NORMAL, data, PRIOR, TrainConfig(epochs=3))
         assert steps == []
 
-    def test_divergent_initialization_aborts_with_diagnostics(self):
+    def test_divergent_initialization_aborts_with_diagnostics(self, monkeypatch):
         data = example1_data()
-        bad_init = PosteriorParams(m=[0.0, 0.0], v=[700.0, 700.0], u=[0.0])
+        start_from(monkeypatch, PosteriorParams(m=[0.0, 0.0], v=[700.0, 700.0], u=[0.0]))
         with pytest.raises(DivergenceError) as excinfo:
-            fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(epochs=1, init=bad_init))
+            fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(epochs=1))
         assert excinfo.value.step == 0
         assert "zeta" in str(excinfo.value)
 
@@ -520,20 +526,22 @@ class TestFit:
         ],
         ids=["scale-overflow", "kl-overflow"],
     )
-    def test_divergence_raises_without_numpy_warnings(self, model, prior, init):
+    def test_divergence_raises_without_numpy_warnings(self, monkeypatch, model, prior, init):
         """Overflow aborts at step 0 as a DivergenceError; with RuntimeWarning
         promoted to an error, no numpy warning escapes the fit."""
+        start_from(monkeypatch, init)
         with pytest.raises(DivergenceError) as excinfo:
-            fit(model, model_data(model), prior, TrainConfig(epochs=1, init=init))
+            fit(model, model_data(model), prior, TrainConfig(epochs=1))
         assert excinfo.value.step == 0
         np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
 
-    def test_gradient_square_overflow_raises(self):
+    def test_gradient_square_overflow_raises(self, monkeypatch):
         """At log variance -360 the theta2 gradient is finite but its square
         is not; the fit must abort, not continue with a frozen coordinate."""
         init = PosteriorParams(m=[0.0, -360.0], v=[-10.0, -10.0], u=[0.0])
+        start_from(monkeypatch, init)
         with pytest.raises(DivergenceError) as excinfo:
-            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=1, init=init))
+            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=1))
         assert excinfo.value.step == 0
         np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
 
@@ -594,12 +602,6 @@ class TestFit:
         mean, se = res.final_free_energy
         assert math.isfinite(mean)
         assert se > 0.0
-
-    def test_init_override_must_match_configuration(self):
-        data = example1_data()
-        init = PosteriorParams(m=[0.0, 0.0], v=[0.0, 0.0], u=[0.0], correlation_enabled=False)
-        with pytest.raises(ValueError):
-            fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(init=init))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

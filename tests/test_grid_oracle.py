@@ -20,6 +20,7 @@ from svbayes.grid_oracle import (
     GridUnderflowError,
     compare,
     compare_moments,
+    default_mu_range,
     grid_nodes,
     grid_posterior,
     normalize_log_density,
@@ -27,6 +28,12 @@ from svbayes.grid_oracle import (
 from svbayes.posterior import PriorSpec
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
+# each model's default mu range: the folded likelihood is even in mu
+MODEL_MU_RANGES = pytest.mark.parametrize(
+    "model, mu_range",
+    [(ModelKind.GAUSSIAN, (-1.0, 3.0)), (ModelKind.FOLDED_NORMAL, (0.0, 3.0))],
+    ids=["gaussian", "folded"],
+)
 
 
 class TestGridSpec:
@@ -98,11 +105,12 @@ class TestNormalization:
         spacing = np.array([grid.mu_axis[1] - grid.mu_axis[0], grid.logvar_axis[1] - grid.logvar_axis[0]])
         assert np.all(np.sqrt(grid.variances) >= 0.5 * spacing)
 
-    @pytest.mark.parametrize(
-        "model, mu_range",
-        [(ModelKind.GAUSSIAN, (-1.0, 3.0)), (ModelKind.FOLDED_NORMAL, (0.0, 3.0))],
-        ids=["gaussian", "folded"],
-    )
+    @MODEL_MU_RANGES
+    def test_default_mu_range_follows_the_model(self, model, mu_range):
+        """The CLI and the figures take the model's default mu range from here."""
+        assert default_mu_range(model) == mu_range
+
+    @MODEL_MU_RANGES
     @pytest.mark.parametrize("seed", range(5))
     def test_canonical_figure_grids_pass(self, model, mu_range, seed):
         """The figures' 201 x 201 likelihood grids at N = 100 spread their
@@ -252,6 +260,19 @@ class TestCompare:
     def test_parameter_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             compare_moments([0.0, 0.0], [1.0, 1.0], 0.0, [0.0], [1.0], 0.0)
+
+    @pytest.mark.parametrize("rho", [5.0, -3.0, 1.0 + 1e-9, -1.0 - 1e-9])
+    @pytest.mark.parametrize("side", ["grid", "fit"])
+    def test_correlation_outside_unit_interval_rejected(self, rho, side):
+        rhos = {"grid": 0.1, "fit": 0.1, side: rho}
+        with pytest.raises(ValueError, match=r"correlations must be in \[-1, 1\]"):
+            compare_moments([0.0, 0.0], [1.0, 1.0], rhos["grid"], [0.0, 0.0], [1.0, 1.0], rhos["fit"])
+
+    def test_correlation_rounded_past_one_is_accepted(self):
+        """A computed correlation may pass +-1 by a few ulps."""
+        edge = 1.0 + 4 * np.finfo(float).eps
+        report = compare_moments([0.0, 0.0], [1.0, 1.0], edge, [0.0, 0.0], [1.0, 1.0], -edge)
+        assert report.rho_abs_diff == 2 * edge
 
     def test_compare_against_fit_result(self):
         from svbayes.engine import TrainConfig, fit

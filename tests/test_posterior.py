@@ -408,6 +408,28 @@ class TestPriorSpec:
         with pytest.raises(ValueError):
             PriorSpec(m0=[0.0, 0.0], C0=[[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize(
+        "variance, message",
+        [
+            (math.inf, "prior covariance entries must be finite"),
+            (math.nan, "prior covariance entries must be finite"),
+            (0.0, "prior covariance must be positive definite"),
+            # positive, but 1 / 1e-320 overflows: the KL would read an inf C0^-1
+            (1e-320, "prior covariance must have a finite inverse"),
+        ],
+        ids=["inf", "nan", "0", "1e-320"],
+    )
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_variances_without_a_finite_inverse(self, variance, message, axis):
+        variances = [100.0, 100.0]
+        variances[axis] = variance
+        with pytest.raises(ValueError, match=message):
+            PriorSpec.diagonal([0.0, 0.0], variances)
+
+    def test_accepts_tiny_variances_with_a_finite_inverse(self):
+        prior = PriorSpec.diagonal([0.0, 0.0], [1e-300, 1e-300])
+        assert np.diag(prior.C0).tolist() == [1e-300, 1e-300]
+
     def test_log_pdf_matches_oracle(self):
         rng = np.random.default_rng(11)
         prior = random_prior(rng)
