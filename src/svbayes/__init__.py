@@ -17,15 +17,7 @@ from .distributions import (
     pdf,
     sample_data,
 )
-from .engine import (
-    DivergenceError,
-    FitResult,
-    TraceRecord,
-    TrainConfig,
-    fit,
-    make_batches,
-    write_trace_csv,
-)
+from .engine import DivergenceError, FitResult, TraceRecord, TrainConfig, fit, make_batches
 from .grid_oracle import (
     ComparisonReport,
     GridResult,
@@ -35,11 +27,7 @@ from .grid_oracle import (
     grid_posterior,
 )
 from .optimizer import Adam
-from .posterior import (
-    PosteriorParams,
-    PriorSpec,
-    kl_value,
-)
+from .posterior import PosteriorParams, PriorSpec, kl_value
 from .rng import Rng
 
 __version__ = "0.1.0"
@@ -74,3 +62,11 @@ __all__ = [
     "write_trace_csv",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # `cli` loads on first use: imported with the package, `python -m svbayes.cli` runs it twice
+    if name == "write_trace_csv":
+        from .cli import write_trace_csv
+        return write_trace_csv
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,7 +3,8 @@
 Each subcommand writes its outputs plus a JSON manifest carrying the fully
 resolved configuration, so any artifact can be reproduced bit for bit by
 re-running with the recorded settings.  Output conventions: CSV for tabular
-plot data, JSON for structured results, `repr` floats throughout for exact
+plot data (every CSV through `_write_rows`, a block of whole rows at a
+time), JSON for structured results, `repr` floats throughout for exact
 round-trips, `\\n` line endings, UTF-8.
 
 Exit codes: 0 success, 2 usage or invalid argument, 3 unreadable or
@@ -18,15 +19,15 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import __version__, engine, grid_oracle
 from .distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
-from .engine import DivergenceError, TrainConfig, write_trace_csv
+from .engine import DivergenceError, TraceRecord, TrainConfig
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
-from .posterior import PriorSpec, correlation, mvn_log_pdf
+from .posterior import DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR, PriorSpec, correlation, mvn_log_pdf
 
 EXIT_USAGE = 2
 EXIT_INPUT = 3
@@ -34,7 +35,7 @@ EXIT_DOMAIN = 4
 EXIT_DIVERGENCE = 5
 EXIT_GRID_UNDERFLOW = 6
 
-# Rows per formatted write of a CSV; bounds its memory whatever the size.
+# Rows per formatted write of a data or trace CSV; a grid CSV writes a mu-line at a time.
 DATA_CHUNK_ROWS = 65_536
 
 
@@ -70,42 +71,41 @@ def _reprs(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
-def _write_columns(path: Path, header: str, blocks) -> None:
-    """CSV of preformatted strings under `header`, one join and write per
-    block: `blocks` yields lists of equal-length columns of whole rows."""
+def _write_rows(path: Path, header: str, blocks) -> None:
+    """CSV under `header`: each of `blocks` is a list of `\\n`-ended row
+    strings, joined and written in one piece (its list freed before the write)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for columns in blocks:
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        fh.writelines(map("".join, blocks))
 
 
-def _grid_columns(mu_axis, logvar_axis, mass, variance: bool) -> tuple[str, Iterator[list]]:
-    """Header and blocks of mu, logvar[, variance], mass columns in row-major
-    grid order, each as many whole mu-lines as fit in DATA_CHUNK_ROWS rows
-    (one line if a line is longer).
+def _chunks(rows):
+    """`rows` in slices of DATA_CHUNK_ROWS, the last one short."""
+    return (rows[i : i + DATA_CHUNK_ROWS] for i in range(0, len(rows), DATA_CHUNK_ROWS))
 
-    Each axis value is formatted once (a mu string repeats n_logvar times,
-    the per-line strings are tiled once per line); the variance is
-    `math.exp(logvar)`, which is not always bitwise `np.exp`.
-    """
-    mus, lv = _reprs(mu_axis), _reprs(logvar_axis)
-    per_line = [lv, _reprs([math.exp(x) for x in logvar_axis.tolist()])] if variance else [lv]
-    k = max(1, DATA_CHUNK_ROWS // len(lv))
 
-    def block(i: int) -> list:
-        lines = mus[i : i + k]
-        repeated = [s for s in lines for _ in lv]
-        return [repeated, *(c * len(lines) for c in per_line), _reprs(mass[i : i + k])]
-
-    header = "mu,logvar,variance,mass" if variance else "mu,logvar,mass"
-    return header, map(block, range(0, len(mus), k))
+def _grid_rows(mu_axis, logvar_axis, mass, variance: bool) -> Iterator[list[str]]:
+    """mu, logvar[, variance], mass rows in grid order, a block per mu-line: a
+    mu formatted once a line, the logvar[, variance] tails once a grid (the
+    variance is `math.exp(logvar)`, not always bitwise `np.exp`)."""
+    tails = _reprs(logvar_axis)
+    if variance:
+        tails = [f"{lv},{math.exp(x)!r}" for lv, x in zip(tails, logvar_axis.tolist())]
+    for mu, line in zip(_reprs(mu_axis), mass):
+        yield [f"{mu},{tail},{m}\n" for tail, m in zip(tails, _reprs(line))]
 
 
 def write_data_csv(path: Path, data: Dataset) -> None:
-    """The `y` column, formatted and written DATA_CHUNK_ROWS values at a time."""
-    chunks = range(0, len(data), DATA_CHUNK_ROWS)
-    _write_columns(path, "y", ([_reprs(data.values[i : i + DATA_CHUNK_ROWS])] for i in chunks))
+    """The `y` column, DATA_CHUNK_ROWS values a block."""
+    _write_rows(path, "y", ([f"{y!r}\n" for y in c.tolist()] for c in _chunks(data.values)))
+
+
+def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
+    """The per-step trace, a row a record, DATA_CHUNK_ROWS records a block."""
+    blocks = ([f"{r.epoch},{r.step},{r.free_energy!r},{r.kl!r},{r.mc_loglik!r}\n" for r in c]
+              for c in _chunks(trace))
+    _write_rows(Path(path), "epoch,step,F,kl,mc_loglik", blocks)
 
 
 def read_data_csv(path: Path) -> Dataset:
@@ -202,7 +202,8 @@ def cmd_grid(args) -> int:
     base = Path(args.out)
     out_csv = _artifact(base, ".csv")
     out_json = _artifact(base, ".summary.json")
-    _write_columns(out_csv, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, False))
+    rows = _grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, False)
+    _write_rows(out_csv, "mu,logvar,mass", rows)
     _write_json(out_json, grid.summary_dict())
     _write_manifest(
         _artifact(base, ".manifest.json"),
@@ -286,7 +287,7 @@ def cmd_figure(args) -> int:
     model: ModelKind = settings["model"]
     params = NaturalParams.from_mean_variance(_TRUE_MU, _TRUE_VARIANCE)
     data = sample_data(model, params, _N_SAMPLES, args.seed)
-    prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
+    prior = PriorSpec.diagonal([DEFAULT_PRIOR_MEAN] * 2, [DEFAULT_PRIOR_VAR] * 2)
 
     fits = {}
     for label, corr in (("nocorr", False), ("corr", True)):
@@ -315,14 +316,16 @@ def cmd_figure(args) -> int:
         lo = 1e-6 if model is ModelKind.FOLDED_NORMAL else _TRUE_MU - 4 * sigma
         ys = np.linspace(lo, _TRUE_MU + 4 * sigma, 201)
         pdf_path = out_dir / "panel_a_true_pdf.csv"
-        _write_columns(pdf_path, "y,pdf", [[_reprs(ys), _reprs(pdf(model, ys, params))]])
+        rows = [f"{y},{p}\n" for y, p in zip(_reprs(ys), _reprs(pdf(model, ys, params)))]
+        _write_rows(pdf_path, "y,pdf", [rows])
         outputs["panel_a_true_pdf"] = pdf_path.name
 
         # the reference grid reproduces the likelihood-only evaluation
         spec = GridSpec(mu_range=grid_oracle.default_mu_range(model))
         grid = grid_oracle.grid_posterior(model, data, None, spec)
         grid_path = out_dir / "panel_b_grid.csv"
-        _write_columns(grid_path, *_grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, True))
+        header = "mu,logvar,variance,mass"
+        _write_rows(grid_path, header, _grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, True))
         _write_json(out_dir / "panel_b_grid.summary.json", grid.summary_dict())
         outputs["panel_b_grid"] = grid_path.name
         outputs["panel_b_summary"] = "panel_b_grid.summary.json"
@@ -333,7 +336,7 @@ def cmd_figure(args) -> int:
             log_q = mvn_log_pdf(nodes, q.mean, q.cov)
             mass = grid_oracle.normalize_log_density(log_q)
             path = out_dir / f"panel_{panel}_svb_{label}.csv"
-            _write_columns(path, *_grid_columns(grid.mu_axis, grid.logvar_axis, mass, True))
+            _write_rows(path, header, _grid_rows(grid.mu_axis, grid.logvar_axis, mass, True))
             outputs[f"panel_{panel}_svb"] = path.name
 
     _write_manifest(
@@ -362,12 +365,13 @@ def cmd_figure(args) -> int:
 
 def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--prior-mean", type=float, nargs="+", default=[0.0],
-        help="prior mean, one shared or two per-dimension values (default 0)",
+        "--prior-mean", type=float, nargs="+", default=[DEFAULT_PRIOR_MEAN],
+        help="prior mean, one shared or two per-dimension values "
+        f"(default {DEFAULT_PRIOR_MEAN:g})",
     )
     parser.add_argument(
-        "--prior-var", type=float, nargs="+", default=[100.0],
-        help="prior variance per dimension (default 100, noninformative)",
+        "--prior-var", type=float, nargs="+", default=[DEFAULT_PRIOR_VAR],
+        help=f"prior variance per dimension (default {DEFAULT_PRIOR_VAR:g}, noninformative)",
     )
 
 
@@ -381,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample a synthetic dataset to CSV")
     p.add_argument("--model", choices=[m.value for m in ModelKind], default="gaussian")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--variance", type=float, default=4.0)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--mu", type=float, default=_TRUE_MU)
+    p.add_argument("--variance", type=float, default=_TRUE_VARIANCE)
+    p.add_argument("--n", type=int, default=_N_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output base path (writes <out>.csv)")
     p.set_defaults(func=cmd_generate)

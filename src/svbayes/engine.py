@@ -97,16 +97,6 @@ class TraceRecord(NamedTuple):
     mc_loglik: float
 
 
-TRACE_CSV_HEADER = "epoch,step,F,kl,mc_loglik"
-
-
-def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
-    lines = [TRACE_CSV_HEADER]
-    lines += [f"{r.epoch},{r.step},{r.free_energy!r},{r.kl!r},{r.mc_loglik!r}" for r in trace]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class FitResult:
     """The fitted posterior record (its mean, cov and rho are views of the

@@ -25,6 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
+DEFAULT_PRIOR_MEAN = 0.0
+DEFAULT_PRIOR_VAR = 100.0
+
 
 @dataclass(frozen=True)
 class PosteriorParams:

@@ -16,7 +16,7 @@ bits b of x: with a table of those columns for k = 1..BLOCK_STATES, one
 numpy reduction yields a block of states.  The logs and cosines of
 Box-Muller are taken with `math` (numpy's may differ in the last bit);
 the other operations are exact or correctly rounded in both.  Every draw
-method, the scalar ones included, takes this one path.
+method takes this one path.
 """
 
 from __future__ import annotations
@@ -86,14 +86,6 @@ class Rng:
 
     def _uniforms(self, n: int) -> np.ndarray:
         return self._bits53(n) / _TWO53
-
-    def uniform(self) -> float:
-        """One double in [0, 1) with 53 random bits."""
-        return float(self._uniforms(1)[0])
-
-    def standard_normal(self) -> float:
-        """One N(0, 1) draw; consumes two uniforms."""
-        return float(self.standard_normals(1)[0])
 
     def standard_normals(self, n: int) -> np.ndarray:
         """`n` independent N(0, 1) draws as a float64 vector.

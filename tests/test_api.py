@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import svbayes
-from svbayes import distributions, engine, posterior
+from svbayes import cli, distributions, engine, posterior
 
 
 def test_every_exported_name_resolves():
@@ -38,6 +38,32 @@ def test_unused_names_and_adam_settings_are_gone():
     assert not [name for name in ("C0_inv", "log_det_C0") if hasattr(prior, name)]
     # beta1, beta2 and eps_hat are fixed constants of the optimizer module
     assert list(inspect.signature(svbayes.Adam).parameters) == ["size", "learning_rate"]
+
+
+def test_csv_writing_lives_in_the_cli():
+    """`write_trace_csv` is exported from `cli`; `engine` writes no file, and
+    the generator has no scalar draw methods."""
+    assert svbayes.write_trace_csv is cli.write_trace_csv
+    assert not [n for n in ("write_trace_csv", "TRACE_CSV_HEADER") if hasattr(engine, n)]
+    assert "open(" not in Path(engine.__file__).read_text(encoding="utf-8")
+    assert not [n for n in ("_write_columns", "_grid_columns") if hasattr(cli, n)]
+    assert not [n for n in ("uniform", "standard_normal") if hasattr(svbayes.Rng, n)]
+
+
+def test_cli_runs_as_a_module_once():
+    """`import svbayes` loads `cli` only when `write_trace_csv` is read, so
+    `python -m svbayes.cli` runs the module once, without runpy's warning."""
+    env = {**os.environ, "PYTHONPATH": str(Path(svbayes.__file__).parents[1])}
+    code = (
+        "import sys, svbayes; assert 'svbayes.cli' not in sys.modules; "
+        "from svbayes import write_trace_csv; assert 'svbayes.cli' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "svbayes.cli", "--version"],
+        check=True, env=env, capture_output=True, text=True,
+    )
+    assert (done.stdout, done.stderr) == (f"svbayes {svbayes.__version__}\n", "")
 
 
 def test_domain_error_is_the_distributions_class():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from svbayes import cli, engine, grid_oracle
+from svbayes import cli, engine, grid_oracle, posterior
 from svbayes.distributions import Dataset, ModelKind, NaturalParams, pdf, sample_data
 from svbayes.posterior import PriorSpec, mvn_log_pdf
 
@@ -27,6 +27,22 @@ def dataset(tmp_path):
         "--n", "100", "--seed", "42", "--out", str(out),
     ]) == 0
     return tmp_path / "data.csv"
+
+
+def test_parsed_defaults_are_the_library_constants(capsys):
+    """The flags carry the library's defaults, and the help text states them."""
+    parser = cli.build_parser()
+    args = parser.parse_args(["generate", "--out", "d"])
+    assert (args.mu, args.variance, args.n) == (cli._TRUE_MU, cli._TRUE_VARIANCE, cli._N_SAMPLES)
+    for command in ("fit", "grid"):
+        args = parser.parse_args([command, "--data", "d.csv", "--out", "o"])
+        assert args.prior_mean == [posterior.DEFAULT_PRIOR_MEAN]
+        assert args.prior_var == [posterior.DEFAULT_PRIOR_VAR]
+    with pytest.raises(SystemExit):
+        parser.parse_args(["fit", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "prior mean, one shared or two per-dimension values (default 0)" in help_text
+    assert "prior variance per dimension (default 100, noninformative)" in help_text
 
 
 class TestGenerate:
@@ -522,8 +538,8 @@ class TestDottedOutputBases:
 
 
 def row_csv(header, rows):
-    """The per-row CSV formatting the column writer replaced, as an oracle:
-    one `repr(float(x))` per cell, comma-joined, a newline after each row."""
+    """The per-row CSV formatting as an oracle: one `repr(float(x))` per
+    cell, comma-joined, a newline after each row."""
     lines = [header + "\n"]
     for row in rows:
         lines.append(",".join(repr(float(x)) for x in row) + "\n")
@@ -536,16 +552,32 @@ def grid_rows(mu_axis, logvar_axis, mass, variance):
             yield (mu, lv, math.exp(lv), mass[i, j]) if variance else (mu, lv, mass[i, j])
 
 
-class TestColumnWriter:
+def trace_records(n):
+    """`n` trace records: awkward floats first, then floats at the scale of a
+    fit's F, KL and Monte Carlo log-likelihood."""
+    awkward = [-0.0, 5e-324, 1e16, 1e-5, -2.0, 1.0 / 3.0, -1.7976931348623157e308]
+    values = np.random.default_rng(5).normal([-200.0, 5.0, -195.0], 50.0, (n, 3)).tolist()
+    values[: len(awkward)] = [[a, -a, a / 3.0] for a in awkward]
+    return [engine.TraceRecord(i // 10, i % 10, *v) for i, v in enumerate(values)]
+
+
+def trace_csv(trace):
+    """The trace file record by record: two integers, then three `repr` floats."""
+    lines = ["epoch,step,F,kl,mc_loglik\n"]
+    for r in trace:
+        lines.append(",".join([str(r.epoch), str(r.step), *map(repr, r[2:])]) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+class TestRowWriter:
     """Every CSV the CLI writes is byte-identical to the per-row formatting."""
 
     AWKWARD = [-0.0, 5e-324, 1e16, 1e-5, 3.0, 0.0, -2.0, 1.0 / 3.0, 1.7976931348623157e308]
 
     def test_awkward_floats(self, tmp_path):
         path = tmp_path / "w.csv"
-        cli._write_columns(
-            path, "a,b", [[cli._reprs(self.AWKWARD), cli._reprs(self.AWKWARD[::-1])]]
-        )
+        pairs = zip(cli._reprs(self.AWKWARD), cli._reprs(self.AWKWARD[::-1]))
+        cli._write_rows(path, "a,b", [[f"{a},{b}\n" for a, b in pairs]])
         assert path.read_bytes() == row_csv("a,b", zip(self.AWKWARD, self.AWKWARD[::-1]))
         assert path.read_text().splitlines()[1] == "-0.0,1.7976931348623157e+308"
 
@@ -568,35 +600,36 @@ class TestColumnWriter:
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, 42)
         assert dataset.read_bytes() == row_csv("y", ([v] for v in data.values))
 
-    def test_grid_columns_cover_grid(self):
+    def test_grid_rows_cover_grid(self):
+        """One block per mu-line, each line's rows in logvar order."""
         data = Dataset(np.array([0.5, 1.0]))
         spec = grid_oracle.GridSpec(resolution=(11, 7))
         prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
         grid = grid_oracle.grid_posterior(ModelKind.GAUSSIAN, data, prior, spec)
-        header, blocks = cli._grid_columns(grid.mu_axis, grid.logvar_axis, grid.mass, False)
-        assert header == "mu,logvar,mass"
-        (columns,) = blocks
-        assert [len(c) for c in columns] == [11 * 7] * 3
-        assert columns[0][:8] == [repr(float(grid.mu_axis[0]))] * 7 + [repr(float(grid.mu_axis[1]))]
-        assert sum(float(x) for x in columns[2]) == pytest.approx(1.0, abs=1e-12)
+        blocks = list(cli._grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, False))
+        assert [len(rows) for rows in blocks] == [7] * 11
+        cells = [row.rstrip("\n").split(",") for rows in blocks for row in rows]
+        assert [c[0] for c in cells[:8]] == [repr(float(grid.mu_axis[0]))] * 7 + [
+            repr(float(grid.mu_axis[1]))
+        ]
+        assert sum(float(c[2]) for c in cells) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("chunk_rows", [10, 3], ids=["two-lines-a-block", "line-too-long"])
+    @pytest.mark.parametrize("chunk_rows", [10, 3], ids=["line-within-a-chunk", "line-too-long"])
     def test_grid_csv_in_blocks(self, tmp_path, monkeypatch, chunk_rows):
-        """Blocks of whole mu-lines (7 lines of 4 nodes: three blocks of two
-        and one of one), or one line a block where a line is longer than a
-        block: the bytes of the per-row formatting either way."""
+        """One block per mu-line (7 lines of 4 nodes), also where a line is
+        longer than DATA_CHUNK_ROWS: the bytes of the per-row formatting."""
         monkeypatch.setattr(cli, "DATA_CHUNK_ROWS", chunk_rows)
         mu, lv = np.linspace(-1.0, 3.0, 7), np.linspace(-0.7, 2.8, 4)
         mass = np.random.default_rng(3).dirichlet(np.ones(28)).reshape(7, 4)
-        path = tmp_path / "g.csv"
-        cli._write_columns(path, *cli._grid_columns(mu, lv, mass, True))
-        header = "mu,logvar,variance,mass"
+        assert [len(rows) for rows in cli._grid_rows(mu, lv, mass, True)] == [4] * 7
+        path, header = tmp_path / "g.csv", "mu,logvar,variance,mass"
+        cli._write_rows(path, header, cli._grid_rows(mu, lv, mass, True))
         assert path.read_bytes() == row_csv(header, grid_rows(mu, lv, mass, True))
 
     def test_large_grid_write_is_blocked(self, tmp_path):
         """A 600 x 600 grid CSV (360,000 rows, ~27 MB of text) is written
-        within 40 MB of traced peak (about 106 MB formatted in one piece): the
-        rows are never all formatted at once."""
+        within 2 MB of traced peak (about 106 MB formatted in one piece): one
+        mu-line of 600 rows is formatted at a time."""
         import tracemalloc
 
         mu, lv = np.linspace(-1.0, 3.0, 600), np.linspace(-0.7, 2.8, 600)
@@ -604,13 +637,39 @@ class TestColumnWriter:
         path = tmp_path / "g.csv"
         tracemalloc.start()
         try:
-            cli._write_columns(path, *cli._grid_columns(mu, lv, mass, True))
+            cli._write_rows(path, "mu,logvar,variance,mass", cli._grid_rows(mu, lv, mass, True))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         lines = path.read_text().splitlines()
         assert len(lines) == 600 * 600 + 1 and lines[-1].endswith(repr(float(mass[-1, -1])))
-        assert peak < 40 * 2**20, peak
+        assert peak < 2 * 2**20, peak
+
+    def test_trace_csv_in_blocks(self, tmp_path, monkeypatch):
+        """A trace of 23 records, three blocks of 7 and one of 2: the bytes of
+        the record-by-record formatting."""
+        monkeypatch.setattr(cli, "DATA_CHUNK_ROWS", 7)
+        trace = trace_records(23)
+        cli.write_trace_csv(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == trace_csv(trace)
+
+    def test_large_trace_write_is_blocked(self, tmp_path):
+        """200,000 records (about 12 MB of text) are written within 15 MB of
+        traced peak (about 48 MB formatted in one piece): at most
+        DATA_CHUNK_ROWS records are formatted at a time."""
+        import tracemalloc
+
+        trace = trace_records(200_000)
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            cli.write_trace_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = path.read_text().splitlines()
+        assert len(lines) == 200_000 + 1 and lines[-1].endswith(repr(trace[-1].mc_loglik))
+        assert peak < 15 * 2**20, peak
 
     @pytest.mark.parametrize("model", ["gaussian", "folded-normal"])
     def test_grid_mass_csv(self, tmp_path, model):

@@ -659,8 +659,8 @@ class TestSamplers:
 
     def test_uniform_range_and_determinism(self):
         r1, r2 = Rng(123), Rng(123)
-        seq1 = [r1.uniform() for _ in range(100)]
-        seq2 = [r2.uniform() for _ in range(100)]
+        seq1 = r1._uniforms(100).tolist()
+        seq2 = r2._uniforms(100).tolist()
         assert seq1 == seq2
         assert all(0.0 <= u < 1.0 for u in seq1)
 

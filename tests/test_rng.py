@@ -79,10 +79,16 @@ GOLDEN = {
 }
 
 
+def one_at_a_time(rng, method, n):
+    """`n` draws of one number per call, as Python floats: `method` names the
+    reference's scalar draw, and the generator draws it in a block of one."""
+    draw = {"uniform": rng._uniforms, "standard_normal": rng.standard_normals}[method]
+    return [float(draw(1)[0]) for _ in range(n)]
+
+
 @pytest.mark.parametrize("seed,method", sorted(GOLDEN))
 def test_golden_draws(seed, method):
-    rng = Rng(seed)
-    draws = [getattr(rng, method)() for _ in range(8)]
+    draws = one_at_a_time(Rng(seed), method, 8)
     assert [d.hex() for d in draws] == GOLDEN[seed, method]
 
 
@@ -96,13 +102,14 @@ def test_bulk_normals_match_golden(seed):
 @pytest.mark.parametrize("a,b", [(1, 1), (3, 17), (20, 1), (64, 100)])
 def test_split_invariance(seed, a, b):
     """standard_normals(a + b) equals standard_normals(a) then (b), and a loop
-    of standard_normal(), bit for bit; the stream continues identically."""
+    of one draw a call, bit for bit; the stream continues identically."""
     whole_rng, split_rng, loop_rng = Rng(seed), Rng(seed), Rng(seed)
     whole = whole_rng.standard_normals(a + b)
     split = np.concatenate([split_rng.standard_normals(a), split_rng.standard_normals(b)])
-    loop = np.array([loop_rng.standard_normal() for _ in range(a + b)])
+    loop = np.array(one_at_a_time(loop_rng, "standard_normal", a + b))
     assert whole.tobytes() == split.tobytes() == loop.tobytes()
-    assert whole_rng.uniform() == split_rng.uniform() == loop_rng.uniform()
+    next_draws = [r._uniforms(1).tolist() for r in (whole_rng, split_rng, loop_rng)]
+    assert next_draws[0] == next_draws[1] == next_draws[2]
 
 
 SEEDS = [0, 7, 42, 2**64 - 1]
@@ -113,7 +120,7 @@ def test_bulk_draws_match_the_scalar_reference(seed):
     rng, ref = Rng(seed), ScalarRng(seed)
     assert rng.standard_normals(100_000).tobytes() == ref.standard_normals(100_000).tobytes()
     assert rng._state == ref._state
-    assert [rng.uniform() for _ in range(10_000)] == [ref.uniform() for _ in range(10_000)]
+    assert one_at_a_time(rng, "uniform", 10_000) == [ref.uniform() for _ in range(10_000)]
     assert rng._state == ref._state
 
 
@@ -128,7 +135,7 @@ def test_draws_straddling_the_blocks_match_the_reference(seed):
     for n in sizes:
         assert rng.standard_normals(n).tobytes() == ref.standard_normals(n).tobytes(), n
         assert rng._state == ref._state, n
-    assert rng.uniform() == ref.uniform()
+    assert rng._uniforms(1)[0] == ref.uniform()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -142,7 +149,7 @@ def test_shuffle_matches_the_reference(seed):
         assert got.tobytes() == ref.shuffle(values).tobytes(), n
         assert got.dtype == values.dtype
         assert rng._state == ref._state, n
-    assert rng.standard_normal() == ref.standard_normal()
+    assert rng.standard_normals(1)[0] == ref.standard_normal()
 
 
 def test_draws_never_trip_a_raising_error_state():
@@ -157,7 +164,7 @@ def test_import_builds_no_table():
     code = (
         "import svbayes.cli, svbayes.rng as r; "
         "assert r._jump_table.cache_info().currsize == 0; "
-        "r.Rng(1).uniform(); assert r._jump_table.cache_info().currsize == 1"
+        "r.Rng(1).standard_normals(1); assert r._jump_table.cache_info().currsize == 1"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(svbayes.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
