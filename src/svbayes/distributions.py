@@ -13,9 +13,9 @@ points it costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
 rescaled batch value with closed-form partials (the fit step) or value
 only, at one theta point given as floats (the one-sample fit step, which
 gets floats back: past the Folded Normal's per-point terms and their sums it
-is float arithmetic) or at L points given as arrays, through the same
-expressions; :func:`loglik_at` sums the full-data value at many theta
-points (the final free energy, the grid oracle).
+is float arithmetic) or at L points given as arrays (the Folded Normal's a
+chunk of rows at a time), through the same expressions; :func:`loglik_at`
+sums the full-data value at many points (final free energy, grid oracle).
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from .rng import Rng
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
-# Likelihood terms (data point x theta row) per chunk of a folded value-only
-# call at many rows; bounds its working memory (one 512 KB buffer per call, so
-# one per worker in loglik_at) whatever the N.
+# Likelihood terms (data point x theta row) per chunk of a folded call at many
+# rows, with or without partials; bounds its working memory (one 512 KB buffer
+# per call, so one per worker in loglik_at) whatever the N and the rows.
 CHUNK_TERMS = 65_536
 
 
@@ -210,10 +210,11 @@ def loglik_terms(
     the same bits with or without partials, and a point gives the same bits
     as floats as it does as a row of arrays: at a point only the Folded
     Normal's per-point terms are an array, its two sums are made floats at
-    once and the rest is float arithmetic.  The data are unchecked (see
-    `loglik_at`, `engine.fit`).  Overflow in a numpy operation follows the
-    numpy error state; in the float arithmetic of a point it shows as an
-    inf or nan in the result.
+    once and the rest is float arithmetic.  Folded rows run CHUNK_TERMS terms
+    (at least a row) at a time; a chunk boundary can move a partial's last bit,
+    not a value.  The data are unchecked (see `loglik_at`, `engine.fit`).
+    Overflow in a numpy operation follows the numpy error state; in a point's
+    float arithmetic it shows as an inf or nan.
     """
     m = len(batch.y)
     # one point as floats runs on float arithmetic from here on; np.exp, not
@@ -235,32 +236,30 @@ def loglik_terms(
     # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
     y = batch.y
     a = beta * abs(mu)
-    if point or partials:
-        buf = y * (-2.0 * a) if point else np.multiply.outer(-2.0 * a, y)  # -2|z|, exactly
-        if partials:  # sum_m y_m tanh|z_m| >= 0; a point's reductions are made floats
-            tanh_y = np.tanh(-0.5 * buf) @ y
-            tanh_y = float(tanh_y) if point else tanh_y
-        np.exp(buf, out=buf)
-        soft = np.add.reduce(np.log1p(buf, out=buf), axis=-1)
-        soft = float(soft) if point else soft
-    else:  # many rows, value only: CHUNK_TERMS terms (at least a row) at a time in one
-        # aligned buffer; each row sums on its own, whatever chunk it lands in
-        rows, soft = max(1, CHUNK_TERMS // m), np.empty(len(a))
-        buf = _scratch(min(rows, len(a)) * m).reshape(-1, m)
-        for i in range(0, len(a), rows):
-            part = buf[: min(rows, len(a) - i)]
-            np.exp(np.multiply.outer(-2.0 * a[i : i + rows], y, out=part), out=part)
+    if point:  # -2|z|, exactly; sum_m y_m tanh|z_m| >= 0 and the soft sum made floats
+        buf = y * (-2.0 * a)
+        tanh_y = float(np.tanh(-0.5 * buf) @ y) if partials else None
+        soft = float(np.add.reduce(np.log1p(np.exp(buf, out=buf), out=buf)))
+    else:  # rows, a chunk at a time (see above); each row sums on its own
+        n, rows = len(a), CHUNK_TERMS // m or 1
+        soft, tanh_y = np.empty(n), np.empty(n) if partials else None
+        buf = _scratch(rows * m).reshape(rows, m) if rows < n else np.empty((n, m))
+        for i in range(0, n, rows):  # buf[: n - i]: the chunk's rows, a short last one too
+            part = np.multiply.outer(-2.0 * a[i : i + rows], y, out=buf[: n - i])
+            if partials:
+                np.matmul(np.tanh(-0.5 * part), y, out=tanh_y[i : i + rows])
+            np.exp(part, out=part)
             np.add.reduce(np.log1p(part, out=part), axis=-1, out=soft[i : i + rows])
         buf = part = None  # the row tail below does not hold the buffer
-    half_sumsq = beta * (0.5 * batch.yy + 0.5 * (m * mu) * mu)
+    scale, m_mu = n_total / m, m * mu
+    half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
     data = a * batch.sum_y + soft - half_sumsq
-    scale = n_total / m
-    value = 0.5 * n_total * (-theta2 - LOG_TWO_PI) + scale * data
+    value = -0.5 * n_total * (theta2 + LOG_TWO_PI) + scale * data
     if not partials:
         return value, None, None
     # partials of the data sum; beta = exp(-theta2) gives d/dtheta2 = -beta d/dbeta
     copysign = math.copysign if point else np.copysign  # tanh z = sign(mu) tanh|z|
-    d_mu = scale * (beta * (copysign(tanh_y, mu) - m * mu))
+    d_mu = scale * (beta * (copysign(tanh_y, mu) - m_mu))
     d_theta2 = -0.5 * n_total + scale * (half_sumsq - a * tanh_y)
     return value, d_mu, d_theta2
 

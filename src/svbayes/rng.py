@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -65,9 +66,13 @@ class Rng:
     """xorshift64* stream with Box-Muller normal deviates."""
 
     def __init__(self, seed: int) -> None:
-        if not 0 <= int(seed) <= _MASK64:
+        try:  # any integer type; int() would give a float or a string an integer's stream
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        if not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        self._state = _splitmix64(int(seed))
+        self._state = _splitmix64(seed)
         if self._state == 0:  # xorshift requires nonzero state
             self._state = 0x9E3779B97F4A7C15
 

@@ -347,6 +347,57 @@ class TestLoglikTerms:
             tracemalloc.stop()
         assert peak < CHUNK_TERMS * 8 + 6 * values.nbytes, peak
 
+    @pytest.mark.parametrize(
+        "n, chunk_terms, rows, chunk",
+        # 7 rows a chunk, the last of 3 short; more points than chunk terms: a row each
+        [(10, 70, 24, 70), (55, 50, 9, 55)],
+        ids=["remainder-chunk", "row-per-chunk"],
+    )
+    def test_rows_with_partials_over_chunks(self, n, chunk_terms, rows, chunk, monkeypatch):
+        """Rows with partials run chunk by chunk in one aligned buffer (one
+        chunk takes a plain array).  The values keep the bits of the one-chunk
+        call and of the value-only call; the partials, a matrix-vector product
+        per chunk, match the one-chunk call and the one-point float path to
+        1e-12 of the largest partial."""
+        kind = ModelKind.FOLDED_NORMAL
+        rng = np.random.default_rng(37)
+        data = np.abs(rng.normal(1.0, 2.0, size=n))
+        mu, theta2 = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(rows, 2)).T
+        batch = summarize(kind, data)
+        sizes, scratch = [], distributions._scratch
+        monkeypatch.setattr(distributions, "_scratch", lambda k: sizes.append(k) or scratch(k))
+        whole = distributions.loglik_terms(kind, batch, mu, theta2, n)
+        assert sizes == []
+        monkeypatch.setattr(distributions, "CHUNK_TERMS", chunk_terms)
+        value, *partials = distributions.loglik_terms(kind, batch, mu, theta2, n)
+        bare = distributions.loglik_terms(kind, batch, mu, theta2, n, False)[0]
+        assert sizes == [chunk, chunk]
+        assert value.tobytes() == whole[0].tobytes() == bare.tobytes()
+        at = zip(mu.tolist(), theta2.tolist())
+        points = zip(*(distributions.loglik_terms(kind, batch, m, t, n)[1:] for m, t in at))
+        for got, one_chunk, point in zip(partials, whole[1:], points):
+            atol = 1e-12 * np.abs(one_chunk).max()
+            np.testing.assert_allclose(got, one_chunk, rtol=0, atol=atol)
+            np.testing.assert_allclose(got, point, rtol=0, atol=atol)
+
+    def test_rows_with_partials_hold_few_chunk_buffers(self):
+        """One call with partials at 100 rows and N = 20,000 (a 16 MB (L, N)
+        array, three of them at once if built whole): the chunk loop holds its
+        buffer and two chunk temporaries of the tanh product, so the traced
+        peak stays below four chunk buffers plus a few row arrays."""
+        data = np.abs(1.0 + 2.0 * np.random.default_rng(38).standard_normal(20_000))
+        mu, theta2 = np.random.default_rng(39).uniform([-2.0, -1.0], [2.0, 2.0], (100, 2)).T
+        batch = summarize(ModelKind.FOLDED_NORMAL, data)
+        tracemalloc.start()
+        try:
+            value = distributions.loglik_terms(
+                ModelKind.FOLDED_NORMAL, batch, mu, theta2, len(data)
+            )[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * CHUNK_TERMS * 8 + 16 * value.nbytes, peak
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_no_rows_give_no_values(self, kind):
         assert loglik_at(kind, [1.0, 2.0], np.zeros((0, 2))).shape == (0,)

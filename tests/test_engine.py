@@ -504,6 +504,14 @@ class TestFit:
             fit(ModelKind.FOLDED_NORMAL, data, PRIOR, TrainConfig(epochs=3))
         assert steps == []
 
+    def test_non_integer_seed_raises_before_the_first_step(self, monkeypatch):
+        """A seed of 1.9 would otherwise run seed 1's fit and record 1.9."""
+        steps = []
+        monkeypatch.setattr(engine, "free_energy_and_grad", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=3, seed=1.9))
+        assert steps == []
+
     def test_divergent_initialization_aborts_with_diagnostics(self, monkeypatch):
         data = example1_data()
         start_from(monkeypatch, PosteriorParams(m=[0.0, 0.0], v=[700.0, 700.0], u=[0.0]))

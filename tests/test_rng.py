@@ -176,3 +176,14 @@ def test_seed_outside_64_bits_is_rejected(seed):
     seed (-1 that of 2^64 - 1); the generator refuses them instead."""
     with pytest.raises(ValueError, match="seed"):
         Rng(seed)
+
+
+@pytest.mark.parametrize("seed", [1.7, "1", np.float64(1.0)], ids=["float", "str", "np-float"])
+def test_non_integer_seed_is_rejected(seed):
+    """int() would give each of these seed 1's stream."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        Rng(seed)
+
+
+def test_numpy_integer_seed_draws_the_int_seeds_stream():
+    assert Rng(np.uint64(5)).standard_normals(8).tobytes() == Rng(5).standard_normals(8).tobytes()
