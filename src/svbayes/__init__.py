@@ -59,14 +59,5 @@ __all__ = [
     "make_batches",
     "pdf",
     "sample_data",
-    "write_trace_csv",
     "__version__",
 ]
-
-
-def __getattr__(name: str):
-    # `cli` loads on first use: imported with the package, `python -m svbayes.cli` runs it twice
-    if name == "write_trace_csv":
-        from .cli import write_trace_csv
-        return write_trace_csv
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,9 +7,11 @@ plot data (every CSV through `_write_rows`, a block of whole rows at a
 time), JSON for structured results, `repr` floats throughout for exact
 round-trips, `\\n` line endings, UTF-8.
 
-Exit codes: 0 success, 2 usage or invalid argument, 3 unreadable or
-malformed input file, 4 model domain violation, 5 divergence abort,
-6 grid underflow.
+A command parses its flags into the library's records (which own every
+default and check), calls the library, writes what it returns and exits
+with the `EXIT_CODES` row of the error class it meets: 0 success, 2 usage
+or invalid argument, 3 unreadable or malformed input file, 4 model domain
+violation, 5 divergence abort, 6 grid underflow.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from . import __version__, engine, grid_oracle
 from .distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
 from .engine import DivergenceError, TraceRecord, TrainConfig
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
-from .posterior import DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR, PriorSpec, correlation, mvn_log_pdf
-
-EXIT_USAGE = 2
-EXIT_INPUT = 3
-EXIT_DOMAIN = 4
-EXIT_DIVERGENCE = 5
-EXIT_GRID_UNDERFLOW = 6
+from .posterior import DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR, PriorSpec, mvn_log_pdf
 
 # Rows per formatted write of a data or trace CSV; a grid CSV writes a mu-line at a time.
 DATA_CHUNK_ROWS = 65_536
@@ -41,6 +37,16 @@ DATA_CHUNK_ROWS = 65_536
 
 class DataFileError(RuntimeError):
     """An input file was missing or failed to parse."""
+
+
+# the exit code of each error class, most specific first: a DomainError is a ValueError
+EXIT_CODES = {
+    GridUnderflowError: 6,
+    DivergenceError: 5,
+    DomainError: 4,
+    DataFileError: 3,
+    ValueError: 2,
+}
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -128,17 +134,6 @@ def read_data_csv(path: Path) -> Dataset:
         raise DataFileError(f"{path}: {err}") from err
 
 
-def _prior_from_args(args) -> PriorSpec:
-    means = _per_dimension(args.prior_mean, "prior-mean")
-    return PriorSpec.diagonal(means, _per_dimension(args.prior_var, "prior-var"))
-
-
-def _per_dimension(values: list[float], flag: str) -> list[float]:
-    if len(values) not in (1, 2):
-        raise ValueError(f"--{flag} takes one shared value or two per-dimension values")
-    return [values[0], values[-1]]
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -164,7 +159,7 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_data_csv(Path(args.data))
-    prior = _prior_from_args(args)
+    prior = PriorSpec.diagonal(args.prior_mean, args.prior_var)
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=None if args.batch_size == "full" else int(args.batch_size),
@@ -195,9 +190,10 @@ def cmd_fit(args) -> int:
 def cmd_grid(args) -> int:
     model = ModelKind(args.model)
     data = read_data_csv(Path(args.data))
-    prior = None if args.no_prior else _prior_from_args(args)
-    mu_range = grid_oracle.default_mu_range(model) if args.mu_range is None else args.mu_range
-    spec = GridSpec(tuple(mu_range), tuple(args.logvar_range), args.resolution)
+    prior = None if args.no_prior else PriorSpec.diagonal(args.prior_mean, args.prior_var)
+    spec = GridSpec(
+        args.mu_range and tuple(args.mu_range), tuple(args.logvar_range), args.resolution
+    )
     grid = grid_oracle.grid_posterior(model, data, prior, spec)
     base = Path(args.out)
     out_csv = _artifact(base, ".csv")
@@ -211,7 +207,7 @@ def cmd_grid(args) -> int:
         seed=None,
         configuration={
             "model": model.value,
-            "mu_range": list(spec.mu_range),
+            "mu_range": grid.mu_axis[[0, -1]].tolist(),  # linspace keeps the range's ends exactly
             "logvar_range": list(spec.logvar_range),
             "resolution": list(spec.axis_counts),
             "include_prior": prior is not None,
@@ -234,15 +230,8 @@ def cmd_compare(args) -> int:
         raise DataFileError(f"malformed JSON input: {err}") from err
     try:
         post = fit_doc["posterior"]
-        cov = np.asarray(post["C"], dtype=float)
-        if cov.shape != (2, 2):
-            raise ValueError(f"the fit's C must be 2x2, got shape {cov.shape}")
-        # a zero or non-finite variance gives an inf or nan rho; compare_moments refuses both
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fit_rho = correlation(cov)
         report = compare_moments(
-            grid_doc["means"], grid_doc["variances"], grid_doc["rho"],
-            post["m"], np.diag(cov), fit_rho,
+            grid_doc["means"], grid_doc["variances"], grid_doc["rho"], post["m"], post["C"]
         )
     except KeyError as err:
         raise DataFileError(f"incompatible artifacts: missing field {err}") from err
@@ -287,7 +276,7 @@ def cmd_figure(args) -> int:
     model: ModelKind = settings["model"]
     params = NaturalParams.from_mean_variance(_TRUE_MU, _TRUE_VARIANCE)
     data = sample_data(model, params, _N_SAMPLES, args.seed)
-    prior = PriorSpec.diagonal([DEFAULT_PRIOR_MEAN] * 2, [DEFAULT_PRIOR_VAR] * 2)
+    prior = PriorSpec.diagonal(DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR)
 
     fits = {}
     for label, corr in (("nocorr", False), ("corr", True)):
@@ -321,8 +310,7 @@ def cmd_figure(args) -> int:
         outputs["panel_a_true_pdf"] = pdf_path.name
 
         # the reference grid reproduces the likelihood-only evaluation
-        spec = GridSpec(mu_range=grid_oracle.default_mu_range(model))
-        grid = grid_oracle.grid_posterior(model, data, None, spec)
+        grid = grid_oracle.grid_posterior(model, data, None, GridSpec())
         grid_path = out_dir / "panel_b_grid.csv"
         header = "mu,logvar,variance,mass"
         _write_rows(grid_path, header, _grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, True))
@@ -436,28 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GridUnderflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_GRID_UNDERFLOW
-    except DivergenceError as err:
-        print(f"error: optimization diverged: {err}", file=sys.stderr)
-        if err.recent:
+    except tuple(EXIT_CODES) as err:
+        diverged = isinstance(err, DivergenceError)
+        print(f"error: {'optimization diverged: ' if diverged else ''}{err}", file=sys.stderr)
+        if diverged and err.recent:
             last_f = ", ".join(repr(r.free_energy) for r in err.recent)
             print(f"F over the {len(err.recent)} steps before: {last_f}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DataFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(err, cls))
 
 
 if __name__ == "__main__":

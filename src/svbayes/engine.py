@@ -37,7 +37,7 @@ from . import distributions, posterior
 from .distributions import Dataset, ModelKind
 from .optimizer import Adam
 from .posterior import PosteriorParams, PriorSpec
-from .rng import Rng
+from .rng import Rng, check_seed
 
 # Normal draws per `Rng.standard_normals` call in `_noise`: a whole fit's
 # noise at the usual sizes, a bounded buffer at any step count and L.
@@ -61,8 +61,9 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Settings for one fit, the one home of their defaults and checks: epochs
-    and mc_samples >= 1, final_fe_samples >= 2, a finite learning rate >= 0.
-    `batch_size=None` means full-data steps; `make_batches` checks a size."""
+    and mc_samples >= 1, final_fe_samples >= 2, a finite learning rate >= 0,
+    a seed `rng.check_seed` takes (kept as a plain int).  `batch_size=None`
+    means full-data steps; `make_batches` checks a size."""
 
     epochs: int = 400
     batch_size: int | None = None
@@ -82,6 +83,7 @@ class TrainConfig:
             raise ValueError("final_fe_samples must be >= 2")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -4,7 +4,8 @@ The unnormalized log posterior is evaluated on a rectangular grid,
 stabilized by subtracting its maximum, exponentiated and normalized to unit
 mass (rectangle rule).  Moments, MAP location and the correlation
 coefficient of the discrete density serve as the reference against which
-stochastic fits are judged.
+stochastic fits are judged, from their mean and covariance alone (a
+`PosteriorParams`, or a fit JSON's `m` and `C`): this module needs no engine.
 
 The likelihood comes from `distributions.loglik_at`, the evaluator the
 fit's final free energy uses, at the flattened (n_mu * n_logvar, 2) node
@@ -21,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Dataset, ModelKind, loglik_at
-from .engine import FitResult
-from .posterior import PriorSpec
+from .posterior import PosteriorParams, PriorSpec, correlation
 
 
 class GridUnderflowError(RuntimeError):
@@ -47,15 +47,15 @@ def default_mu_range(model: ModelKind) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis ranges and node counts for the evaluation grid."""
+    """Axis ranges and node counts for the grid; mu_range None: the model's default."""
 
-    mu_range: tuple[float, float] = DEFAULT_MU_RANGE
+    mu_range: tuple[float, float] | None = None
     logvar_range: tuple[float, float] = DEFAULT_LOGVAR_RANGE
     resolution: int | tuple[int, int] = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
         for name, (lo, hi) in (
-            ("mu_range", self.mu_range),
+            ("mu_range", DEFAULT_MU_RANGE if self.mu_range is None else self.mu_range),
             ("logvar_range", self.logvar_range),
         ):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -127,7 +127,8 @@ def grid_posterior(
     model's support.
     """
     n_mu, n_logvar = spec.axis_counts
-    mu_axis = np.linspace(*spec.mu_range, n_mu)
+    mu_range = default_mu_range(model) if spec.mu_range is None else spec.mu_range
+    mu_axis = np.linspace(*mu_range, n_mu)
     logvar_axis = np.linspace(*spec.logvar_range, n_logvar)
     nodes = grid_nodes(mu_axis, logvar_axis).reshape(-1, 2)
 
@@ -188,12 +189,9 @@ class ComparisonReport:
         }
 
     def table(self) -> str:
-        names = ["mu", "log_var"]
         lines = [f"{'parameter':<10}{'|mean diff|':>14}{'var ratio':>12}"]
-        for i, name in enumerate(names[: len(self.mean_abs_diff)]):
-            lines.append(
-                f"{name:<10}{self.mean_abs_diff[i]:>14.6f}{self.variance_ratio[i]:>12.4f}"
-            )
+        for name, diff, ratio in zip(("mu", "log_var"), self.mean_abs_diff, self.variance_ratio):
+            lines.append(f"{name:<10}{diff:>14.6f}{ratio:>12.4f}")
         lines.append(
             f"rho: grid={self.rho_grid:.4f} fit={self.rho_fit:.4f} "
             f"|diff|={self.rho_abs_diff:.4f} signs_agree={self.correlation_signs_agree}"
@@ -202,23 +200,22 @@ class ComparisonReport:
 
 
 def compare_moments(
-    grid_means,
-    grid_variances,
-    grid_rho: float,
-    fit_means,
-    fit_variances,
-    fit_rho: float,
+    grid_means, grid_variances, grid_rho: float, fit_mean, fit_cov
 ) -> ComparisonReport:
-    grid_means, fit_means, grid_variances, fit_variances = moments = [
-        np.asarray(a, dtype=float) for a in (grid_means, fit_means, grid_variances, fit_variances)
-    ]
+    """Grid moments against a fit's mean and 2x2 covariance (its variances and rho)."""
+    fit_cov = np.asarray(fit_cov, dtype=float)
+    if fit_cov.shape != (2, 2):
+        raise ValueError(f"the fit's C must be 2x2, got shape {fit_cov.shape}")
+    moments = [np.asarray(a, dtype=float) for a in (grid_means, fit_mean, grid_variances)]
+    grid_means, fit_means, grid_variances, fit_variances = moments = [*moments, np.diag(fit_cov)]
     if len({a.shape for a in moments}) != 1:
         shapes = [a.shape for a in moments]
         raise ValueError(f"parameter count mismatch: grid/fit means, grid/fit variances {shapes}")
-    grid_rho, fit_rho = float(grid_rho), float(fit_rho)
-    finite = np.isfinite(moments).all() and math.isfinite(grid_rho) and math.isfinite(fit_rho)
+    grid_rho = float(grid_rho)
+    finite = np.isfinite(moments).all() and np.isfinite(fit_cov).all() and math.isfinite(grid_rho)
     if not (finite and (grid_variances > 0.0).all() and (fit_variances > 0.0).all()):
         raise ValueError("moments must be finite and variances positive")
+    fit_rho = correlation(fit_cov)
     # a computed correlation may pass 1 by a few ulps, no more
     if max(abs(grid_rho), abs(fit_rho)) > 1.0 + 1e-12:
         raise ValueError(f"correlations must be in [-1, 1], got grid {grid_rho}, fit {fit_rho}")
@@ -233,7 +230,6 @@ def compare_moments(
     )
 
 
-def compare(grid: GridResult, fit: FitResult) -> ComparisonReport:
-    """Compare grid moments with a fitted posterior's moments."""
-    q = fit.posterior
-    return compare_moments(grid.means, grid.variances, grid.rho, q.mean, np.diag(q.cov), q.rho)
+def compare(grid: GridResult, q: PosteriorParams) -> ComparisonReport:
+    """Compare grid moments with a fitted posterior's (`FitResult.posterior`)."""
+    return compare_moments(grid.means, grid.variances, grid.rho, q.mean, q.cov)

@@ -144,8 +144,15 @@ class PriorSpec:
         return mvn_log_pdf(points, self.m0, self.C0)
 
     @classmethod
-    def diagonal(cls, means: Sequence[float], variances: Sequence[float]) -> "PriorSpec":
-        return cls(m0=np.asarray(means, dtype=float), C0=np.diag(variances))
+    def diagonal(cls, means, variances) -> "PriorSpec":
+        """Independent prior from one shared or two per-dimension values each."""
+        m0, var = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (means, variances))
+        for name, x in (("mean", m0), ("variance", var)):
+            if x.shape not in ((1,), (2,)):
+                raise ValueError(
+                    f"prior {name} takes one shared or two per-dimension values, got {x.tolist()}"
+                )
+        return cls(m0=np.resize(m0, 2), C0=np.diag(np.resize(var, 2)))
 
 
 def mvn_log_pdf(points, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

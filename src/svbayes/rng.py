@@ -62,17 +62,22 @@ def _jump_table() -> np.ndarray:
     return table
 
 
+def check_seed(seed) -> int:
+    """`seed` as a plain int, or ValueError unless it is an integer in [0, 2**64)."""
+    try:  # any integer type; int() would give a float or a string an integer's stream
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 class Rng:
     """xorshift64* stream with Box-Muller normal deviates."""
 
     def __init__(self, seed: int) -> None:
-        try:  # any integer type; int() would give a float or a string an integer's stream
-            seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {seed!r}") from None
-        if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-        self._state = _splitmix64(seed)
+        self._state = _splitmix64(check_seed(seed))
         if self._state == 0:  # xorshift requires nonzero state
             self._state = 0x9E3779B97F4A7C15
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import svbayes
-from svbayes import cli, distributions, engine, posterior
+from svbayes import cli, distributions, engine, grid_oracle, posterior
 
 
 def test_every_exported_name_resolves():
@@ -41,23 +41,30 @@ def test_unused_names_and_adam_settings_are_gone():
 
 
 def test_csv_writing_lives_in_the_cli():
-    """`write_trace_csv` is exported from `cli`; `engine` writes no file, and
-    the generator has no scalar draw methods."""
-    assert svbayes.write_trace_csv is cli.write_trace_csv
+    """`write_trace_csv` lives in `cli` alone: the package does not re-export
+    it; `engine` writes no file, and the generator has no scalar draw methods."""
+    assert callable(cli.write_trace_csv)
+    assert "write_trace_csv" not in svbayes.__all__
+    assert not [n for n in ("write_trace_csv", "__getattr__") if hasattr(svbayes, n)]
     assert not [n for n in ("write_trace_csv", "TRACE_CSV_HEADER") if hasattr(engine, n)]
     assert "open(" not in Path(engine.__file__).read_text(encoding="utf-8")
     assert not [n for n in ("_write_columns", "_grid_columns") if hasattr(cli, n)]
     assert not [n for n in ("uniform", "standard_normal") if hasattr(svbayes.Rng, n)]
 
 
+def test_oracle_does_not_import_the_engine():
+    """`grid_oracle` compares a `PosteriorParams`, not a `FitResult`, so it
+    needs nothing from the engine."""
+    source = Path(grid_oracle.__file__).read_text(encoding="utf-8")
+    assert not re.search(r"^from \.engine import|^from \. import .*\bengine\b", source, re.M)
+    assert list(inspect.signature(grid_oracle.compare).parameters) == ["grid", "q"]
+
+
 def test_cli_runs_as_a_module_once():
-    """`import svbayes` loads `cli` only when `write_trace_csv` is read, so
-    `python -m svbayes.cli` runs the module once, without runpy's warning."""
+    """`import svbayes` does not load `cli`, so `python -m svbayes.cli` runs
+    the module once, without runpy's warning."""
     env = {**os.environ, "PYTHONPATH": str(Path(svbayes.__file__).parents[1])}
-    code = (
-        "import sys, svbayes; assert 'svbayes.cli' not in sys.modules; "
-        "from svbayes import write_trace_csv; assert 'svbayes.cli' in sys.modules"
-    )
+    code = "import sys, svbayes; assert 'svbayes.cli' not in sys.modules, sorted(sys.modules)"
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "svbayes.cli", "--version"],
@@ -83,12 +90,14 @@ def test_autodiff_placeholder_is_empty_and_not_imported():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_readme_library_example_runs(capsys):
+def test_readme_library_example_runs(capsys, tmp_path, monkeypatch):
     """The "Library use" block of README.md runs as written against the package."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace = {}
+    monkeypatch.chdir(tmp_path)  # the example writes its trace to the working directory
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["result"].steps == 400
     assert "rho" in capsys.readouterr().out
+    assert len((tmp_path / "fit.trace.csv").read_text().splitlines()) == 401

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from svbayes import cli, engine, grid_oracle, posterior
-from svbayes.distributions import Dataset, ModelKind, NaturalParams, pdf, sample_data
+from svbayes.distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
 from svbayes.posterior import PriorSpec, mvn_log_pdf
 
 
@@ -45,6 +45,39 @@ def test_parsed_defaults_are_the_library_constants(capsys):
     assert "prior variance per dimension (default 100, noninformative)" in help_text
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (grid_oracle.GridUnderflowError("no mass"), 6),
+        (engine.DivergenceError("non-finite objective", [], [0.0]), 5),
+        (DomainError("negative data"), 4),
+        (cli.DataFileError("cannot read"), 3),
+        (ValueError("bad value"), 2),
+    ],
+    ids=["grid-underflow", "divergence", "domain", "data-file", "value"],
+)
+def test_exit_code_table(monkeypatch, capsys, error, code):
+    """Each error class exits with its code and one `error: ` line; a
+    DomainError is a ValueError, yet exits 4, not 2."""
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    assert run(["generate", "--out", "unused"]) == code
+    prefix = "optimization diverged: " if code == 5 else ""
+    assert capsys.readouterr().err == f"error: {prefix}{error}\n"
+    assert isinstance(error, ValueError) == (code in (2, 4))
+
+
+def test_an_error_outside_the_table_propagates(monkeypatch):
+    def fail(args):
+        raise KeyError("not an exit code")
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    with pytest.raises(KeyError):
+        run(["generate", "--out", "unused"])
+
+
 class TestGenerate:
     def test_writes_expected_rows(self, dataset):
         lines = dataset.read_text().splitlines()
@@ -66,11 +99,11 @@ class TestGenerate:
 
     def test_invalid_variance_is_usage_error(self, tmp_path):
         code = run(["generate", "--variance", "-1", "--out", str(tmp_path / "x")])
-        assert code == cli.EXIT_USAGE
+        assert code == 2
 
     def test_invalid_n_is_usage_error(self, tmp_path):
         code = run(["generate", "--n", "0", "--out", str(tmp_path / "x")])
-        assert code == cli.EXIT_USAGE
+        assert code == 2
 
 
 class TestFit:
@@ -126,26 +159,26 @@ class TestFit:
             "fit", "--data", str(bad), "--model", "folded-normal",
             "--epochs", "2", "--out", str(tmp_path / "f"),
         ])
-        assert code == cli.EXIT_DOMAIN
+        assert code == 4
 
     def test_missing_data_file_exit(self, tmp_path):
         code = run([
             "fit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "f"),
         ])
-        assert code == cli.EXIT_INPUT
+        assert code == 3
 
     def test_malformed_data_file_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("y\n1.0\npotato\n")
         code = run(["fit", "--data", str(bad), "--out", str(tmp_path / "f")])
-        assert code == cli.EXIT_INPUT
+        assert code == 3
 
     def test_bad_batch_size_exit(self, dataset, tmp_path):
         code = run([
             "fit", "--data", str(dataset), "--batch-size", "0",
             "--out", str(tmp_path / "f"),
         ])
-        assert code == cli.EXIT_USAGE
+        assert code == 2
 
     @pytest.mark.parametrize("model", ["gaussian", "folded-normal"])
     @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
@@ -163,7 +196,7 @@ class TestFit:
             "fit", "--data", str(data), "--model", model, "--batch-size", "2",
             "--epochs", "3", "--out", str(tmp_path / "f"),
         ]
-        assert run(args + ["--shuffle"] * shuffle) == cli.EXIT_DIVERGENCE
+        assert run(args + ["--shuffle"] * shuffle) == 5
         assert "optimization diverged" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
@@ -176,7 +209,7 @@ class TestFit:
             "fit", "--data", str(data), "--batch-size", "4", "--epochs", "3", "--shuffle",
             "--out", str(tmp_path / "f"),
         ])
-        assert code == cli.EXIT_DIVERGENCE
+        assert code == 5
         assert "optimization diverged" in capsys.readouterr().err
 
     def test_divergence_message_shows_the_last_free_energies(
@@ -197,7 +230,7 @@ class TestFit:
 
         monkeypatch.setattr(engine, "free_energy_and_grad", nan_gradient_at_step_7)
         capsys.readouterr()
-        assert run(args + [str(tmp_path / "f")]) == cli.EXIT_DIVERGENCE
+        assert run(args + [str(tmp_path / "f")]) == 5
         err = capsys.readouterr().err
         assert "(step 7, zeta=" in err
         assert f"F over the 5 steps before: {want}\n" in err
@@ -208,7 +241,7 @@ class TestFit:
             "fit", "--data", str(dataset), f"--lr={lr}", "--epochs", "2",
             "--out", str(tmp_path / "f"),
         ])
-        assert code == cli.EXIT_USAGE
+        assert code == 2
         assert "learning rate must be finite" in capsys.readouterr().err
         assert not (tmp_path / "f.json").exists()
 
@@ -221,7 +254,7 @@ class TestFit:
             command, "--data", str(dataset), "--prior-var", var,
             "--out", str(tmp_path / "out" / "f"),
         ])
-        assert code == cli.EXIT_USAGE
+        assert code == 2
         message = {
             "nan": "prior covariance entries must be finite",
             "inf": "prior covariance entries must be finite",
@@ -238,8 +271,22 @@ class TestFit:
             command, "--data", str(dataset), f"--prior-mean={mean}",
             "--out", str(tmp_path / "out" / "f"),
         ])
-        assert code == cli.EXIT_USAGE
+        assert code == 2
         assert "prior mean entries must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("command", ["fit", "grid"])
+    @pytest.mark.parametrize("flag", ["--prior-mean", "--prior-var"])
+    def test_three_prior_values_are_usage_error(self, dataset, tmp_path, capsys, command, flag):
+        code = run([
+            command, "--data", str(dataset), flag, "1", "2", "3",
+            "--out", str(tmp_path / "out" / "f"),
+        ])
+        assert code == 2
+        name = "mean" if flag == "--prior-mean" else "variance"
+        message = f"prior {name} takes one shared or two per-dimension values, got"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -289,18 +336,26 @@ class TestGrid:
             True, [0.0, 0.0], [100.0, 100.0]
         )
 
+    def test_manifest_records_a_given_mu_range(self, dataset, tmp_path):
+        assert run([
+            "grid", "--data", str(dataset), "--mu-range", "-0.7", "2.9", "--resolution", "31",
+            "--out", str(tmp_path / "g"),
+        ]) == 0
+        manifest = json.loads((tmp_path / "g.manifest.json").read_text())
+        assert manifest["configuration"]["mu_range"] == [-0.7, 2.9]
+
     def test_underflow_exit_code(self, dataset, tmp_path):
         code = run([
             "grid", "--data", str(dataset), "--resolution", "11",
             "--logvar-range", "-800", "-700", "--out", str(tmp_path / "g"),
         ])
-        assert code == cli.EXIT_GRID_UNDERFLOW
+        assert code == 6
 
     def test_non_finite_range_is_usage_error(self, dataset, tmp_path):
         code = run([
             "grid", "--data", str(dataset), "--mu-range", "-1", "1e400", "--out", str(tmp_path / "g"),
         ])
-        assert code == cli.EXIT_USAGE
+        assert code == 2
 
     def test_one_node_mass_exit_code(self, tmp_path):
         """10,000 points on 5 nodes per axis put all mass on one mu node;
@@ -312,7 +367,7 @@ class TestGrid:
             "grid", "--data", str(tmp_path / "big.csv"), "--resolution", "5",
             "--out", str(tmp_path / "g"),
         ])
-        assert code == cli.EXIT_GRID_UNDERFLOW
+        assert code == 6
         assert not (tmp_path / "g.summary.json").exists()
 
     @pytest.mark.parametrize("resolution", [7, 9, 11, 15, 21, 41])
@@ -326,7 +381,7 @@ class TestGrid:
             "grid", "--data", str(tmp_path / "big.csv"), "--resolution", str(resolution),
             "--out", str(tmp_path / "g"),
         ])
-        assert code == cli.EXIT_GRID_UNDERFLOW
+        assert code == 6
         assert not (tmp_path / "g.summary.json").exists()
 
     def test_folded_domain_violation_exit(self, tmp_path):
@@ -336,7 +391,7 @@ class TestGrid:
             "grid", "--data", str(data), "--model", "folded-normal",
             "--resolution", "11", "--out", str(tmp_path / "g"),
         ])
-        assert code == cli.EXIT_DOMAIN
+        assert code == 4
 
 
 class TestCompare:
@@ -373,7 +428,7 @@ class TestCompare:
 
     def test_missing_file_exit(self, tmp_path):
         code = run(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
-        assert code == cli.EXIT_INPUT
+        assert code == 3
 
     def test_incompatible_artifact_exit(self, dataset, tmp_path):
         (tmp_path / "notafit.json").write_text("{}")
@@ -385,7 +440,7 @@ class TestCompare:
             "compare", str(tmp_path / "notafit.json"),
             str(tmp_path / "grid.summary.json"),
         ])
-        assert code == cli.EXIT_INPUT
+        assert code == 3
 
     @pytest.mark.parametrize(
         "document, field, value",
@@ -423,8 +478,20 @@ class TestCompare:
         (tmp_path / "f.json").write_text(json.dumps(fit_doc))
         (tmp_path / "g.json").write_text(json.dumps(grid_doc))
         capsys.readouterr()
-        assert run(["compare", str(tmp_path / "f.json"), str(tmp_path / "g.json")]) == cli.EXIT_INPUT
+        assert run(["compare", str(tmp_path / "f.json"), str(tmp_path / "g.json")]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_negative_fit_variance_is_refused_by_name(self, dataset, tmp_path, capsys):
+        assert run([
+            "grid", "--data", str(dataset), "--resolution", "21", "--out", str(tmp_path / "grid"),
+        ]) == 0
+        fit_doc = {"posterior": {"m": [1.0, 1.0], "C": [[-1.0, 0.0], [0.0, 1.0]]}}
+        (tmp_path / "f.json").write_text(json.dumps(fit_doc))
+        capsys.readouterr()
+        assert run(["compare", str(tmp_path / "f.json"), str(tmp_path / "grid.summary.json")]) == 3
+        assert capsys.readouterr().err == (
+            "error: incompatible artifacts: moments must be finite and variances positive\n"
+        )
 
     def test_fit_correlation_comes_from_its_covariance(self, dataset, tmp_path):
         """The fit JSON's `rho` is a view of its `C`; compare reads C only, so
@@ -444,7 +511,7 @@ class TestCompare:
 
 class TestFigure:
     def test_invalid_id_is_usage_error(self, tmp_path):
-        assert run(["figure", "9", "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert run(["figure", "9", "--out-dir", str(tmp_path)]) == 2
 
     def test_figure2_trace_bundle(self, tmp_path):
         out = tmp_path / "fig2"
@@ -490,7 +557,7 @@ class TestSeedRange:
             "figure": ["figure", "6", "--out-dir", str(out)],
         }[command]
         before = sorted(tmp_path.iterdir())
-        assert run(argv + ["--seed", seed]) == cli.EXIT_USAGE
+        assert run(argv + ["--seed", seed]) == 2
         assert sorted(tmp_path.iterdir()) == before
 
     def test_largest_seed_still_runs(self, dataset, tmp_path):
@@ -688,6 +755,8 @@ class TestRowWriter:
             "mu,logvar,mass", grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, False)
         )
         assert (tmp_path / "g.csv").read_bytes() == expected
+        manifest = json.loads((tmp_path / "g.manifest.json").read_text())
+        assert manifest["configuration"]["mu_range"] == list(mu_range)
 
     @pytest.mark.parametrize("figure_id", [1, 5])
     def test_figure_panels(self, tmp_path, figure_id):

@@ -621,3 +621,23 @@ class TestFit:
         for lr in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.9, "seed must be an integer"),
+            (-1, r"seed must be in \[0, 2\*\*64\)"),
+            (2**64, r"seed must be in \[0, 2\*\*64\)"),
+        ],
+        ids=["float", "negative", "2**64"],
+    )
+    def test_config_refuses_a_seed_fit_would_refuse(self, seed, message):
+        """The config checks its seed as `Rng` does, so no record reports a
+        seed that no fit can run (1.9 would otherwise be written to the JSON)."""
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(seed=seed)
+
+    def test_config_stores_a_numpy_integer_seed_as_an_int(self):
+        config = TrainConfig(seed=np.uint64(5))
+        assert type(config.seed) is int and config.seed == 5
+        assert type(config.to_json_dict()["seed"]) is int

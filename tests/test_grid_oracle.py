@@ -25,7 +25,7 @@ from svbayes.grid_oracle import (
     grid_posterior,
     normalize_log_density,
 )
-from svbayes.posterior import PriorSpec
+from svbayes.posterior import PriorSpec, correlation
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
 # each model's default mu range: the folded likelihood is even in mu
@@ -107,8 +107,21 @@ class TestNormalization:
 
     @MODEL_MU_RANGES
     def test_default_mu_range_follows_the_model(self, model, mu_range):
-        """The CLI and the figures take the model's default mu range from here."""
+        """A grid without a mu range takes the model's default from here."""
         assert default_mu_range(model) == mu_range
+
+    @MODEL_MU_RANGES
+    def test_spec_without_mu_range_takes_the_models_default(self, model, mu_range):
+        """`GridSpec()` grids a folded likelihood over the half-plane mu >= 0,
+        not over the Gaussian range, where the mirror mode would pull the mean
+        mu towards 0."""
+        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=201)
+        default = grid_posterior(model, data, PRIOR, GridSpec())
+        explicit = grid_posterior(model, data, PRIOR, GridSpec(mu_range=mu_range))
+        assert GridSpec().mu_range is None
+        assert default.mu_axis[[0, -1]].tolist() == list(mu_range)
+        np.testing.assert_array_equal(default.mass, explicit.mass)
+        assert (default.means.tolist(), default.rho) == (explicit.means.tolist(), explicit.rho)
 
     @MODEL_MU_RANGES
     @pytest.mark.parametrize("seed", range(5))
@@ -234,12 +247,20 @@ class TestMoments:
         assert grid.rho < 0.0
 
 
+def cov_of(variances, rho):
+    """The 2x2 covariance with these variances and correlation."""
+    v0, v1 = variances
+    c01 = rho * math.sqrt(v0 * v1)
+    return [[v0, c01], [c01, v1]]
+
+
 class TestCompare:
     def test_reflexive_comparison_is_zero(self):
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=7)
         grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=51))
+        cov = cov_of(grid.variances, grid.rho)
         report = compare_moments(
-            grid.means, grid.variances, grid.rho, grid.means, grid.variances, grid.rho
+            grid.means, grid.variances, correlation(np.array(cov)), grid.means, cov
         )
         np.testing.assert_array_equal(report.mean_abs_diff, np.zeros(2))
         np.testing.assert_array_equal(report.variance_ratio, np.ones(2))
@@ -250,7 +271,10 @@ class TestCompare:
         """A correlation within RHO_SIGN_FLOOR of zero agrees with either
         sign (the README example's pair); two clear opposite signs do not."""
         def agree(grid_rho, fit_rho):
-            report = compare_moments([0.0, 0.0], [1.0, 1.0], grid_rho, [0.0, 0.0], [1.0, 1.0], fit_rho)
+            report = compare_moments(
+                [0.0, 0.0], [1.0, 1.0], grid_rho, [0.0, 0.0], cov_of([1.0, 1.0], fit_rho)
+            )
+            assert report.rho_fit == fit_rho
             return report.correlation_signs_agree
 
         assert agree(-0.0002, 0.0322) and agree(0.0322, -0.0002)
@@ -258,30 +282,55 @@ class TestCompare:
         assert agree(-0.78, -0.30)
 
     def test_parameter_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compare_moments([0.0, 0.0], [1.0, 1.0], 0.0, [0.0], [1.0], 0.0)
+        with pytest.raises(ValueError, match="parameter count mismatch"):
+            compare_moments([0.0, 0.0], [1.0, 1.0], 0.0, [0.0], np.eye(2))
+        with pytest.raises(ValueError, match="parameter count mismatch"):
+            compare_moments([0.0], [1.0], 0.0, [0.0, 0.0], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "cov", [[[1.0, 0.0]], [[1.0]], np.eye(3), [1.0, 1.0]], ids=["1x2", "1x1", "3x3", "flat"]
+    )
+    def test_covariance_not_2x2_rejected(self, cov):
+        with pytest.raises(ValueError, match="the fit's C must be 2x2"):
+            compare_moments([0.0, 0.0], [1.0, 1.0], 0.0, [0.0, 0.0], cov)
+
+    @pytest.mark.parametrize(
+        "variances", [(0.0, 1.0), (1.0, -1.0), (-1.0, -4.0)], ids=["zero", "negative", "both-negative"]
+    )
+    def test_non_positive_fit_variance_rejected(self, variances):
+        """The variance check comes before the correlation: one negative
+        variance is refused by name, not by a math domain error."""
+        cov = [[variances[0], 0.0], [0.0, variances[1]]]
+        with pytest.raises(ValueError, match="variances positive"):
+            compare_moments([0.0, 0.0], [1.0, 1.0], 0.0, [0.0, 0.0], cov)
 
     @pytest.mark.parametrize("rho", [5.0, -3.0, 1.0 + 1e-9, -1.0 - 1e-9])
     @pytest.mark.parametrize("side", ["grid", "fit"])
     def test_correlation_outside_unit_interval_rejected(self, rho, side):
+        """The grid's rho is given; the fit's is read from a C with unit
+        variances and `rho` off the diagonal."""
         rhos = {"grid": 0.1, "fit": 0.1, side: rho}
         with pytest.raises(ValueError, match=r"correlations must be in \[-1, 1\]"):
-            compare_moments([0.0, 0.0], [1.0, 1.0], rhos["grid"], [0.0, 0.0], [1.0, 1.0], rhos["fit"])
+            compare_moments(
+                [0.0, 0.0], [1.0, 1.0], rhos["grid"], [0.0, 0.0], cov_of([1.0, 1.0], rhos["fit"])
+            )
 
     def test_correlation_rounded_past_one_is_accepted(self):
         """A computed correlation may pass +-1 by a few ulps."""
         edge = 1.0 + 4 * np.finfo(float).eps
-        report = compare_moments([0.0, 0.0], [1.0, 1.0], edge, [0.0, 0.0], [1.0, 1.0], -edge)
+        report = compare_moments([0.0, 0.0], [1.0, 1.0], edge, [0.0, 0.0], cov_of([1.0, 1.0], -edge))
         assert report.rho_abs_diff == 2 * edge
 
-    def test_compare_against_fit_result(self):
+    def test_compare_against_fitted_posterior(self):
         from svbayes.engine import TrainConfig, fit
 
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=8)
         res = fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(seed=8, final_fe_samples=2))
         grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec())
-        report = compare(grid, res)
+        report = compare(grid, res.posterior)
         assert np.all(report.mean_abs_diff < 0.2)
+        assert report.rho_fit == res.posterior.rho
+        np.testing.assert_array_equal(report.variance_ratio, np.diag(res.posterior.cov) / grid.variances)
         assert "parameter" in report.table()
 
     def test_summary_dict_shape(self):

@@ -426,6 +426,27 @@ class TestPriorSpec:
         with pytest.raises(ValueError, match=message):
             PriorSpec.diagonal([0.0, 0.0], variances)
 
+    @pytest.mark.parametrize("means, variances", [(1.5, 4.0), ([1.5], [4.0])], ids=["scalar", "list"])
+    def test_diagonal_one_value_is_shared(self, means, variances):
+        prior = PriorSpec.diagonal(means, variances)
+        assert prior.m0.tolist() == [1.5, 1.5]
+        assert prior.C0.tolist() == [[4.0, 0.0], [0.0, 4.0]]
+
+    def test_diagonal_two_values_are_per_dimension(self):
+        prior = PriorSpec.diagonal([0.5, -1.0], [4.0, 9.0])
+        assert prior.m0.tolist() == [0.5, -1.0]
+        assert prior.C0.tolist() == [[4.0, 0.0], [0.0, 9.0]]
+
+    @pytest.mark.parametrize(
+        "means, variances, name",
+        [([1.0, 2.0, 3.0], [1.0], "mean"), ([0.0], [1.0, 2.0, 3.0], "variance"),
+         ([], [1.0], "mean"), ([0.0], [[1.0, 2.0]], "variance")],
+        ids=["three-means", "three-variances", "no-mean", "2d-variances"],
+    )
+    def test_diagonal_refuses_other_counts(self, means, variances, name):
+        with pytest.raises(ValueError, match=f"prior {name} takes one shared or two per-dimension values, got"):
+            PriorSpec.diagonal(means, variances)
+
     def test_accepts_tiny_variances_with_a_finite_inverse(self):
         prior = PriorSpec.diagonal([0.0, 0.0], [1e-300, 1e-300])
         assert np.diag(prior.C0).tolist() == [1e-300, 1e-300]
