@@ -72,6 +72,12 @@ def _write_manifest(
     })
 
 
+def _prior_fields(prior: PriorSpec | None) -> dict:
+    """A manifest's prior mean and variances, both None without a prior."""
+    var = prior and np.diag(prior.C0).tolist()
+    return {"prior_mean": prior and prior.m0.tolist(), "prior_var": var}
+
+
 def _reprs(values) -> list[str]:
     """`repr` of every value as a Python float, flattened in C order."""
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
@@ -180,7 +186,7 @@ def cmd_fit(args) -> int:
         _artifact(base, ".manifest.json"),
         subcommand="fit",
         seed=args.seed,
-        configuration={"model": args.model, **result.config.to_json_dict()},
+        configuration={"model": args.model, **config.to_json_dict(), **_prior_fields(prior)},
         inputs={"data": str(args.data)},
         outputs={"result": out_json.name, "trace": out_trace.name},
     )
@@ -209,10 +215,9 @@ def cmd_grid(args) -> int:
             "model": model.value,
             "mu_range": grid.mu_axis[[0, -1]].tolist(),  # linspace keeps the range's ends exactly
             "logvar_range": list(spec.logvar_range),
-            "resolution": list(spec.axis_counts),
+            "resolution": [spec.resolution] * 2,
             "include_prior": prior is not None,
-            "prior_mean": None if prior is None else prior.m0.tolist(),
-            "prior_var": None if prior is None else np.diag(prior.C0).tolist(),
+            **_prior_fields(prior),
         },
         inputs={"data": str(args.data)},
         outputs={"mass": out_csv.name, "summary": out_json.name},

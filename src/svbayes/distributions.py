@@ -139,10 +139,9 @@ def sample_data(kind: ModelKind, params: NaturalParams, n: int, seed: int) -> Da
     """n i.i.d. draws from the model, deterministic given the seed.
 
     Gaussian draws transform standard normals; Folded Normal draws are the
-    absolute value of the corresponding Gaussian draws.
+    absolute value of the corresponding Gaussian draws.  `n` and `seed` are
+    checked by `Rng`, with `rng.check_count`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     sigma = math.sqrt(params.variance)
     values = params.mu + sigma * Rng(seed).standard_normals(n)
     if kind is ModelKind.FOLDED_NORMAL:

@@ -37,7 +37,7 @@ from . import distributions, posterior
 from .distributions import Dataset, ModelKind
 from .optimizer import Adam
 from .posterior import PosteriorParams, PriorSpec
-from .rng import Rng, check_seed
+from .rng import SEED_MAX, Rng, check_count
 
 # Normal draws per `Rng.standard_normals` call in `_noise`: a whole fit's
 # noise at the usual sizes, a bounded buffer at any step count and L.
@@ -60,10 +60,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings for one fit, the one home of their defaults and checks: epochs
-    and mc_samples >= 1, final_fe_samples >= 2, a finite learning rate >= 0,
-    a seed `rng.check_seed` takes (kept as a plain int).  `batch_size=None`
-    means full-data steps; `make_batches` checks a size."""
+    """Settings for one fit, the one home of their defaults and checks: each
+    count passes `rng.check_count` and is kept as a plain int (epochs and
+    mc_samples >= 1, final_fe_samples >= 2, batch_size >= 1 unless None for
+    full-data steps, checked against N by `make_batches`, and a seed in
+    [0, rng.SEED_MAX]); the learning rate is finite and >= 0."""
 
     epochs: int = 400
     batch_size: int | None = None
@@ -75,15 +76,13 @@ class TrainConfig:
     shuffle: bool = False
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
-        if self.final_fe_samples < 2:
-            raise ValueError("final_fe_samples must be >= 2")
+        counts = [("epochs", 1), ("mc_samples", 1), ("final_fe_samples", 2), ("seed", 0, SEED_MAX)]
+        if self.batch_size is not None:  # None: full-data steps
+            counts.append(("batch_size", 1))
+        for name, *bounds in counts:
+            object.__setattr__(self, name, check_count(getattr(self, name), name, *bounds))
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -179,10 +178,7 @@ def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
     A shorter remainder batch is allowed; its own length enters the N/M
     rescaling so the expected scaled log-likelihood stays unbiased.
     """
-    n = len(data)
-    if not 1 <= batch_size <= n:
-        raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
-    return _cut(data.values, batch_size)
+    return _cut(data.values, check_count(batch_size, "batch_size", 1, len(data)))
 
 
 def _cut(values: np.ndarray, batch_size: int) -> list[np.ndarray]:

@@ -8,7 +8,7 @@ stochastic fits are judged, from their mean and covariance alone (a
 `PosteriorParams`, or a fit JSON's `m` and `C`): this module needs no engine.
 
 The likelihood comes from `distributions.loglik_at`, the evaluator the
-fit's final free energy uses, at the flattened (n_mu * n_logvar, 2) node
+fit's final free energy uses, at the flattened (resolution^2, 2) node
 matrix, so its working memory is O(grid), plus for the Folded Normal one
 reused buffer of at most max(N, `distributions.CHUNK_TERMS`) terms per CPU
 it runs on: one likelihood call per CPU, summing a chunk of nodes at a time.
@@ -23,6 +23,7 @@ import numpy as np
 
 from .distributions import Dataset, ModelKind, loglik_at
 from .posterior import PosteriorParams, PriorSpec, correlation
+from .rng import check_count
 
 
 class GridUnderflowError(RuntimeError):
@@ -47,11 +48,12 @@ def default_mu_range(model: ModelKind) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis ranges and node counts for the grid; mu_range None: the model's default."""
+    """Axis ranges and the node count of each axis (`rng.check_count`, at
+    least 2, kept as a plain int); mu_range None: the model's default."""
 
     mu_range: tuple[float, float] | None = None
     logvar_range: tuple[float, float] = DEFAULT_LOGVAR_RANGE
-    resolution: int | tuple[int, int] = DEFAULT_RESOLUTION
+    resolution: int = DEFAULT_RESOLUTION
 
     def __post_init__(self) -> None:
         for name, (lo, hi) in (
@@ -60,21 +62,14 @@ class GridSpec:
         ):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValueError(f"{name} must be finite with lo < hi, got ({lo}, {hi})")
-        n_mu, n_logvar = self.axis_counts
-        if n_mu < 2 or n_logvar < 2:
-            raise ValueError("resolution must be >= 2 nodes per axis")
-
-    @property
-    def axis_counts(self) -> tuple[int, int]:
-        r = self.resolution
-        return (int(r), int(r)) if isinstance(r, int) else (int(r[0]), int(r[1]))
+        object.__setattr__(self, "resolution", check_count(self.resolution, "resolution", 2))
 
 
 @dataclass(frozen=True)
 class GridResult:
     """Normalized posterior mass on the grid plus its summary statistics."""
 
-    mass: np.ndarray = field(repr=False)  # shape (n_mu, n_logvar)
+    mass: np.ndarray = field(repr=False)  # shape (resolution, resolution)
     mu_axis: np.ndarray = field(repr=False)
     logvar_axis: np.ndarray = field(repr=False)
     means: np.ndarray  # [mean mu, mean logvar]
@@ -126,17 +121,17 @@ def grid_posterior(
     (the nodes do not resolve it), and DomainError for data outside the
     model's support.
     """
-    n_mu, n_logvar = spec.axis_counts
+    n = spec.resolution
     mu_range = default_mu_range(model) if spec.mu_range is None else spec.mu_range
-    mu_axis = np.linspace(*mu_range, n_mu)
-    logvar_axis = np.linspace(*spec.logvar_range, n_logvar)
+    mu_axis = np.linspace(*mu_range, n)
+    logvar_axis = np.linspace(*spec.logvar_range, n)
     nodes = grid_nodes(mu_axis, logvar_axis).reshape(-1, 2)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         log_post = loglik_at(model, data.values, nodes)
         if prior is not None:
             log_post = log_post + prior.log_pdf(nodes)
-        mass = normalize_log_density(log_post.reshape(n_mu, n_logvar))
+        mass = normalize_log_density(log_post.reshape(n, n))
 
     mu_marginal = mass.sum(axis=1)
     lv_marginal = mass.sum(axis=0)
@@ -153,7 +148,6 @@ def grid_posterior(
     cov = float(
         ((mu_axis - mean_mu)[:, None] * (logvar_axis - mean_lv)[None, :] * mass).sum()
     )
-    rho = cov / (math.sqrt(var_mu) * math.sqrt(var_lv))
 
     i_map, j_map = np.unravel_index(np.argmax(mass), mass.shape)
     return GridResult(
@@ -163,7 +157,7 @@ def grid_posterior(
         means=np.array([mean_mu, mean_lv]),
         variances=np.array([var_mu, var_lv]),
         map_point=np.array([mu_axis[i_map], logvar_axis[j_map]]),
-        rho=float(rho),
+        rho=correlation(np.array([[var_mu, cov], [cov, var_lv]])),
     )
 
 

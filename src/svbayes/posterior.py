@@ -164,8 +164,8 @@ def mvn_log_pdf(points, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def correlation(cov: np.ndarray) -> float:
-    """rho = C01 / sqrt(C00 C11) of a 2x2 covariance array."""
-    return float(cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]))
+    """rho = C01 / (sqrt(C00) sqrt(C11)) of a 2x2 covariance array (no variance product)."""
+    return float(cov[0, 1] / (math.sqrt(cov[0, 0]) * math.sqrt(cov[1, 1])))
 
 
 def factor(v0: float, v1: float, u: float) -> tuple[float, float, float]:

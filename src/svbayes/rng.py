@@ -3,7 +3,7 @@
 The generator is pinned per release so that a seed identifies one exact
 stream on every platform:
 
-* state seeding: one round of splitmix64 over the seed, in [0, 2^64),
+* state seeding: one round of splitmix64 over the seed, an integer in [0, 2^64) (`check_count`),
 * uniforms: xorshift64* with the high 53 bits mapped into [0, 1),
 * normals: basic Box-Muller transform; each draw consumes exactly two
   uniforms and keeps only the cosine branch, so the stream position is a
@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+_MASK64 = SEED_MAX = (1 << 64) - 1  # a seed is an integer in [0, SEED_MAX]
 _TWO53 = float(1 << 53)
 _TWO_PI = 2.0 * math.pi
 _MULTIPLIER = np.uint64(0x2545F4914F6CDD1D)
@@ -62,22 +62,24 @@ def _jump_table() -> np.ndarray:
     return table
 
 
-def check_seed(seed) -> int:
-    """`seed` as a plain int, or ValueError unless it is an integer in [0, 2**64)."""
-    try:  # any integer type; int() would give a float or a string an integer's stream
-        seed = operator.index(seed)
+def check_count(value, name: str, lo: int, hi: int | None = None) -> int:
+    """`value` as a plain int, or ValueError unless it is an integer in [lo, hi]
+    (`hi` None: no upper limit); every count and seed of the package passes here."""
+    try:  # any integer type; int() would give a float or a string an integer's value
+        count = operator.index(value)
     except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < lo or hi is not None and count > hi:
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bounds}, got {count}")
+    return count
 
 
 class Rng:
     """xorshift64* stream with Box-Muller normal deviates."""
 
     def __init__(self, seed: int) -> None:
-        self._state = _splitmix64(check_seed(seed))
+        self._state = _splitmix64(check_count(seed, "seed", 0, SEED_MAX))
         if self._state == 0:  # xorshift requires nonzero state
             self._state = 0x9E3779B97F4A7C15
 
@@ -102,8 +104,7 @@ class Rng:
 
         Draw i uses u1 = (x + 1) / 2^53 in (0, 1], which keeps the log
         finite, and u2 = x' / 2^53 from the next state."""
-        if n < 1:
-            raise ValueError(f"need at least one draw, got n={n}")
+        n = check_count(n, "n", 1)
         out = np.empty(n)
         for lo in range(0, n, _NORMALS_CHUNK):
             k = min(_NORMALS_CHUNK, n - lo)

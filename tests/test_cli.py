@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ class TestFit:
         bad.write_text("y\n1.0\npotato\n")
         code = run(["fit", "--data", str(bad), "--out", str(tmp_path / "f")])
         assert code == 3
+
+    def test_manifest_records_the_prior(self, dataset, tmp_path):
+        """The fit manifest records the prior in the grid manifest's form;
+        the fit JSON does not name it."""
+        flags = ["--data", str(dataset), "--prior-mean", "3", "--prior-var", "0.5"]
+        assert run(["fit", *flags, "--epochs", "5", "--out", str(tmp_path / "f")]) == 0
+        assert run(["grid", *flags, "--resolution", "21", "--out", str(tmp_path / "g")]) == 0
+        fit_config = json.loads((tmp_path / "f.manifest.json").read_text())["configuration"]
+        grid_config = json.loads((tmp_path / "g.manifest.json").read_text())["configuration"]
+        for config in (fit_config, grid_config):
+            assert (config["prior_mean"], config["prior_var"]) == ([3.0, 3.0], [0.5, 0.5])
+        assert "prior" not in (tmp_path / "f.json").read_text()
 
     def test_bad_batch_size_exit(self, dataset, tmp_path):
         code = run([
@@ -508,6 +521,25 @@ class TestCompare:
         report = json.loads((tmp_path / "cmp.json").read_text())
         assert report["rho_fit"] == 0.25
 
+    def test_huge_fit_covariance_reports_its_correlation(self, dataset, tmp_path, capsys):
+        """Variances of 1e200 multiply past the float range; the roots taken
+        apart give rho 0.9, with no overflow warning."""
+        assert run([
+            "grid", "--data", str(dataset), "--resolution", "21", "--out", str(tmp_path / "grid"),
+        ]) == 0
+        fit_doc = {"posterior": {"m": [1.0, 1.0], "C": [[1e200, 0.9e200], [0.9e200, 1e200]]}}
+        (tmp_path / "f.json").write_text(json.dumps(fit_doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([
+                "compare", str(tmp_path / "f.json"), str(tmp_path / "grid.summary.json"),
+                "--out", str(tmp_path / "cmp"),
+            ]) == 0
+        assert " fit=0.9000 " in capsys.readouterr().out
+        report = json.loads((tmp_path / "cmp.json").read_text())
+        assert report["rho_fit"] == pytest.approx(0.9, rel=1e-15)
+
 
 class TestFigure:
     def test_invalid_id_is_usage_error(self, tmp_path):
@@ -670,15 +702,16 @@ class TestRowWriter:
     def test_grid_rows_cover_grid(self):
         """One block per mu-line, each line's rows in logvar order."""
         data = Dataset(np.array([0.5, 1.0]))
-        spec = grid_oracle.GridSpec(resolution=(11, 7))
+        spec = grid_oracle.GridSpec(resolution=7)
         prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
         grid = grid_oracle.grid_posterior(ModelKind.GAUSSIAN, data, prior, spec)
         blocks = list(cli._grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, False))
-        assert [len(rows) for rows in blocks] == [7] * 11
+        assert [len(rows) for rows in blocks] == [7] * 7
         cells = [row.rstrip("\n").split(",") for rows in blocks for row in rows]
         assert [c[0] for c in cells[:8]] == [repr(float(grid.mu_axis[0]))] * 7 + [
             repr(float(grid.mu_axis[1]))
         ]
+        assert [c[1] for c in cells[:7]] == [repr(x) for x in grid.logvar_axis.tolist()]
         assert sum(float(c[2]) for c in cells) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("chunk_rows", [10, 3], ids=["line-within-a-chunk", "line-too-long"])

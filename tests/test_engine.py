@@ -626,8 +626,8 @@ class TestFit:
         "seed, message",
         [
             (1.9, "seed must be an integer"),
-            (-1, r"seed must be in \[0, 2\*\*64\)"),
-            (2**64, r"seed must be in \[0, 2\*\*64\)"),
+            (-1, r"seed must be in \[0, 18446744073709551615\], got -1"),
+            (2**64, r"seed must be in \[0, 18446744073709551615\], got 18446744073709551616"),
         ],
         ids=["float", "negative", "2**64"],
     )

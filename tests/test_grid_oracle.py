@@ -49,7 +49,6 @@ class TestGridSpec:
             GridSpec(logvar_range=(float("nan"), 1.0))
         with pytest.raises(ValueError):
             GridSpec(resolution=1)
-        assert GridSpec(resolution=(51, 21)).axis_counts == (51, 21)
 
 
 class TestNormalization:
@@ -87,17 +86,26 @@ class TestNormalization:
             grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=5))
 
     @pytest.mark.parametrize(
-        "resolution",
-        [7, 9, 11, 15, 21, 41, pytest.param((61, 201), id="mu-only"), pytest.param((201, 101), id="logvar-only")],
+        "resolution, ranges",
+        [
+            *(pytest.param(r, {}, id=str(r)) for r in (7, 9, 11, 15, 21, 41)),
+            pytest.param(61, {"logvar_range": (1.0, 1.8)}, id="mu-only"),
+            pytest.param(101, {"mu_range": (0.5, 1.5)}, id="logvar-only"),
+        ],
     )
-    def test_under_resolved_marginal_raises(self, resolution):
+    def test_under_resolved_marginal_raises(self, resolution, ranges):
         """At 7-41 nodes per axis the 10,000-point posterior is narrower than
-        half a cell (max marginal share near 1, variances down to 1e-184);
-        (61, 201) leaves only mu, (201, 101) only the log variance that
-        narrow.  The grid refuses them instead of reporting those moments."""
+        half a cell (max marginal share near 1, variances down to 1e-184).
+        At 61 nodes over a narrowed log variance range only mu is that
+        narrow, at 101 over a narrowed mu range only the log variance: the
+        same count resolves both once the other range is narrowed too.  The
+        grid refuses them instead of reporting those moments."""
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
         with pytest.raises(GridUnderflowError, match="half the node spacing.*widen the ranges"):
-            grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=resolution))
+            grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=resolution, **ranges))
+        if ranges:
+            narrowed = GridSpec(mu_range=(0.5, 1.5), logvar_range=(1.0, 1.8), resolution=resolution)
+            grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, narrowed)
 
     def test_default_resolution_resolves_large_data(self):
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
@@ -140,9 +148,8 @@ class TestChunkedEvaluation:
 
     @staticmethod
     def direct_mass(model, data, prior, spec):
-        n_mu, n_logvar = spec.axis_counts
-        mu_axis = np.linspace(*spec.mu_range, n_mu)
-        logvar_axis = np.linspace(*spec.logvar_range, n_logvar)
+        mu_axis = np.linspace(*spec.mu_range, spec.resolution)
+        logvar_axis = np.linspace(*spec.logvar_range, spec.resolution)
         beta = np.exp(-logvar_axis)[None, :, None]
         y = data.values[None, None, :]
         log_post = log_pdf(model, y, mu_axis[:, None, None], beta).sum(axis=2)
@@ -160,7 +167,7 @@ class TestChunkedEvaluation:
             # more points than chunk terms: one row per chunk.  A smaller chunk
             # keeps N where the direct sum is exact enough for atol 1e-12 on a
             # grid that resolves the posterior.
-            (55, 50, GridSpec(mu_range=(0.0, 2.5), logvar_range=(0.5, 2.5), resolution=(9, 8))),
+            (55, 50, GridSpec(mu_range=(0.0, 2.5), logvar_range=(0.5, 2.5), resolution=9)),
         ],
         ids=["remainder-chunk", "row-per-chunk"],
     )
@@ -191,7 +198,7 @@ class TestMoments:
     def test_single_point_map_symmetry(self):
         """One observation at 0 with a symmetric mu axis puts the MAP at 0."""
         data = Dataset(np.array([0.0]))
-        spec = GridSpec(mu_range=(-2.0, 2.0), resolution=(41, 21))
+        spec = GridSpec(mu_range=(-2.0, 2.0), resolution=41)
         grid = grid_posterior(ModelKind.GAUSSIAN, data, None, spec)
         assert grid.map_point[0] == 0.0
 
@@ -200,15 +207,15 @@ class TestMoments:
         conjugate posterior; the grid mean of mu must match its closed form
         to within one cell width.
 
-        The two logvar nodes straddle log(4) at a negligible distance, which
-        pins the variance while keeping the two-nodes-per-axis minimum.
+        The logvar nodes lie within 1e-9 of log(4), which pins the variance
+        on a square grid.
         """
         data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 50, seed=3)
         lv = math.log(4.0)
         spec = GridSpec(
             mu_range=(-1.0, 3.0),
             logvar_range=(lv - 1e-9, lv + 1e-9),
-            resolution=(401, 2),
+            resolution=401,
         )
         grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, spec)
         # conjugate posterior mean with known variance 4 and prior N(0, 100)

@@ -304,10 +304,13 @@ class TestExtraction:
         np.testing.assert_array_equal(params.cov, np.eye(2))
         assert params.rho == 0.0
 
-    def test_hand_computed_correlation(self):
-        # S = [[1, 0], [1, 0.5]]: C = [[1, 1], [1, 1.25]], rho = 1/sqrt(1.25)
-        params = PosteriorParams(m=[0.0, 0.0], v=[0.0, math.log(0.5)], u=[1.0])
-        np.testing.assert_allclose(params.cov, [[1.0, 1.0], [1.0, 1.25]], rtol=1e-15)
+    @pytest.mark.parametrize("k", [0.0, 230.0], ids=["unit", "variance-product-overflows"])
+    def test_hand_computed_correlation(self, k):
+        """S = e^k [[1, 0], [1, 0.5]]: C = e^2k [[1, 1], [1, 1.25]] and
+        rho = 1/sqrt(1.25), also at k = 230, where C00 C11 passes 1e308."""
+        params = PosteriorParams(m=[0.0, 0.0], v=[k, k + math.log(0.5)], u=[math.exp(k)])
+        expected = math.exp(2 * k) * np.array([[1.0, 1.0], [1.0, 1.25]])
+        np.testing.assert_allclose(params.cov, expected, rtol=1e-15)
         assert params.rho == pytest.approx(1.0 / math.sqrt(1.25), rel=1e-12)
 
     def test_disabled_correlation_rho_is_zero(self):
