@@ -17,7 +17,7 @@ from .distributions import (
     pdf,
     sample_data,
 )
-from .engine import DivergenceError, FitResult, TraceRecord, TrainConfig, fit, make_batches
+from .engine import DivergenceError, FitResult, Trace, TrainConfig, fit, make_batches
 from .grid_oracle import (
     ComparisonReport,
     GridResult,
@@ -47,7 +47,7 @@ __all__ = [
     "PosteriorParams",
     "PriorSpec",
     "Rng",
-    "TraceRecord",
+    "Trace",
     "TrainConfig",
     "compare",
     "fit",

@@ -20,14 +20,15 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__, engine, grid_oracle
 from .distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
-from .engine import DivergenceError, TraceRecord, TrainConfig
+from .engine import DivergenceError, Trace, TrainConfig
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
 from .posterior import DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR, PriorSpec, mvn_log_pdf
 
@@ -92,11 +93,6 @@ def _write_rows(path: Path, header: str, blocks) -> None:
         fh.writelines(map("".join, blocks))
 
 
-def _chunks(rows):
-    """`rows` in slices of DATA_CHUNK_ROWS, the last one short."""
-    return (rows[i : i + DATA_CHUNK_ROWS] for i in range(0, len(rows), DATA_CHUNK_ROWS))
-
-
 def _grid_rows(mu_axis, logvar_axis, mass, variance: bool) -> Iterator[list[str]]:
     """mu, logvar[, variance], mass rows in grid order, a block per mu-line: a
     mu formatted once a line, the logvar[, variance] tails once a grid (the
@@ -110,13 +106,16 @@ def _grid_rows(mu_axis, logvar_axis, mass, variance: bool) -> Iterator[list[str]
 
 def write_data_csv(path: Path, data: Dataset) -> None:
     """The `y` column, DATA_CHUNK_ROWS values a block."""
-    _write_rows(path, "y", ([f"{y!r}\n" for y in c.tolist()] for c in _chunks(data.values)))
+    values, n = data.values, DATA_CHUNK_ROWS
+    blocks = ([f"{y!r}\n" for y in values[i : i + n].tolist()] for i in range(0, len(values), n))
+    _write_rows(path, "y", blocks)
 
 
-def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
-    """The per-step trace, a row a record, DATA_CHUNK_ROWS records a block."""
-    blocks = ([f"{r.epoch},{r.step},{r.free_energy!r},{r.kl!r},{r.mc_loglik!r}\n" for r in c]
-              for c in _chunks(trace))
+def write_trace_csv(trace: Trace, path) -> None:
+    """The per-step trace, a row a step zipped from the columns, DATA_CHUNK_ROWS a block."""
+    rows = zip(*trace)
+    blocks = ([f"{e},{s},{f!r},{k!r},{m!r}\n" for e, s, f, k, m in islice(rows, DATA_CHUNK_ROWS)]
+              for _ in range(0, len(trace.step), DATA_CHUNK_ROWS))
     _write_rows(Path(path), "epoch,step,F,kl,mc_loglik", blocks)
 
 
@@ -164,17 +163,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    try:  # the flag also takes 'full', so argparse cannot convert it
+        batch_size = None if args.batch_size == "full" else int(args.batch_size)
+    except ValueError:
+        got = args.batch_size
+        raise ValueError(f"--batch-size must be a whole number or 'full', got {got!r}") from None
     data = read_data_csv(Path(args.data))
     prior = PriorSpec.diagonal(args.prior_mean, args.prior_var)
     config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=None if args.batch_size == "full" else int(args.batch_size),
-        mc_samples=args.mc_samples,
-        learning_rate=args.lr,
-        seed=args.seed,
-        correlation_enabled=not args.no_correlation,
-        final_fe_samples=args.final_fe_samples,
-        shuffle=args.shuffle,
+        epochs=args.epochs, batch_size=batch_size, mc_samples=args.mc_samples,
+        learning_rate=args.lr, seed=args.seed, correlation_enabled=not args.no_correlation,
+        final_fe_samples=args.final_fe_samples, shuffle=args.shuffle,
     )
     result = engine.fit(ModelKind(args.model), data, prior, config)
     base = Path(args.out)
@@ -435,9 +434,9 @@ def main(argv=None) -> int:
     except tuple(EXIT_CODES) as err:
         diverged = isinstance(err, DivergenceError)
         print(f"error: {'optimization diverged: ' if diverged else ''}{err}", file=sys.stderr)
-        if diverged and err.recent:
-            last_f = ", ".join(repr(r.free_energy) for r in err.recent)
-            print(f"F over the {len(err.recent)} steps before: {last_f}", file=sys.stderr)
+        if diverged and err.recent.step:
+            last_f = ", ".join(map(repr, err.recent.free_energy))
+            print(f"F over the {len(err.recent.step)} steps before: {last_f}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES.items() if isinstance(err, cls))
 
 

@@ -22,6 +22,8 @@ generator, `_noise`, owns the draw order: `fit` opens one stream for the
 whole fit, or one per epoch right after its shuffle, and the stream draws
 lazily in blocks of up to NOISE_BLOCK_DRAWS normals, in the stream order of
 per-step draws, so everything downstream of the seed is deterministic.
+A step keeps nothing for the garbage collector to track: its noise pair is
+made as it is taken, and its five trace numbers go onto the `Trace` columns.
 The final free-energy re-estimate runs on `distributions.loglik_at`.
 """
 
@@ -42,19 +44,31 @@ from .rng import SEED_MAX, Rng, check_count
 # Normal draws per `Rng.standard_normals` call in `_noise`: a whole fit's
 # noise at the usual sizes, a bounded buffer at any step count and L.
 NOISE_BLOCK_DRAWS = 16_384
-# Trace records a DivergenceError keeps from before the failed step.
+# Trace steps a DivergenceError keeps from before the failed step.
 DIVERGENCE_RECENT = 5
+
+
+class Trace(NamedTuple):
+    """A fit's per-step record, five columns of plain numbers: step i's epoch,
+    batch index in the epoch, stochastic F and its two parts are entry i of
+    each (not a record a step, which the garbage collector would track)."""
+
+    epoch: tuple[int, ...]
+    step: tuple[int, ...]
+    free_energy: tuple[float, ...]
+    kl: tuple[float, ...]
+    mc_loglik: tuple[float, ...]
 
 
 class DivergenceError(RuntimeError):
     """The objective or its gradient became non-finite during a fit: at step
-    index `step`, from parameters `zeta`, after the steps whose trace records
+    index `step`, from parameters `zeta`, after the steps whose `Trace`
     `recent` holds (up to DIVERGENCE_RECENT, oldest first)."""
 
-    def __init__(self, message: str, trace: Sequence[TraceRecord], zeta: Sequence[float]) -> None:
-        self.step = len(trace)
+    def __init__(self, message: str, trace: Trace, zeta: Sequence[float]) -> None:
+        self.step = len(trace.step)
         self.zeta = np.array(zeta)
-        self.recent = tuple(trace[-DIVERGENCE_RECENT:])
+        self.recent = Trace(*(tuple(c[-DIVERGENCE_RECENT:]) for c in trace))
         super().__init__(f"{message} (step {self.step}, zeta={self.zeta.tolist()})")
 
 
@@ -88,37 +102,24 @@ class TrainConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class TraceRecord(NamedTuple):
-    """One optimizer step: stochastic objective value and its two parts."""
-
-    epoch: int
-    step: int
-    free_energy: float
-    kl: float
-    mc_loglik: float
-
-
 @dataclass(frozen=True)
 class FitResult:
     """The fitted posterior record (its mean, cov and rho are views of the
     five fitted numbers) plus the full optimization record."""
 
     posterior: PosteriorParams
-    trace: tuple[TraceRecord, ...] = field(repr=False)
+    trace: Trace = field(repr=False)
     final_free_energy: tuple[float, float]  # (mean, standard error)
     config: TrainConfig
-    steps: int
+
+    @property
+    def steps(self) -> int:
+        return len(self.trace.step)
 
     def to_json_dict(self) -> dict:
-        return {
-            "posterior": self.posterior.to_json_dict(),
-            "final_free_energy": {
-                "mean": self.final_free_energy[0],
-                "se": self.final_free_energy[1],
-            },
-            "config": self.config.to_json_dict(),
-            "steps": self.steps,
-        }
+        mean, se = self.final_free_energy
+        return {"posterior": self.posterior.to_json_dict(), "config": self.config.to_json_dict(),
+                "final_free_energy": {"mean": mean, "se": se}, "steps": self.steps}
 
 
 # A fit step's result: (F, mc_loglik, KL, dF/dzeta packed like zeta).
@@ -195,7 +196,7 @@ def fit(
     data are checked once, here.  Each step's F is checked here and its
     gradient by Adam's post-update check; a non-finite value, a numpy fault
     or an Adam overflow raises DivergenceError with the step's index, its
-    pre-step zeta and the last trace records before it.  The returned final
+    pre-step zeta and the last trace steps before it.  The returned final
     free energy re-estimates the objective on the full data with
     `final_fe_samples` fresh draws, since single-sample step values are noisy.
     """
@@ -208,7 +209,7 @@ def fit(
     n_samples = config.mc_samples
     correlation = config.correlation_enabled
 
-    trace: list[TraceRecord] = []
+    trace = epochs, steps, fes, kls, mcs = Trace([], [], [], [], [])  # lists, tuples at the end
     # an overflow or invalid operation anywhere in a step or in the final
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -229,7 +230,11 @@ def fit(
                         raise DivergenceError("non-finite objective", trace, zeta)
                     # raises OverflowError on a non-finite gradient, moment or update
                     zeta = optimizer.step(zeta, grad)
-                    trace.append(TraceRecord(epoch, step, fe, kl, mc))
+                    epochs.append(epoch)
+                    steps.append(step)
+                    fes.append(fe)
+                    kls.append(kl)
+                    mcs.append(mc)
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(f"step failed: {err}", trace, zeta) from err
 
@@ -238,16 +243,10 @@ def fit(
             final_fe = _final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(f"final free energy failed: {err}", trace, zeta) from err
-    return FitResult(
-        posterior=params,
-        trace=tuple(trace),
-        final_free_energy=final_fe,
-        config=config,
-        steps=len(trace),
-    )
+    return FitResult(params, Trace(*map(tuple, trace)), final_fe, config)
 
 
-def _noise(rng: Rng, steps: int, n_samples: int) -> Iterator[list[float] | np.ndarray]:
+def _noise(rng: Rng, steps: int, n_samples: int) -> Iterator[tuple[float, float] | np.ndarray]:
     """The noise of `steps` fit steps: a float pair a step at one sample, else
     one [1 | eps] array of shape (n_samples, 3).  Drawn lazily, at most
     NOISE_BLOCK_DRAWS normals per `standard_normals` call (the last block is
@@ -256,7 +255,8 @@ def _noise(rng: Rng, steps: int, n_samples: int) -> Iterator[list[float] | np.nd
     for lo in range(0, steps, block_steps):
         k = min(block_steps, steps - lo)
         draws = rng.standard_normals(k * n_samples * 2)
-        yield from draws.reshape(k, 2).tolist() if n_samples == 1 else np.concatenate(
+        # one sample: each pair made as it is taken, `zip` reading the flat list twice
+        yield from zip(*[iter(draws.tolist())] * 2) if n_samples == 1 else np.concatenate(
             (np.ones((k, n_samples, 1)), draws.reshape(k, n_samples, 2)), axis=2
         )
 

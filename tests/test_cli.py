@@ -50,7 +50,7 @@ def test_parsed_defaults_are_the_library_constants(capsys):
     "error, code",
     [
         (grid_oracle.GridUnderflowError("no mass"), 6),
-        (engine.DivergenceError("non-finite objective", [], [0.0]), 5),
+        (engine.DivergenceError("non-finite objective", engine.Trace(*[()] * 5), [0.0]), 5),
         (DomainError("negative data"), 4),
         (cli.DataFileError("cannot read"), 3),
         (ValueError("bad value"), 2),
@@ -192,6 +192,16 @@ class TestFit:
             "--out", str(tmp_path / "f"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["2.5", "ten", ""])
+    def test_non_integer_batch_size_names_the_flag(self, dataset, tmp_path, capsys, value):
+        """A batch size that is neither a whole number nor 'full' is a usage
+        error that names the flag, not int()'s own message."""
+        out = tmp_path / "f"
+        assert run(["fit", "--data", str(dataset), "--batch-size", value, "--out", str(out)]) == 2
+        want = f"error: --batch-size must be a whole number or 'full', got {value!r}\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "f.json").exists()
 
     @pytest.mark.parametrize("model", ["gaussian", "folded-normal"])
     @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
@@ -651,20 +661,24 @@ def grid_rows(mu_axis, logvar_axis, mass, variance):
             yield (mu, lv, math.exp(lv), mass[i, j]) if variance else (mu, lv, mass[i, j])
 
 
-def trace_records(n):
-    """`n` trace records: awkward floats first, then floats at the scale of a
-    fit's F, KL and Monte Carlo log-likelihood."""
+def trace_of(n):
+    """A `Trace` of `n` steps: awkward floats first, then floats at the scale
+    of a fit's F, KL and Monte Carlo log-likelihood."""
     awkward = [-0.0, 5e-324, 1e16, 1e-5, -2.0, 1.0 / 3.0, -1.7976931348623157e308]
     values = np.random.default_rng(5).normal([-200.0, 5.0, -195.0], 50.0, (n, 3)).tolist()
     values[: len(awkward)] = [[a, -a, a / 3.0] for a in awkward]
-    return [engine.TraceRecord(i // 10, i % 10, *v) for i, v in enumerate(values)]
+    steps = range(n)
+    return engine.Trace(
+        tuple(i // 10 for i in steps), tuple(i % 10 for i in steps), *map(tuple, zip(*values))
+    )
 
 
 def trace_csv(trace):
-    """The trace file record by record: two integers, then three `repr` floats."""
+    """The trace file step by step: two integers, then three `repr` floats."""
     lines = ["epoch,step,F,kl,mc_loglik\n"]
-    for r in trace:
-        lines.append(",".join([str(r.epoch), str(r.step), *map(repr, r[2:])]) + "\n")
+    for i in range(len(trace.step)):
+        row = [c[i] for c in trace]
+        lines.append(",".join([str(row[0]), str(row[1]), *map(repr, row[2:])]) + "\n")
     return "".join(lines).encode("utf-8")
 
 
@@ -746,20 +760,20 @@ class TestRowWriter:
         assert peak < 2 * 2**20, peak
 
     def test_trace_csv_in_blocks(self, tmp_path, monkeypatch):
-        """A trace of 23 records, three blocks of 7 and one of 2: the bytes of
-        the record-by-record formatting."""
+        """A trace of 23 steps, three blocks of 7 and one of 2: the bytes of
+        the step-by-step formatting."""
         monkeypatch.setattr(cli, "DATA_CHUNK_ROWS", 7)
-        trace = trace_records(23)
+        trace = trace_of(23)
         cli.write_trace_csv(trace, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == trace_csv(trace)
 
     def test_large_trace_write_is_blocked(self, tmp_path):
-        """200,000 records (about 12 MB of text) are written within 15 MB of
+        """200,000 steps (about 12 MB of text) are written within 15 MB of
         traced peak (about 48 MB formatted in one piece): at most
-        DATA_CHUNK_ROWS records are formatted at a time."""
+        DATA_CHUNK_ROWS rows are formatted at a time."""
         import tracemalloc
 
-        trace = trace_records(200_000)
+        trace = trace_of(200_000)
         path = tmp_path / "t.csv"
         tracemalloc.start()
         try:
@@ -768,7 +782,7 @@ class TestRowWriter:
         finally:
             tracemalloc.stop()
         lines = path.read_text().splitlines()
-        assert len(lines) == 200_000 + 1 and lines[-1].endswith(repr(trace[-1].mc_loglik))
+        assert len(lines) == 200_000 + 1 and lines[-1].endswith(repr(trace.mc_loglik[-1]))
         assert peak < 15 * 2**20, peak
 
     @pytest.mark.parametrize("model", ["gaussian", "folded-normal"])

@@ -1,5 +1,6 @@
 """Objective assembly, batching, and the training loop."""
 
+import gc
 import math
 
 import numpy as np
@@ -367,7 +368,7 @@ def assert_matches_reference_fit(result, model, data, config):
     run the one-sample step and Adam's formulas, rtol 1e-12 at L > 1.  The
     final F matches too, so the fit's noise drew nothing past its last step."""
     trace, zeta, final_fe = reference_fit(model, data, PRIOR, config)
-    got = np.array([(r.free_energy, r.kl, r.mc_loglik) for r in result.trace])
+    got = np.array([result.trace.free_energy, result.trace.kl, result.trace.mc_loglik]).T
     assert got.shape == trace.shape
     if config.mc_samples == 1:
         assert got.tolist() == trace.tolist()
@@ -450,15 +451,15 @@ class TestFit:
         res = fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(seed=1))
         assert abs(res.posterior.mean[0] - data.values.mean()) < 0.3
         assert abs(res.posterior.mean[1] - math.log(data.values.var())) < 0.35
-        fe = [r.free_energy for r in res.trace]
+        fe = res.trace.free_energy
         assert np.mean(fe[-100:]) > np.mean(fe[:20])
 
     def test_trace_shape_full_data(self):
         data = example1_data()
         res = fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(epochs=25, final_fe_samples=2))
-        assert len(res.trace) == 25
-        assert all(r.step == 0 for r in res.trace)
-        assert [r.epoch for r in res.trace] == list(range(25))
+        assert [len(column) for column in res.trace] == [25] * 5
+        assert res.trace.step == (0,) * 25
+        assert res.trace.epoch == tuple(range(25))
         assert res.steps == 25
 
     def test_trace_shape_minibatch(self):
@@ -467,15 +468,29 @@ class TestFit:
             ModelKind.GAUSSIAN, data, PRIOR,
             TrainConfig(epochs=5, batch_size=10, final_fe_samples=2),
         )
-        assert len(res.trace) == 50
-        assert [r.step for r in res.trace[:10]] == list(range(10))
+        assert [len(column) for column in res.trace] == [50] * 5
+        assert res.trace.step[:10] == tuple(range(10))
         assert res.steps == 50
+
+    def test_fit_leaves_nothing_for_the_garbage_collector(self):
+        """After a warm-up fit and a collection, a fit of 4,000 batch-10 steps
+        leaves fewer than 50 new objects tracked by the garbage collector, its
+        result held: no record or noise pair a step outlives the step."""
+        data, config = example1_data(), TrainConfig(batch_size=10, seed=1)
+        fit(ModelKind.GAUSSIAN, data, PRIOR, config)
+        gc.collect()
+        before = len(gc.get_objects())
+        result = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
+        grown = len(gc.get_objects()) - before
+        assert result.steps == 4000
+        assert grown < 50, f"{grown} new tracked objects"
 
     def test_trace_decomposition_logged(self):
         data = example1_data()
         res = fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(epochs=10, final_fe_samples=2))
-        for r in res.trace:
-            assert r.free_energy == pytest.approx(r.mc_loglik - r.kl, rel=1e-10)
+        trace = res.trace
+        for fe, kl, mc in zip(trace.free_energy, trace.kl, trace.mc_loglik, strict=True):
+            assert fe == pytest.approx(mc - kl, rel=1e-10)
 
     def test_minibatch_and_full_data_agree(self):
         """Both strategies converge to nearby posterior means on one dataset."""
@@ -576,8 +591,8 @@ class TestFit:
 
     @pytest.mark.parametrize("failed_step", [3, 8])
     def test_divergence_keeps_the_last_trace_records(self, monkeypatch, failed_step):
-        """A step that fails after others ran reports the trace records of the
-        up to DIVERGENCE_RECENT steps before it, as a clean fit records them."""
+        """A step that fails after others ran reports, as a `Trace` of tuples,
+        the up to DIVERGENCE_RECENT steps before it, as a clean fit records them."""
         config = TrainConfig(epochs=10, final_fe_samples=2)
         clean = fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, config)
         step_fn, steps = engine.free_energy_and_grad, []
@@ -592,7 +607,7 @@ class TestFit:
             fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, config)
         assert excinfo.value.step == failed_step
         start = max(0, failed_step - engine.DIVERGENCE_RECENT)
-        assert excinfo.value.recent == clean.trace[start:failed_step]
+        assert excinfo.value.recent == engine.Trace(*(c[start:failed_step] for c in clean.trace))
 
     def test_shuffle_is_reproducible_and_changes_order(self):
         data = example1_data()
