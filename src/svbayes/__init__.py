@@ -10,7 +10,6 @@ from .distributions import (
     Dataset,
     DomainError,
     ModelKind,
-    NaturalParams,
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
@@ -43,7 +42,6 @@ __all__ = [
     "GridSpec",
     "GridUnderflowError",
     "ModelKind",
-    "NaturalParams",
     "PosteriorParams",
     "PriorSpec",
     "Rng",

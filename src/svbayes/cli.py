@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__, engine, grid_oracle
-from .distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
+from .distributions import Dataset, DomainError, ModelKind, pdf, sample_data
 from .engine import DivergenceError, Trace, TrainConfig
 from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
 from .posterior import DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR, PriorSpec, mvn_log_pdf
@@ -51,10 +51,11 @@ EXIT_CODES = {
 
 
 def _write_json(path: Path, obj: dict) -> None:
+    """`obj` as JSON; a non-finite number raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _artifact(base: Path, suffix: str) -> Path:
@@ -144,8 +145,7 @@ def read_data_csv(path: Path) -> Dataset:
 
 def cmd_generate(args) -> int:
     model = ModelKind(args.model)
-    params = NaturalParams.from_mean_variance(args.mu, args.variance)
-    data = sample_data(model, params, args.n, args.seed)
+    data = sample_data(model, args.mu, args.variance, args.n, args.seed)
     base = Path(args.out)
     out = _artifact(base, ".csv")
     write_data_csv(out, data)
@@ -278,8 +278,7 @@ def cmd_figure(args) -> int:
         raise ValueError(f"figure id must be one of {sorted(_FIGURES)}")
     settings = _FIGURES[args.figure_id]
     model: ModelKind = settings["model"]
-    params = NaturalParams.from_mean_variance(_TRUE_MU, _TRUE_VARIANCE)
-    data = sample_data(model, params, _N_SAMPLES, args.seed)
+    data = sample_data(model, _TRUE_MU, _TRUE_VARIANCE, _N_SAMPLES, args.seed)
     prior = PriorSpec.diagonal(DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR)
 
     fits = {}
@@ -309,7 +308,8 @@ def cmd_figure(args) -> int:
         lo = 1e-6 if model is ModelKind.FOLDED_NORMAL else _TRUE_MU - 4 * sigma
         ys = np.linspace(lo, _TRUE_MU + 4 * sigma, 201)
         pdf_path = out_dir / "panel_a_true_pdf.csv"
-        rows = [f"{y},{p}\n" for y, p in zip(_reprs(ys), _reprs(pdf(model, ys, params)))]
+        density = _reprs(pdf(model, ys, _TRUE_MU, _TRUE_VARIANCE))
+        rows = [f"{y},{p}\n" for y, p in zip(_reprs(ys), density)]
         _write_rows(pdf_path, "y,pdf", [rows])
         outputs["panel_a_true_pdf"] = pdf_path.name
 

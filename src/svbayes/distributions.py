@@ -3,7 +3,10 @@
 Inference runs in theta space: theta1 is the measurement mean mu and
 theta2 is the log variance, so the precision is beta = exp(-theta2).
 Mini-batch evaluations keep the full-count normalizer N/2 * log(beta/2pi)
-and rescale only the per-point data terms by N/M.
+and rescale only the per-point data terms, by W/M: a batch of M points
+stands for W = B M of the data when it is one of an epoch's B batches (so
+each point counts once an epoch, a short remainder batch included) and for
+all N without a count.
 
 Elementwise numpy (log-)densities serve the figures and the tests.  The
 likelihood proper reads a :class:`Batch`, the values with the sums its model
@@ -47,28 +50,6 @@ class ModelKind(enum.Enum):
 
     GAUSSIAN = "gaussian"
     FOLDED_NORMAL = "folded-normal"
-
-
-@dataclass(frozen=True)
-class NaturalParams:
-    """Mean and precision (1/variance) of the generating distribution."""
-
-    mu: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not self.beta > 0.0:
-            raise ValueError(f"precision must be positive, got beta={self.beta}")
-
-    @property
-    def variance(self) -> float:
-        return 1.0 / self.beta
-
-    @classmethod
-    def from_mean_variance(cls, mu: float, variance: float) -> "NaturalParams":
-        if not variance > 0.0:
-            raise ValueError(f"variance must be positive, got {variance}")
-        return cls(mu=mu, beta=1.0 / variance)
 
 
 @dataclass(frozen=True)
@@ -126,24 +107,32 @@ def log_pdf(kind: ModelKind, y, mu, beta):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def pdf(kind: ModelKind, y, params: NaturalParams):
-    """Density value(s) at `y`; zero outside the support."""
-    out = np.exp(log_pdf(kind, y, params.mu, params.beta))
+def _check_variance(variance: float) -> None:
+    if not (math.isfinite(variance) and variance > 0.0):
+        raise ValueError(f"variance must be finite and positive, got {variance}")
+
+
+def pdf(kind: ModelKind, y, mu: float, variance: float):
+    """Density value(s) at `y` of the model with mean `mu` and `variance`;
+    zero outside the support."""
+    _check_variance(variance)
+    out = np.exp(log_pdf(kind, y, mu, 1.0 / variance))
     return float(out) if np.isscalar(y) else out
 
 
 # -- samplers --------------------------------------------------------------
 
 
-def sample_data(kind: ModelKind, params: NaturalParams, n: int, seed: int) -> Dataset:
-    """n i.i.d. draws from the model, deterministic given the seed.
+def sample_data(kind: ModelKind, mu: float, variance: float, n: int, seed: int) -> Dataset:
+    """n i.i.d. draws from the model with mean `mu` and `variance` (finite
+    and positive), deterministic given the seed.
 
-    Gaussian draws transform standard normals; Folded Normal draws are the
-    absolute value of the corresponding Gaussian draws.  `n` and `seed` are
-    checked by `Rng`, with `rng.check_count`.
+    Gaussian draws are mu + sqrt(variance) times standard normals; Folded
+    Normal draws are their absolute values.  `n` and `seed` are checked by
+    `Rng`, with `rng.check_count`.
     """
-    sigma = math.sqrt(params.variance)
-    values = params.mu + sigma * Rng(seed).standard_normals(n)
+    _check_variance(variance)
+    values = mu + math.sqrt(variance) * Rng(seed).standard_normals(n)
     if kind is ModelKind.FOLDED_NORMAL:
         values = np.abs(values)
     return Dataset(values)
@@ -160,18 +149,20 @@ class Batch(NamedTuple):
     yy: float | None  # y . y (Folded Normal)
     mean_lo: float | None  # rounding rest of sum_y / M: ybar = sum_y / M + mean_lo
     ss_c: float | None  # sum_m (y_m - ybar)^2 (Gaussian)
+    count: int | None = None  # W, the points the data terms stand for; None: all N
 
 
-def summarize(kind: ModelKind, y) -> Batch:
-    """The :class:`Batch` of the nonempty values `y` for `kind`, unchecked."""
+def summarize(kind: ModelKind, y, count: int | None = None) -> Batch:
+    """The :class:`Batch` of the nonempty values `y` for `kind`, standing for
+    `count` points (None: the whole data), unchecked."""
     y = np.asarray(y, dtype=float)
     sum_y = float(np.add.reduce(y))
     if kind is ModelKind.FOLDED_NORMAL:
-        return Batch(y, sum_y, float(y @ y), None, None)
+        return Batch(y, sum_y, float(y @ y), None, None, count)
     dev = y - sum_y / len(y)
     mean_lo = float(np.add.reduce(dev)) / len(y)
     dev -= mean_lo
-    return Batch(y, sum_y, None, mean_lo, float(dev @ dev))
+    return Batch(y, sum_y, None, mean_lo, float(dev @ dev), count)
 
 
 def check_support(kind: ModelKind, y: np.ndarray) -> None:
@@ -197,9 +188,10 @@ def loglik_terms(
     one point, or two (L,) arrays for L points.  Returns the values (Python
     floats for float coordinates, else (L,) arrays) of
 
-        N/2 log(beta/2pi) + (N/M) sum_m t(y_m; mu, beta),    N = n_total,
+        N/2 log(beta/2pi) + (W/M) sum_m t(y_m; mu, beta),    N = n_total,
 
-    over the M points of `batch` (:func:`summarize` for the same `kind`) and,
+    over the M points of `batch` (:func:`summarize` for the same `kind`),
+    which stand for W = `batch.count` points (N without a count), and,
     when `partials` is true, their partials in mu and theta2 (else None).
     Gaussian: t = -beta (y - mu)^2 / 2, summed exactly as
     -beta/2 [SS_c + M (ybar - mu)^2], centred so it does not cancel when the
@@ -215,21 +207,21 @@ def loglik_terms(
     Overflow in a numpy operation follows the numpy error state; in a point's
     float arithmetic it shows as an inf or nan.
     """
-    m = len(batch.y)
+    m, count = len(batch.y), batch.count or n_total
     # one point as floats runs on float arithmetic from here on; np.exp, not
     # math.exp, which can differ in the last bit from an array row's np.exp
     point = not isinstance(theta2, np.ndarray)
     beta = float(np.exp(-theta2)) if point else np.exp(-theta2)
     if kind is ModelKind.GAUSSIAN:
-        # (N/M)(beta/2) [SS_c + M (ybar - mu)^2], as beta [(N/2M) SS_c + (N/2) (ybar - mu)^2]
-        half_n = 0.5 * n_total
+        # (W/M)(beta/2) [SS_c + M (ybar - mu)^2], as beta [(W/2M) SS_c + (W/2) (ybar - mu)^2]
+        half_n, half_w = 0.5 * n_total, 0.5 * count
         dev = (batch.sum_y / m - mu) + batch.mean_lo  # ybar - mu
-        penalty = beta * ((half_n / m) * batch.ss_c + half_n * dev * dev)
+        penalty = beta * ((half_w / m) * batch.ss_c + half_w * dev * dev)
         value = -half_n * (theta2 + LOG_TWO_PI) - penalty
         if not partials:
             return value, None, None
-        # d/dmu = (N/M) beta M (ybar - mu); the penalty is linear in beta
-        return value, (n_total * beta) * dev, penalty - half_n
+        # d/dmu = (W/M) beta M (ybar - mu); the penalty is linear in beta
+        return value, (count * beta) * dev, penalty - half_n
     if kind is not ModelKind.FOLDED_NORMAL:
         raise ValueError(f"unknown model kind {kind!r}")
     # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
@@ -250,7 +242,7 @@ def loglik_terms(
             np.exp(part, out=part)
             np.add.reduce(np.log1p(part, out=part), axis=-1, out=soft[i : i + rows])
         buf = part = None  # the row tail below does not hold the buffer
-    scale, m_mu = n_total / m, m * mu
+    scale, m_mu = count / m, m * mu
     half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
     data = a * batch.sum_y + soft - half_sumsq
     value = -0.5 * n_total * (theta2 + LOG_TWO_PI) + scale * data

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import distributions, posterior
 from .distributions import Dataset, ModelKind
-from .optimizer import Adam
+from .optimizer import Adam, check_learning_rate
 from .posterior import PosteriorParams, PriorSpec
 from .rng import SEED_MAX, Rng, check_count
 
@@ -78,7 +78,7 @@ class TrainConfig:
     count passes `rng.check_count` and is kept as a plain int (epochs and
     mc_samples >= 1, final_fe_samples >= 2, batch_size >= 1 unless None for
     full-data steps, checked against N by `make_batches`, and a seed in
-    [0, rng.SEED_MAX]); the learning rate is finite and >= 0."""
+    [0, rng.SEED_MAX]); the learning rate passes `optimizer.check_learning_rate`."""
 
     epochs: int = 400
     batch_size: int | None = None
@@ -95,8 +95,7 @@ class TrainConfig:
             counts.append(("batch_size", 1))
         for name, *bounds in counts:
             object.__setattr__(self, name, check_count(getattr(self, name), name, *bounds))
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        check_learning_rate(self.learning_rate)
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -176,14 +175,20 @@ def free_energy_and_grad(
 def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
     """Contiguous disjoint batches covering the data in order.
 
-    A shorter remainder batch is allowed; its own length enters the N/M
-    rescaling so the expected scaled log-likelihood stays unbiased.
+    A shorter remainder batch is allowed.  `fit` scales the data terms of
+    each of the B batches by B, so every point counts once an epoch and the
+    mean of an epoch's batch log-likelihoods is the full-data value.
     """
     return _cut(data.values, check_count(batch_size, "batch_size", 1, len(data)))
 
 
 def _cut(values: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return [values[i : i + batch_size] for i in range(0, len(values), batch_size)]
+
+
+def _summaries(model: ModelKind, cut: list[np.ndarray]) -> list[distributions.Batch]:
+    """Each of the B batches summarized as standing for B times its points."""
+    return [distributions.summarize(model, b, len(cut) * len(b)) for b in cut]
 
 
 def fit(
@@ -214,12 +219,11 @@ def fit(
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            batches = [distributions.summarize(model, b) for b in make_batches(data, batch_size)]
+            batches = _summaries(model, make_batches(data, batch_size))
             noise = _noise(rng, config.epochs * len(batches), n_samples)
             for epoch in range(config.epochs):
                 if config.shuffle:
-                    shuffled = _cut(rng.shuffle(data.values), batch_size)
-                    batches = [distributions.summarize(model, b) for b in shuffled]
+                    batches = _summaries(model, _cut(rng.shuffle(data.values), batch_size))
                     noise = _noise(rng, len(batches), n_samples)
                 for step, (batch, eps) in enumerate(zip(batches, noise)):
                     fe, mc, kl, grad = free_energy_and_grad(

@@ -20,13 +20,18 @@ BETA2 = 0.999
 EPS_HAT = 1e-8
 
 
+def check_learning_rate(learning_rate: float) -> float:
+    """`learning_rate` if it is finite and >= 0, else ValueError: the one rule."""
+    if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
+        raise ValueError(f"learning rate must be finite and >= 0, got {learning_rate}")
+    return learning_rate
+
+
 class Adam:
     """Bias-corrected Adam state for one optimization run of `size` parameters."""
 
     def __init__(self, size: int, learning_rate: float = 0.1) -> None:
-        if not (math.isfinite(learning_rate) and learning_rate >= 0.0):
-            raise ValueError(f"learning rate must be finite and >= 0, got {learning_rate}")
-        self.learning_rate = learning_rate
+        self.learning_rate = check_learning_rate(learning_rate)
         self.step_count = 0
         self.first_moment = [0.0] * size
         self.second_moment = [0.0] * size

@@ -2,14 +2,17 @@
 
 import dataclasses
 import inspect
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import svbayes
-from svbayes import cli, distributions, engine, grid_oracle, posterior
+from svbayes import cli, distributions, engine, grid_oracle, optimizer, posterior
 
 
 def test_every_exported_name_resolves():
@@ -38,6 +41,36 @@ def test_unused_names_and_adam_settings_are_gone():
     assert not [name for name in ("C0_inv", "log_det_C0") if hasattr(prior, name)]
     # beta1, beta2 and eps_hat are fixed constants of the optimizer module
     assert list(inspect.signature(svbayes.Adam).parameters) == ["size", "learning_rate"]
+
+
+def test_generating_distribution_is_its_mean_and_variance():
+    """`sample_data` and `pdf` take the mean and the variance; no precision
+    record stands between them and the caller."""
+    assert "NaturalParams" not in svbayes.__all__
+    assert not hasattr(distributions, "NaturalParams")
+    assert list(inspect.signature(svbayes.sample_data).parameters) == [
+        "kind", "mu", "variance", "n", "seed"
+    ]
+    assert list(inspect.signature(svbayes.pdf).parameters) == ["kind", "y", "mu", "variance"]
+
+
+def test_learning_rate_rule_has_one_owner():
+    """`TrainConfig` and `Adam` refuse a learning rate through one function,
+    the only place its message is written."""
+    sources = [p.read_text(encoding="utf-8") for p in Path(svbayes.__file__).parent.glob("*.py")]
+    assert sum(s.count("learning rate must be") for s in sources) == 1
+    for lr in (-0.1, math.nan, math.inf):
+        messages = set()
+        checks = (
+            optimizer.check_learning_rate,
+            lambda x: svbayes.TrainConfig(learning_rate=x),
+            lambda x: svbayes.Adam(2, x),
+        )
+        for check in checks:
+            with pytest.raises(ValueError) as err:
+                check(lr)
+            messages.add(str(err.value))
+        assert messages == {f"learning rate must be finite and >= 0, got {lr}"}
 
 
 def test_csv_writing_lives_in_the_cli():

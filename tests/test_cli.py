@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from svbayes import cli, engine, grid_oracle, posterior
-from svbayes.distributions import Dataset, DomainError, ModelKind, NaturalParams, pdf, sample_data
+from svbayes.distributions import Dataset, DomainError, ModelKind, pdf, sample_data
 from svbayes.posterior import PriorSpec, mvn_log_pdf
+from svbayes.rng import Rng
 
 
 def run(argv):
@@ -98,13 +99,25 @@ class TestGenerate:
         assert run(args + [str(tmp_path / "b")]) == 0
         assert read(tmp_path / "a.csv") == read(tmp_path / "b.csv")
 
-    def test_invalid_variance_is_usage_error(self, tmp_path):
-        code = run(["generate", "--variance", "-1", "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("variance", ["inf", "0", "-1", "nan"])
+    def test_invalid_variance_is_usage_error(self, tmp_path, capsys, variance):
+        """Exit 2 with a message that names the variance, and no file written."""
+        code = run(["generate", "--variance", variance, "--out", str(tmp_path / "x")])
         assert code == 2
+        want = f"error: variance must be finite and positive, got {float(variance)}\n"
+        assert capsys.readouterr().err == want
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_n_is_usage_error(self, tmp_path):
         code = run(["generate", "--n", "0", "--out", str(tmp_path / "x")])
         assert code == 2
+
+    def test_variance_49_draws_with_sigma_7(self, tmp_path):
+        """The variance reaches the sampler as given: sigma is exactly 7."""
+        out = str(tmp_path / "d")
+        assert run(["generate", "--variance", "49", "--seed", "42", "--out", out]) == 0
+        want = 1.0 + 7.0 * Rng(42).standard_normals(100)
+        assert (tmp_path / "d.csv").read_bytes() == row_csv("y", ([v] for v in want))
 
 
 class TestFit:
@@ -710,7 +723,7 @@ class TestRowWriter:
         np.testing.assert_array_equal(cli.read_data_csv(path).values, values)
 
     def test_generated_data_csv(self, dataset):
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, 42)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 100, 42)
         assert dataset.read_bytes() == row_csv("y", ([v] for v in data.values))
 
     def test_grid_rows_cover_grid(self):
@@ -810,13 +823,12 @@ class TestRowWriter:
         out = tmp_path / "fig"
         assert run(["figure", str(figure_id), "--seed", "2", "--out-dir", str(out)]) == 0
         kind = ModelKind.GAUSSIAN if figure_id == 1 else ModelKind.FOLDED_NORMAL
-        params = NaturalParams.from_mean_variance(1.0, 4.0)
-        data = sample_data(kind, params, 100, 2)
+        data = sample_data(kind, 1.0, 4.0, 100, 2)
         assert (out / "panel_a_data.csv").read_bytes() == row_csv("y", ([v] for v in data.values))
         lo = 1e-6 if kind is ModelKind.FOLDED_NORMAL else 1.0 - 8.0
         ys = np.linspace(lo, 9.0, 201)
         assert (out / "panel_a_true_pdf.csv").read_bytes() == row_csv(
-            "y,pdf", zip(ys, pdf(kind, ys, params))
+            "y,pdf", zip(ys, pdf(kind, ys, 1.0, 4.0))
         )
         mu_range = (0.0, 3.0) if kind is ModelKind.FOLDED_NORMAL else grid_oracle.DEFAULT_MU_RANGE
         grid = grid_oracle.grid_posterior(kind, data, None, grid_oracle.GridSpec(mu_range=mu_range))
@@ -832,6 +844,22 @@ class TestRowWriter:
             assert (out / f"panel_{panel}_svb_{label}.csv").read_bytes() == row_csv(
                 header, grid_rows(grid.mu_axis, grid.logvar_axis, mass, True)
             )
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_is_refused_and_writes_nothing(self, tmp_path, value):
+        """A document JSON cannot hold (`Infinity`, `NaN`) raises before the
+        file is opened, so no file and no directory is left behind."""
+        path = tmp_path / "out" / "fit.json"
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"posterior": {"rho": value}})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finite_document_bytes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        cli._write_json(path, {"b": [1.5, 2], "a": None})
+        assert path.read_bytes() == b'{\n  "a": null,\n  "b": [\n    1.5,\n    2\n  ]\n}\n'
 
 
 class TestReadDataCsv:

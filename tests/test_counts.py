@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from svbayes import rng
-from svbayes.distributions import Dataset, ModelKind, NaturalParams, sample_data
+from svbayes.distributions import Dataset, ModelKind, sample_data
 from svbayes.engine import TrainConfig, fit, make_batches
 from svbayes.grid_oracle import GridSpec
 from svbayes.posterior import PriorSpec
 from svbayes.rng import Rng
 
 DATA = Dataset(np.linspace(-1.0, 3.0, 10))
-PARAMS = NaturalParams.from_mean_variance(1.0, 4.0)
 
 # the name a refusal gives, the least value taken, and a call that takes the
 # count and returns what holds it
@@ -33,7 +32,7 @@ COUNTS = {
     "seed": ("seed", 0, lambda k: TrainConfig(seed=k).seed),
     "make_batches": ("batch_size", 1, lambda k: len(make_batches(DATA, k)[0])),
     "resolution": ("resolution", 2, lambda k: GridSpec(resolution=k).resolution),
-    "sample_data": ("n", 1, lambda k: len(sample_data(ModelKind.GAUSSIAN, PARAMS, k, 0))),
+    "sample_data": ("n", 1, lambda k: len(sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, k, 0))),
     "standard_normals": ("n", 1, lambda k: len(Rng(0).standard_normals(k))),
 }
 count_cases = pytest.mark.parametrize("name, lo, build", COUNTS.values(), ids=list(COUNTS))

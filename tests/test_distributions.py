@@ -15,7 +15,6 @@ from svbayes.distributions import (
     Dataset,
     DomainError,
     ModelKind,
-    NaturalParams,
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
@@ -70,11 +69,14 @@ def assert_partials_match_central_differences(kind, data, at):
 
 
 class TestParameterizations:
-    def test_natural_params_require_positive_precision(self):
-        with pytest.raises(ValueError):
-            NaturalParams(mu=0.0, beta=0.0)
-        with pytest.raises(ValueError):
-            NaturalParams.from_mean_variance(0.0, -1.0)
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.inf, math.nan])
+    def test_generating_variance_must_be_finite_and_positive(self, variance):
+        """`sample_data` and `pdf` share one check, whose message names the variance."""
+        message = f"variance must be finite and positive, got {variance}"
+        with pytest.raises(ValueError, match=message):
+            sample_data(ModelKind.GAUSSIAN, 0.0, variance, 10, seed=1)
+        with pytest.raises(ValueError, match=message):
+            pdf(ModelKind.GAUSSIAN, 1.0, 0.0, variance)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
@@ -640,15 +642,13 @@ class TestFoldedClosedForm:
 
 class TestPdf:
     def test_gaussian_peak_value(self):
-        params = NaturalParams(mu=1.0, beta=0.25)
-        assert pdf(ModelKind.GAUSSIAN, 1.0, params) == pytest.approx(
+        assert pdf(ModelKind.GAUSSIAN, 1.0, 1.0, 4.0) == pytest.approx(
             math.sqrt(0.25 / (2 * math.pi)), rel=1e-14
         )
 
     def test_folded_zero_outside_support(self):
-        params = NaturalParams(mu=1.0, beta=1.0)
-        assert pdf(ModelKind.FOLDED_NORMAL, -1.0, params) == 0.0
-        assert pdf(ModelKind.FOLDED_NORMAL, 0.0, params) == 0.0
+        assert pdf(ModelKind.FOLDED_NORMAL, -1.0, 1.0, 1.0) == 0.0
+        assert pdf(ModelKind.FOLDED_NORMAL, 0.0, 1.0, 1.0) == 0.0
 
     @pytest.mark.parametrize("mu,variance", [(1.0, 4.0), (0.0, 1.0), (-2.0, 0.5), (3.0, 9.0)])
     def test_folded_integrates_to_one(self, mu, variance):
@@ -658,18 +658,16 @@ class TestPdf:
         from 0 at y = 0 to a positive right-limit, and a trapezoid rule
         straddling that jump would converge only at first order.
         """
-        params = NaturalParams.from_mean_variance(mu, variance)
         sigma = math.sqrt(variance)
         ys = np.linspace(1e-12, abs(mu) + 10 * sigma, 200001)
-        total = np.trapezoid(pdf(ModelKind.FOLDED_NORMAL, ys, params), ys)
+        total = np.trapezoid(pdf(ModelKind.FOLDED_NORMAL, ys, mu, variance), ys)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("mu,variance", [(1.0, 4.0), (-1.5, 0.25)])
     def test_gaussian_integrates_to_one(self, mu, variance):
-        params = NaturalParams.from_mean_variance(mu, variance)
         sigma = math.sqrt(variance)
         ys = np.linspace(mu - 10 * sigma, mu + 10 * sigma, 20001)
-        vals = pdf(ModelKind.GAUSSIAN, ys, params)
+        vals = pdf(ModelKind.GAUSSIAN, ys, mu, variance)
         assert np.all(vals >= 0.0)
         assert np.trapezoid(vals, ys) == pytest.approx(1.0, abs=1e-6)
 
@@ -677,21 +675,34 @@ class TestPdf:
 class TestSamplers:
     def test_sample_mean_within_statistical_bound(self):
         # 3 sigma / sqrt(n) = 3 * 2 / 10 = 0.6
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=42)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 100, seed=42)
         assert abs(data.values.mean() - 1.0) < 0.6
 
     def test_folded_samples_strictly_positive(self):
-        data = sample_data(ModelKind.FOLDED_NORMAL, NaturalParams.from_mean_variance(1.0, 4.0), 500, seed=1)
+        data = sample_data(ModelKind.FOLDED_NORMAL, 1.0, 4.0, 500, seed=1)
         assert np.all(data.values > 0.0)
 
     def test_same_seed_bitwise_identical(self):
-        a = sample_data(ModelKind.GAUSSIAN, NaturalParams(0.0, 1.0), 64, seed=9)
-        b = sample_data(ModelKind.GAUSSIAN, NaturalParams(0.0, 1.0), 64, seed=9)
+        a = sample_data(ModelKind.GAUSSIAN, 0.0, 1.0, 64, seed=9)
+        b = sample_data(ModelKind.GAUSSIAN, 0.0, 1.0, 64, seed=9)
         assert np.array_equal(a.values, b.values)
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
-            sample_data(ModelKind.GAUSSIAN, NaturalParams(0.0, 1.0), 0, seed=1)
+            sample_data(ModelKind.GAUSSIAN, 0.0, 1.0, 0, seed=1)
+
+    # the integer variances in 1-199 that do not survive 1 / (1 / v); through
+    # the precision, 49, 103, 117, 123, 196 and 197 also moved sigma itself
+    @pytest.mark.parametrize(
+        "variance", [49, 93, 98, 99, 103, 105, 107, 117, 123, 186, 196, 197, 198]
+    )
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_draws_scale_by_the_root_of_the_variance_itself(self, kind, variance):
+        assert 1.0 / (1.0 / variance) != variance
+        want = 1.0 + math.sqrt(variance) * Rng(42).standard_normals(100)
+        if kind is ModelKind.FOLDED_NORMAL:
+            want = np.abs(want)
+        assert sample_data(kind, 1.0, variance, 100, seed=42).values.tobytes() == want.tobytes()
 
     def test_standard_normal_moments(self):
         """CLT bounds on 1e5 draws: |mean| < 4/sqrt(1e5), variance in [0.97, 1.03]."""

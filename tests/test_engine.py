@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from numdiff import central_differences, complex_step, max_rel_error
-from svbayes import engine
+from svbayes import distributions, engine
 from svbayes.distributions import (
     Dataset,
     DomainError,
     ModelKind,
-    NaturalParams,
     log_pdf,
     loglik_terms,
     sample_data,
@@ -23,24 +22,26 @@ from svbayes.posterior import PosteriorParams, PriorSpec
 from svbayes.rng import Rng
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
-TRUE_PARAMS = NaturalParams.from_mean_variance(1.0, 4.0)
+TRUE_MU, TRUE_VARIANCE = 1.0, 4.0
 
 
-def free_energy_and_grad(model, values, n_total, zeta, epsilons, prior, correlation_enabled):
-    """The fit step on raw batch values and (L, 2) noise eps, summarized here
-    and passed as `fit` passes them: at L = 1 the float pair (e0, e1), else
-    widened to [1 | eps]."""
+def free_energy_and_grad(
+    model, values, n_total, zeta, epsilons, prior, correlation_enabled, count=None
+):
+    """The fit step on raw batch values standing for `count` points (None:
+    all n_total) and (L, 2) noise eps, summarized here and passed as `fit`
+    passes them: at L = 1 the float pair (e0, e1), else widened to [1 | eps]."""
     if len(epsilons) == 1:
         noise = epsilons[0].tolist()
     else:
         noise = np.column_stack((np.ones(len(epsilons)), epsilons))
     return engine.free_energy_and_grad(
-        model, summarize(model, values), n_total, zeta, noise, prior, correlation_enabled
+        model, summarize(model, values, count), n_total, zeta, noise, prior, correlation_enabled
     )
 
 
 def model_data(model, seed=42):
-    return sample_data(model, TRUE_PARAMS, 100, seed=seed)
+    return sample_data(model, TRUE_MU, TRUE_VARIANCE, 100, seed=seed)
 
 
 def example1_data(seed=42):
@@ -308,21 +309,29 @@ class TestMakeBatches:
         batches = make_batches(data, 3)
         assert [len(b) for b in batches] == [3, 3, 3, 1]
 
-    def test_remainder_weighted_identity(self):
-        """With per-batch M in the scale factor, the size-weighted mean of
-        scaled batch log-likelihoods recovers the full-data value."""
-        rng = np.random.default_rng(5)
-        data = Dataset(rng.normal(1.0, 2.0, size=10))
-        mu, theta2 = np.array([0.6]), np.array([0.9])
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("batch_size", [7, 30, 99])
+    def test_epoch_mean_is_the_full_data_value(self, monkeypatch, model, batch_size):
+        """Every point counts once an epoch: over the batches one epoch of
+        `fit` evaluates, a short remainder batch included, the plain mean of
+        the batch log-likelihoods is the full-data value, partials too."""
+        seen, inner = [], distributions.loglik_terms
 
-        def scaled(batch):
-            stats = summarize(ModelKind.GAUSSIAN, batch)
-            return loglik_terms(ModelKind.GAUSSIAN, stats, mu, theta2, 10, partials=False)[0][0]
+        def recording(kind, batch, *args):
+            seen.append(batch)
+            return inner(kind, batch, *args)
 
-        full = scaled(data.values)
-        batches = make_batches(data, 3)
-        weighted = sum(len(b) / 10 * scaled(b) for b in batches)
-        assert weighted == pytest.approx(full, rel=1e-10)
+        data = model_data(model)
+        monkeypatch.setattr(distributions, "loglik_terms", recording)
+        fit(model, data, PRIOR, TrainConfig(epochs=1, batch_size=batch_size, final_fe_samples=2))
+        monkeypatch.undo()
+        batches = seen[: -(-len(data) // batch_size)]  # one step a batch, then the final F
+        assert np.concatenate([b.y for b in batches]).tolist() == data.values.tolist()
+        whole = summarize(model, data.values)
+        for mu, theta2 in ((0.4, 0.3), (-0.7, 1.9), (2.5, -0.6)):
+            full = loglik_terms(model, whole, mu, theta2, len(data))
+            mean = np.mean([loglik_terms(model, b, mu, theta2, len(data)) for b in batches], 0)
+            np.testing.assert_allclose(mean, full, rtol=1e-12, atol=0.0)
 
     def test_out_of_range_rejected(self):
         data = Dataset(np.arange(5.0))
@@ -333,9 +342,10 @@ class TestMakeBatches:
 
 
 def reference_fit(model, data, prior, config):
-    """The fit loop written plainly: per-step noise draws, the objective, and
-    textbook vector Adam, then the final free energy from the same stream;
-    returns (trace rows, final zeta, final F)."""
+    """The fit loop written plainly: per-step noise draws, the objective with
+    each of an epoch's B batches standing for B times its points, and textbook
+    vector Adam, then the final free energy from the same stream; returns
+    (trace rows, final zeta, final F)."""
     lr, beta1, beta2, eps_hat = config.learning_rate, 0.9, 0.999, 1e-8
     rng = Rng(config.seed)
     zeta = packed(PosteriorParams.initial(prior, config.correlation_enabled))
@@ -349,7 +359,8 @@ def reference_fit(model, data, prior, config):
         for batch in batches:
             eps = rng.standard_normals(config.mc_samples * 2).reshape(config.mc_samples, 2)
             fe, mc, kl, grad = free_energy_and_grad(
-                model, batch, len(data), zeta, eps, prior, config.correlation_enabled
+                model, batch, len(data), zeta, eps, prior, config.correlation_enabled,
+                len(batches) * len(batch),
             )
             trace.append((fe, kl, mc))
             t += 1

@@ -11,7 +11,6 @@ from svbayes.distributions import (
     CHUNK_TERMS,
     Dataset,
     ModelKind,
-    NaturalParams,
     log_pdf,
     sample_data,
 )
@@ -53,7 +52,7 @@ class TestGridSpec:
 
 class TestNormalization:
     def test_total_mass_is_one(self):
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=0)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 100, seed=0)
         grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=101))
         assert grid.mass.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(grid.mass >= 0.0)
@@ -72,7 +71,7 @@ class TestNormalization:
             normalize_log_density(np.full((4, 4), -np.inf))
 
     def test_extreme_range_raises_with_hint(self):
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams(0.0, 1.0), 10, seed=2)
+        data = sample_data(ModelKind.GAUSSIAN, 0.0, 1.0, 10, seed=2)
         spec = GridSpec(logvar_range=(-800.0, -700.0), resolution=11)
         with pytest.raises(GridUnderflowError, match="widen"):
             grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, spec)
@@ -81,7 +80,7 @@ class TestNormalization:
     def test_all_mass_on_one_node_raises_with_hint(self):
         """10,000 points narrow the posterior in mu far below the cell width
         of a 5-node axis; a zero marginal variance is refused, not reported."""
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 10_000, seed=0)
         with pytest.raises(GridUnderflowError, match="widen the ranges or increase the resolution"):
             grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=5))
 
@@ -100,7 +99,7 @@ class TestNormalization:
         narrow, at 101 over a narrowed mu range only the log variance: the
         same count resolves both once the other range is narrowed too.  The
         grid refuses them instead of reporting those moments."""
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 10_000, seed=0)
         with pytest.raises(GridUnderflowError, match="half the node spacing.*widen the ranges"):
             grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=resolution, **ranges))
         if ranges:
@@ -108,7 +107,7 @@ class TestNormalization:
             grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, narrowed)
 
     def test_default_resolution_resolves_large_data(self):
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 10_000, seed=0)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 10_000, seed=0)
         grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=201))
         spacing = np.array([grid.mu_axis[1] - grid.mu_axis[0], grid.logvar_axis[1] - grid.logvar_axis[0]])
         assert np.all(np.sqrt(grid.variances) >= 0.5 * spacing)
@@ -123,7 +122,7 @@ class TestNormalization:
         """`GridSpec()` grids a folded likelihood over the half-plane mu >= 0,
         not over the Gaussian range, where the mirror mode would pull the mean
         mu towards 0."""
-        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=201)
+        data = sample_data(model, 1.0, 4.0, 100, seed=201)
         default = grid_posterior(model, data, PRIOR, GridSpec())
         explicit = grid_posterior(model, data, PRIOR, GridSpec(mu_range=mu_range))
         assert GridSpec().mu_range is None
@@ -136,7 +135,7 @@ class TestNormalization:
     def test_canonical_figure_grids_pass(self, model, mu_range, seed):
         """The figures' 201 x 201 likelihood grids at N = 100 spread their
         mass: no marginal node carries more than 5% of it."""
-        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=seed)
+        data = sample_data(model, 1.0, 4.0, 100, seed=seed)
         grid = grid_posterior(model, data, None, GridSpec(mu_range=mu_range))
         assert max(grid.mass.sum(axis=1).max(), grid.mass.sum(axis=0).max()) <= 0.05
 
@@ -173,7 +172,7 @@ class TestChunkedEvaluation:
     )
     def test_mass_matches_direct_density_sum(self, model, prior, n, chunk_terms, spec, monkeypatch):
         monkeypatch.setattr(distributions, "CHUNK_TERMS", chunk_terms)
-        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), n, seed=17)
+        data = sample_data(model, 1.0, 4.0, n, seed=17)
         grid = grid_posterior(model, data, prior, spec)
         np.testing.assert_allclose(
             grid.mass, self.direct_mass(model, data, prior, spec), rtol=0, atol=1e-12
@@ -183,7 +182,7 @@ class TestChunkedEvaluation:
     def test_peak_memory_bounded(self, model):
         """51 x 51 nodes at N = 2,000: the term array alone would take 41 MB.
         The log variance axis is narrowed to resolve the posterior at that N."""
-        data = sample_data(model, NaturalParams.from_mean_variance(1.0, 4.0), 2_000, seed=18)
+        data = sample_data(model, 1.0, 4.0, 2_000, seed=18)
         spec = GridSpec(mu_range=(0.0, 3.0), logvar_range=(math.log(2.0), math.log(8.0)), resolution=51)
         tracemalloc.start()
         try:
@@ -210,7 +209,7 @@ class TestMoments:
         The logvar nodes lie within 1e-9 of log(4), which pins the variance
         on a square grid.
         """
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 50, seed=3)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 50, seed=3)
         lv = math.log(4.0)
         spec = GridSpec(
             mu_range=(-1.0, 3.0),
@@ -228,7 +227,7 @@ class TestMoments:
     def test_refinement_convergence(self):
         """Doubling the resolution moves the marginal means by less than the
         coarse grid's cell width."""
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=4)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 100, seed=4)
         coarse = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=101))
         fine = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=201))
         cell_mu = coarse.mu_axis[1] - coarse.mu_axis[0]
@@ -238,7 +237,7 @@ class TestMoments:
 
     def test_wide_prior_approaches_likelihood_only(self):
         """An essentially flat prior reproduces the prior-free evaluation."""
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=5)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 100, seed=5)
         flat = PriorSpec(m0=[0.0, 0.0], C0=np.diag([1e12, 1e12]))
         with_prior = grid_posterior(ModelKind.GAUSSIAN, data, flat, GridSpec(resolution=101))
         without = grid_posterior(ModelKind.GAUSSIAN, data, None, GridSpec(resolution=101))
@@ -248,7 +247,7 @@ class TestMoments:
     def test_folded_normal_correlation_sign(self):
         """On the canonical mu >= 0 halfplane the folded posterior correlates
         mean and log variance negatively."""
-        data = sample_data(ModelKind.FOLDED_NORMAL, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=6)
+        data = sample_data(ModelKind.FOLDED_NORMAL, 1.0, 4.0, 100, seed=6)
         spec = GridSpec(mu_range=(0.0, 3.0), resolution=101)
         grid = grid_posterior(ModelKind.FOLDED_NORMAL, data, PRIOR, spec)
         assert grid.rho < 0.0
@@ -263,7 +262,7 @@ def cov_of(variances, rho):
 
 class TestCompare:
     def test_reflexive_comparison_is_zero(self):
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=7)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 100, seed=7)
         grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec(resolution=51))
         cov = cov_of(grid.variances, grid.rho)
         report = compare_moments(
@@ -331,7 +330,7 @@ class TestCompare:
     def test_compare_against_fitted_posterior(self):
         from svbayes.engine import TrainConfig, fit
 
-        data = sample_data(ModelKind.GAUSSIAN, NaturalParams.from_mean_variance(1.0, 4.0), 100, seed=8)
+        data = sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, 100, seed=8)
         res = fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(seed=8, final_fe_samples=2))
         grid = grid_posterior(ModelKind.GAUSSIAN, data, PRIOR, GridSpec())
         report = compare(grid, res.posterior)
