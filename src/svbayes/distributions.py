@@ -4,21 +4,21 @@ Inference runs in theta space: theta1 is the measurement mean mu and
 theta2 is the log variance, so the precision is beta = exp(-theta2).
 Mini-batch evaluations keep the full-count normalizer N/2 * log(beta/2pi)
 and rescale only the per-point data terms, by W/M: a batch of M points
-stands for W = B M of the data when it is one of an epoch's B batches (so
-each point counts once an epoch, a short remainder batch included) and for
-all N without a count.
+stands for W = B M of the data when it is one of an epoch's B batches, so
+each point counts once an epoch, a short remainder batch included.
 
 Elementwise numpy (log-)densities serve the figures and the tests.  The
-likelihood proper reads a :class:`Batch`, the values with the sums its model
-needs, taken once per batch by :func:`summarize`.  The Gaussian likelihood
-is exact in the count, mean and centred sum of squares, so at L theta
-points it costs O(L) whatever the batch size.  :func:`loglik_terms` gives the
-rescaled batch value with closed-form partials (the fit step) or value
-only, at one theta point given as floats (the one-sample fit step, which
-gets floats back: past the Folded Normal's per-point terms and their sums it
-is float arithmetic) or at L points given as arrays (the Folded Normal's a
-chunk of rows at a time), through the same expressions; :func:`loglik_at`
-sums the full-data value at many points (final free energy, grid oracle).
+likelihood proper reads a :class:`Batch`: its model, the values with the
+sums that model needs, W and N, taken once per batch by :func:`summarize`.
+The Gaussian likelihood is exact in the count, mean and centred sum of
+squares, so at L theta points it costs O(L) whatever the batch size.
+:func:`loglik_terms` gives the rescaled batch value with closed-form
+partials (the fit step) or value only, at one theta point given as floats
+(the one-sample fit step, which gets floats back: past the Folded Normal's
+per-point terms and their sums it is float arithmetic) or at L points given
+as arrays (the Folded Normal's a chunk of rows at a time), through the same
+expressions; :func:`loglik_at` sums the full-data value at many points
+(final free energy, grid oracle).
 """
 
 from __future__ import annotations
@@ -142,27 +142,30 @@ def sample_data(kind: ModelKind, mu: float, variance: float, n: int, seed: int) 
 
 
 class Batch(NamedTuple):
-    """Batch values with the sums its model's likelihood reads (others None)."""
+    """A batch for one model: its values with the sums the model's likelihood
+    reads (others None), and the counts that scale them."""
 
+    kind: ModelKind
     y: np.ndarray
+    count: int  # W, the points the data terms stand for
+    n_total: int  # N, the points of the whole data
     sum_y: float
     yy: float | None  # y . y (Folded Normal)
     mean_lo: float | None  # rounding rest of sum_y / M: ybar = sum_y / M + mean_lo
     ss_c: float | None  # sum_m (y_m - ybar)^2 (Gaussian)
-    count: int | None = None  # W, the points the data terms stand for; None: all N
 
 
-def summarize(kind: ModelKind, y, count: int | None = None) -> Batch:
+def summarize(kind: ModelKind, y, count: int, n_total: int) -> Batch:
     """The :class:`Batch` of the nonempty values `y` for `kind`, standing for
-    `count` points (None: the whole data), unchecked."""
+    `count` of the `n_total` data points, unchecked."""
     y = np.asarray(y, dtype=float)
     sum_y = float(np.add.reduce(y))
     if kind is ModelKind.FOLDED_NORMAL:
-        return Batch(y, sum_y, float(y @ y), None, None, count)
+        return Batch(kind, y, count, n_total, sum_y, float(y @ y), None, None)
     dev = y - sum_y / len(y)
     mean_lo = float(np.add.reduce(dev)) / len(y)
     dev -= mean_lo
-    return Batch(y, sum_y, None, mean_lo, float(dev @ dev), count)
+    return Batch(kind, y, count, n_total, sum_y, None, mean_lo, float(dev @ dev))
 
 
 def check_support(kind: ModelKind, y: np.ndarray) -> None:
@@ -171,28 +174,18 @@ def check_support(kind: ModelKind, y: np.ndarray) -> None:
         raise DomainError("folded normal data must be strictly positive")
 
 
-def _checked_data(kind: ModelKind, y) -> Batch:
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        raise ValueError("batch must be nonempty")
-    check_support(kind, y)
-    return summarize(kind, y)
-
-
-def loglik_terms(
-    kind: ModelKind, batch: Batch, mu, theta2, n_total: int, partials: bool = True,
-):
+def loglik_terms(batch: Batch, mu, theta2, partials: bool = True):
     """Rescaled batch log-likelihood at theta points, optionally with partials.
 
     `mu` and `theta2` are the (mu, log variance) coordinates: two floats for
     one point, or two (L,) arrays for L points.  Returns the values (Python
     floats for float coordinates, else (L,) arrays) of
 
-        N/2 log(beta/2pi) + (W/M) sum_m t(y_m; mu, beta),    N = n_total,
+        N/2 log(beta/2pi) + (W/M) sum_m t(y_m; mu, beta)
 
-    over the M points of `batch` (:func:`summarize` for the same `kind`),
-    which stand for W = `batch.count` points (N without a count), and,
-    when `partials` is true, their partials in mu and theta2 (else None).
+    under `batch.kind`, over the M points of `batch`, which stand for
+    W = `batch.count` of the N = `batch.n_total` data points, and, when
+    `partials` is true, their partials in mu and theta2 (else None).
     Gaussian: t = -beta (y - mu)^2 / 2, summed exactly as
     -beta/2 [SS_c + M (ybar - mu)^2], centred so it does not cancel when the
     data sit far from zero.  Folded Normal: t = -beta (y^2 + mu^2) / 2 + |z|
@@ -203,11 +196,13 @@ def loglik_terms(
     Normal's per-point terms are an array, its two sums are made floats at
     once and the rest is float arithmetic.  Folded rows run CHUNK_TERMS terms
     (at least a row) at a time; a chunk boundary can move a partial's last bit,
-    not a value.  The data are unchecked (see `loglik_at`, `engine.fit`).
+    not a value.  The data are unchecked (`engine.fit` and
+    `grid_oracle.grid_posterior` check them).
     Overflow in a numpy operation follows the numpy error state; in a point's
     float arithmetic it shows as an inf or nan.
     """
-    m, count = len(batch.y), batch.count or n_total
+    kind, y, count, n_total, sum_y, yy, mean_lo, ss_c = batch
+    m = len(y)
     # one point as floats runs on float arithmetic from here on; np.exp, not
     # math.exp, which can differ in the last bit from an array row's np.exp
     point = not isinstance(theta2, np.ndarray)
@@ -215,8 +210,8 @@ def loglik_terms(
     if kind is ModelKind.GAUSSIAN:
         # (W/M)(beta/2) [SS_c + M (ybar - mu)^2], as beta [(W/2M) SS_c + (W/2) (ybar - mu)^2]
         half_n, half_w = 0.5 * n_total, 0.5 * count
-        dev = (batch.sum_y / m - mu) + batch.mean_lo  # ybar - mu
-        penalty = beta * ((half_w / m) * batch.ss_c + half_w * dev * dev)
+        dev = (sum_y / m - mu) + mean_lo  # ybar - mu
+        penalty = beta * ((half_w / m) * ss_c + half_w * dev * dev)
         value = -half_n * (theta2 + LOG_TWO_PI) - penalty
         if not partials:
             return value, None, None
@@ -225,7 +220,6 @@ def loglik_terms(
     if kind is not ModelKind.FOLDED_NORMAL:
         raise ValueError(f"unknown model kind {kind!r}")
     # y > 0: sum_m |z_m| = a sum_m y_m, a = beta |mu|; per point only log1p(e^{-2|z|})
-    y = batch.y
     a = beta * abs(mu)
     if point:  # -2|z|, exactly; sum_m y_m tanh|z_m| >= 0 and the soft sum made floats
         buf = y * (-2.0 * a)
@@ -243,8 +237,8 @@ def loglik_terms(
             np.add.reduce(np.log1p(part, out=part), axis=-1, out=soft[i : i + rows])
         buf = part = None  # the row tail below does not hold the buffer
     scale, m_mu = count / m, m * mu
-    half_sumsq = beta * (0.5 * batch.yy + 0.5 * m_mu * mu)
-    data = a * batch.sum_y + soft - half_sumsq
+    half_sumsq = beta * (0.5 * yy + 0.5 * m_mu * mu)
+    data = a * sum_y + soft - half_sumsq
     value = -0.5 * n_total * (theta2 + LOG_TWO_PI) + scale * data
     if not partials:
         return value, None, None
@@ -269,10 +263,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
-    """Full-data log-likelihood at every (mu, log variance) row of `thetas`.
+def loglik_at(batch: Batch, thetas) -> np.ndarray:
+    """Log-likelihood of `batch` at every (mu, log variance) row of `thetas`.
 
-    Checks and summarizes the data once, then makes one value-only
+    The final free energy and the grid pass the whole data, summarized as N
+    of N points and checked by the caller.  One value-only
     :func:`loglik_terms` call per run of rows; never an (L, N) array.  The
     Gaussian's cost does not depend on N, so it makes one call.  The Folded
     Normal's rows split into chunks of at most CHUNK_TERMS terms (at least
@@ -282,16 +277,14 @@ def loglik_at(kind: ModelKind, y, thetas) -> np.ndarray:
     chunk at a time in one buffer, so the values are the bits of a single
     call, and an error in any run is raised here once every run has ended.
     """
-    n = len(y)
-    batch = _checked_data(kind, y)
-    rows = max(1, CHUNK_TERMS // n)  # rows per folded chunk
-    chunks = 1 if kind is ModelKind.GAUSSIAN else -(-len(thetas) // rows)
+    rows = max(1, CHUNK_TERMS // len(batch.y))  # rows per folded chunk
+    chunks = 1 if batch.kind is ModelKind.GAUSSIAN else -(-len(thetas) // rows)
     workers = min(_usable_cpus(), chunks // 2)
     err = np.geterr()  # a new thread does not inherit the caller's numpy error state
 
     def evaluate(a, b):  # *thetas[a:b].T: the run's mu and theta2 columns
         with np.errstate(**err):
-            return loglik_terms(kind, batch, *thetas[a:b].T, n, False)[0]
+            return loglik_terms(batch, *thetas[a:b].T, False)[0]
 
     if workers < 2:
         return evaluate(0, len(thetas))

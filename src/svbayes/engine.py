@@ -126,12 +126,12 @@ StepResult = tuple[float, float, float, list[float]]
 
 
 def free_energy_and_grad(
-    model: ModelKind, batch: distributions.Batch, n_total: int, zeta: Sequence[float],
-    noise, prior: PriorSpec, correlation_enabled: bool,
+    batch: distributions.Batch, zeta: Sequence[float], noise, prior: PriorSpec
 ) -> StepResult:
     """Stochastic free energy and its exact gradient: the fit step.
 
-    `zeta` packs (m0, m1, v0, v1[, u]) in the order `fit` optimizes them and
+    `zeta` packs (m0, m1, v0, v1[, u]) in the order `fit` optimizes them,
+    with u (and its gradient entry) only when it has five entries, and
     `batch` is the `distributions.summarize` of the batch.  `noise` is the
     float pair (e0, e1) of one sample, as a list or tuple, or the (L, 3)
     array [1 | eps] of L samples.  Only the samples and the pull-back depend
@@ -147,18 +147,16 @@ def free_energy_and_grad(
     overflow shows as a non-finite value or gradient.
     """
     m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
-    u = zeta[4] if correlation_enabled else 0.0
-    s = s00, s10, s11 = posterior.factor(v0, v1, u)
+    correlation = len(zeta) == 5
+    s = s00, s10, s11 = posterior.factor(v0, v1, zeta[4] if correlation else 0.0)
     if isinstance(noise, (list, tuple)):
         e0, e1 = noise
-        mc, g0, g1 = distributions.loglik_terms(
-            model, batch, m0 + s00 * e0, m1 + s10 * e0 + s11 * e1, n_total
-        )
+        mc, g0, g1 = distributions.loglik_terms(batch, m0 + s00 * e0, m1 + s10 * e0 + s11 * e1)
         d00, d10, d11 = g0 * e0, g1 * e0, g1 * e1
     else:
         n = len(noise)
         theta = noise @ np.array((m0, m1, s00, s10, 0.0, s11)).reshape(3, 2)
-        parts = distributions.loglik_terms(model, batch, theta[:, 0], theta[:, 1], n_total)
+        parts = distributions.loglik_terms(batch, theta[:, 0], theta[:, 1])
         # L times [mc | g | D]: row 0 sums ll, rows 1-2 are [sum_l g_l | g eps]
         (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ noise).tolist()
         # divided as floats, not as an array: the same bits, about 1 us a step less
@@ -167,7 +165,7 @@ def free_energy_and_grad(
         m0, m1, v0, v1, s, prior
     )
     grad = [g0 - dkl_dm0, g1 - dkl_dm1, d00 * s00 - dkl_dv0, d11 * s11 - dkl_dv1]
-    if correlation_enabled:
+    if correlation:
         grad.append(d10 - dkl_du)
     return mc - kl, mc, kl, grad
 
@@ -187,8 +185,9 @@ def _cut(values: np.ndarray, batch_size: int) -> list[np.ndarray]:
 
 
 def _summaries(model: ModelKind, cut: list[np.ndarray]) -> list[distributions.Batch]:
-    """Each of the B batches summarized as standing for B times its points."""
-    return [distributions.summarize(model, b, len(cut) * len(b)) for b in cut]
+    """Each of the B batches summarized as standing for B times its points of all N."""
+    n_total = sum(map(len, cut))
+    return [distributions.summarize(model, b, len(cut) * len(b), n_total) for b in cut]
 
 
 def fit(
@@ -209,10 +208,8 @@ def fit(
     rng = Rng(config.seed)
     zeta = PosteriorParams.initial(prior, config.correlation_enabled).zeta
     optimizer = Adam(len(zeta), learning_rate=config.learning_rate)
-    n_total = len(data)
-    batch_size = n_total if config.batch_size is None else config.batch_size
+    batch_size = len(data) if config.batch_size is None else config.batch_size
     n_samples = config.mc_samples
-    correlation = config.correlation_enabled
 
     trace = epochs, steps, fes, kls, mcs = Trace([], [], [], [], [])  # lists, tuples at the end
     # an overflow or invalid operation anywhere in a step or in the final
@@ -226,9 +223,7 @@ def fit(
                     batches = _summaries(model, _cut(rng.shuffle(data.values), batch_size))
                     noise = _noise(rng, len(batches), n_samples)
                 for step, (batch, eps) in enumerate(zip(batches, noise)):
-                    fe, mc, kl, grad = free_energy_and_grad(
-                        model, batch, n_total, zeta, eps, prior, correlation
-                    )
+                    fe, mc, kl, grad = free_energy_and_grad(batch, zeta, eps, prior)
                     # plain-float F = mc - KL can overflow without a numpy fault
                     if not math.isfinite(fe):
                         raise DivergenceError("non-finite objective", trace, zeta)
@@ -242,7 +237,7 @@ def fit(
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(f"step failed: {err}", trace, zeta) from err
 
-        params = PosteriorParams.from_zeta(zeta, correlation)
+        params = PosteriorParams.from_zeta(zeta)
         try:
             final_fe = _final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
         except (FloatingPointError, OverflowError) as err:
@@ -273,6 +268,7 @@ def _final_free_energy(
     kl = posterior.kl_value(params, prior)
     epsilons = rng.standard_normals(n_samples * 2).reshape(n_samples, 2)
     thetas = params.m + epsilons @ posterior.cholesky_factor(params).T
-    values = distributions.loglik_at(model, data.values, thetas) - kl
+    whole = distributions.summarize(model, data.values, len(data), len(data))
+    values = distributions.loglik_at(whole, thetas) - kl
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples))
     return float(np.mean(values)), se

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Dataset, ModelKind, loglik_at
+from .distributions import Dataset, ModelKind, check_support, loglik_at, summarize
 from .posterior import PosteriorParams, PriorSpec, correlation
 from .rng import check_count
 
@@ -128,7 +128,8 @@ def grid_posterior(
     nodes = grid_nodes(mu_axis, logvar_axis).reshape(-1, 2)
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        log_post = loglik_at(model, data.values, nodes)
+        check_support(model, data.values)
+        log_post = loglik_at(summarize(model, data.values, len(data), len(data)), nodes)
         if prior is not None:
             log_post = log_post + prior.log_pdf(nodes)
         mass = normalize_log_density(log_post.reshape(n, n))

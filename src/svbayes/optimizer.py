@@ -30,7 +30,7 @@ def check_learning_rate(learning_rate: float) -> float:
 class Adam:
     """Bias-corrected Adam state for one optimization run of `size` parameters."""
 
-    def __init__(self, size: int, learning_rate: float = 0.1) -> None:
+    def __init__(self, size: int, learning_rate: float) -> None:
         self.learning_rate = check_learning_rate(learning_rate)
         self.step_count = 0
         self.first_moment = [0.0] * size

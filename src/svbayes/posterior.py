@@ -63,10 +63,11 @@ class PosteriorParams:
         return cls(m=prior.m0, v=np.zeros(2), correlation_enabled=correlation_enabled)
 
     @classmethod
-    def from_zeta(cls, zeta: Sequence[float], correlation_enabled: bool) -> "PosteriorParams":
-        """The record of a packed list (see `zeta`)."""
-        u = zeta[4:] if correlation_enabled else None
-        return cls(m=zeta[:2], v=zeta[2:4], u=u, correlation_enabled=correlation_enabled)
+    def from_zeta(cls, zeta: Sequence[float]) -> "PosteriorParams":
+        """The record of a packed list (see `zeta`), correlated unless it has 4 entries."""
+        correlation = len(zeta) != 4
+        u = zeta[4:] if correlation else None
+        return cls(m=zeta[:2], v=zeta[2:4], u=u, correlation_enabled=correlation)
 
     @property
     def zeta(self) -> list[float]:

@@ -90,7 +90,7 @@ def convergence_epoch(result, window=10):
 
 def test_criterion_1_gradient_correctness():
     """The gradient `fit` follows matches central differences of the objective."""
-    batch = summarize(ModelKind.GAUSSIAN, gaussian_data(1).values)
+    batch = summarize(ModelKind.GAUSSIAN, gaussian_data(1).values, 100, 100)
     rng = np.random.default_rng(314)
     start = time.monotonic()
     worst = 0.0
@@ -100,9 +100,7 @@ def test_criterion_1_gradient_correctness():
         noise = np.column_stack((np.ones(n_samples), eps))  # [1 | eps], as `fit` passes it
 
         def objective(zeta):
-            return free_energy_and_grad(
-                ModelKind.GAUSSIAN, batch, 100, zeta, noise, PRIOR, True
-            )
+            return free_energy_and_grad(batch, zeta, noise, PRIOR)
 
         at = np.concatenate([
             rng.uniform(-2, 3, size=2), rng.uniform(-2, 1, size=2),
@@ -289,8 +287,8 @@ def test_criterion_9_minibatch_likelihood_identity():
     mu, theta2 = np.array([0.8]), np.array([1.2])
 
     def value(batch):
-        stats = summarize(ModelKind.GAUSSIAN, batch)
-        return loglik_terms(ModelKind.GAUSSIAN, stats, mu, theta2, 100, partials=False)[0][0]
+        stats = summarize(ModelKind.GAUSSIAN, batch, 100, 100)
+        return loglik_terms(stats, mu, theta2, partials=False)[0][0]
 
     full = value(data.values)
     ok = True

@@ -43,6 +43,30 @@ def test_unused_names_and_adam_settings_are_gone():
     assert list(inspect.signature(svbayes.Adam).parameters) == ["size", "learning_rate"]
 
 
+def test_the_step_and_the_likelihood_take_no_input_they_can_derive():
+    """A `Batch` carries its model and both counts, so the likelihood and the
+    step take no model or N beside it; zeta carries its correlation (five
+    entries); the unchecked likelihood has no data check of its own."""
+
+    def parameters(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert parameters(engine.free_energy_and_grad) == ["batch", "zeta", "noise", "prior"]
+    assert parameters(distributions.loglik_terms) == ["batch", "mu", "theta2", "partials"]
+    assert parameters(distributions.loglik_at) == ["batch", "thetas"]
+    assert parameters(svbayes.PosteriorParams.from_zeta) == ["zeta"]
+    assert parameters(distributions.summarize) == ["kind", "y", "count", "n_total"]
+    assert {"kind", "count", "n_total"} <= set(distributions.Batch._fields)
+    assert distributions.Batch._field_defaults == {}
+    assert not hasattr(distributions, "_checked_data")
+
+
+def test_train_config_owns_the_default_learning_rate():
+    learning_rate = inspect.signature(svbayes.Adam).parameters["learning_rate"]
+    assert learning_rate.default is inspect.Parameter.empty
+    assert svbayes.TrainConfig().learning_rate == 0.1
+
+
 def test_generating_distribution_is_its_mean_and_variance():
     """`sample_data` and `pdf` take the mean and the variance; no precision
     record stands between them and the caller."""

@@ -15,11 +15,10 @@ from svbayes.distributions import (
     Dataset,
     DomainError,
     ModelKind,
+    check_support,
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
-    _checked_data,
-    loglik_at,
     pdf,
     sample_data,
     summarize,
@@ -30,9 +29,21 @@ from svbayes.posterior import PriorSpec
 from svbayes.rng import Rng
 
 
+def whole(kind, data):
+    """Raw values summarized as the whole data: N of N points."""
+    return summarize(kind, data, len(data), len(data))
+
+
 def loglik_terms(kind, data, mu, theta2, n_total, partials=True):
-    """The likelihood core on raw batch values, summarized here."""
-    return distributions.loglik_terms(kind, summarize(kind, data), mu, theta2, n_total, partials)
+    """The likelihood core on raw batch values standing for all n_total
+    points, summarized here."""
+    batch = summarize(kind, data, n_total, n_total)
+    return distributions.loglik_terms(batch, mu, theta2, partials)
+
+
+def loglik_at(kind, data, thetas):
+    """The many-row evaluator on raw values, summarized here as the whole data."""
+    return distributions.loglik_at(whole(kind, data), thetas)
 
 
 def two_term_folded_pdf(y, mu, beta):
@@ -191,16 +202,16 @@ class TestFoldedNormal:
 
     def test_nonpositive_data_rejected(self):
         with pytest.raises(DomainError):
-            loglik_at(ModelKind.FOLDED_NORMAL, [1.0, -0.5], np.zeros((1, 2)))
+            check_support(ModelKind.FOLDED_NORMAL, np.array([1.0, -0.5]))
         with pytest.raises(DomainError):
-            loglik_at(ModelKind.FOLDED_NORMAL, [0.0], np.zeros((1, 2)))
+            check_support(ModelKind.FOLDED_NORMAL, np.array([0.0]))
+        check_support(ModelKind.GAUSSIAN, np.array([0.0, -1.0]))
 
-    @pytest.mark.parametrize("entry", ["loglik_at", "fit", "grid_posterior"])
+    @pytest.mark.parametrize("entry", ["fit", "grid_posterior"])
     def test_every_entry_point_rejects_nonpositive_data(self, entry):
         """Zero, negative zero and a tiny negative value are outside y > 0."""
         prior = PriorSpec.diagonal([0.0, 0.0], [100.0, 100.0])
         run = {
-            "loglik_at": lambda y: loglik_at(ModelKind.FOLDED_NORMAL, y, np.zeros((1, 2))),
             "fit": lambda y: fit(ModelKind.FOLDED_NORMAL, Dataset(y), prior, TrainConfig(epochs=1)),
             "grid_posterior": lambda y: grid_posterior(
                 ModelKind.FOLDED_NORMAL, Dataset(y), prior, GridSpec(resolution=5)
@@ -246,10 +257,10 @@ class TestLoglikTerms:
         calls = {}
         inner = distributions.loglik_terms
 
-        def recorded(kind, batch, mu, theta2, *args):
+        def recorded(batch, mu, theta2, *args):
             first_row = int(np.flatnonzero(thetas[:, 0] == mu[0])[0])
             calls[first_row] = (len(mu), threading.get_ident())
-            return inner(kind, batch, mu, theta2, *args)
+            return inner(batch, mu, theta2, *args)
 
         monkeypatch.setattr(distributions, "loglik_terms", recorded)
         return calls
@@ -291,9 +302,9 @@ class TestLoglikTerms:
         assert caller not in owners[1:] and 1 < len(set(owners)) <= cpus
         assert spread.tobytes() == serial.tobytes()
         monkeypatch.undo()
-        batch = summarize(ModelKind.FOLDED_NORMAL, data)
+        batch = whole(ModelKind.FOLDED_NORMAL, data)
         for (mu, theta2), value in zip(thetas.tolist(), spread):
-            point = distributions.loglik_terms(ModelKind.FOLDED_NORMAL, batch, mu, theta2, n, False)[0]
+            point = distributions.loglik_terms(batch, mu, theta2, False)[0]
             assert np.float64(point).tobytes() == value.tobytes(), (mu, theta2)
 
     def test_under_two_chunks_per_cpu_is_one_call_on_the_caller(self, monkeypatch):
@@ -338,12 +349,10 @@ class TestLoglikTerms:
         the buffer would not."""
         data = np.abs(1.0 + 2.0 * np.random.default_rng(35).standard_normal(1_000))
         mu, theta2 = np.random.default_rng(36).uniform([-2.0, -1.0], [2.0, 2.0], (20_000, 2)).T
-        batch = summarize(ModelKind.FOLDED_NORMAL, data)
+        batch = whole(ModelKind.FOLDED_NORMAL, data)
         tracemalloc.start()
         try:
-            values = distributions.loglik_terms(
-                ModelKind.FOLDED_NORMAL, batch, mu, theta2, len(data), False
-            )[0]
+            values = distributions.loglik_terms(batch, mu, theta2, False)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,19 +374,19 @@ class TestLoglikTerms:
         rng = np.random.default_rng(37)
         data = np.abs(rng.normal(1.0, 2.0, size=n))
         mu, theta2 = rng.uniform([-2.0, -1.0], [2.0, 2.0], size=(rows, 2)).T
-        batch = summarize(kind, data)
+        batch = whole(kind, data)
         sizes, scratch = [], distributions._scratch
         monkeypatch.setattr(distributions, "_scratch", lambda k: sizes.append(k) or scratch(k))
-        whole = distributions.loglik_terms(kind, batch, mu, theta2, n)
+        one_call = distributions.loglik_terms(batch, mu, theta2)
         assert sizes == []
         monkeypatch.setattr(distributions, "CHUNK_TERMS", chunk_terms)
-        value, *partials = distributions.loglik_terms(kind, batch, mu, theta2, n)
-        bare = distributions.loglik_terms(kind, batch, mu, theta2, n, False)[0]
+        value, *partials = distributions.loglik_terms(batch, mu, theta2)
+        bare = distributions.loglik_terms(batch, mu, theta2, False)[0]
         assert sizes == [chunk, chunk]
-        assert value.tobytes() == whole[0].tobytes() == bare.tobytes()
+        assert value.tobytes() == one_call[0].tobytes() == bare.tobytes()
         at = zip(mu.tolist(), theta2.tolist())
-        points = zip(*(distributions.loglik_terms(kind, batch, m, t, n)[1:] for m, t in at))
-        for got, one_chunk, point in zip(partials, whole[1:], points):
+        points = zip(*(distributions.loglik_terms(batch, m, t)[1:] for m, t in at))
+        for got, one_chunk, point in zip(partials, one_call[1:], points):
             atol = 1e-12 * np.abs(one_chunk).max()
             np.testing.assert_allclose(got, one_chunk, rtol=0, atol=atol)
             np.testing.assert_allclose(got, point, rtol=0, atol=atol)
@@ -389,12 +398,10 @@ class TestLoglikTerms:
         peak stays below four chunk buffers plus a few row arrays."""
         data = np.abs(1.0 + 2.0 * np.random.default_rng(38).standard_normal(20_000))
         mu, theta2 = np.random.default_rng(39).uniform([-2.0, -1.0], [2.0, 2.0], (100, 2)).T
-        batch = summarize(ModelKind.FOLDED_NORMAL, data)
+        batch = whole(ModelKind.FOLDED_NORMAL, data)
         tracemalloc.start()
         try:
-            value = distributions.loglik_terms(
-                ModelKind.FOLDED_NORMAL, batch, mu, theta2, len(data)
-            )[0]
+            value = distributions.loglik_terms(batch, mu, theta2)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -436,15 +443,6 @@ class TestLoglikTerms:
         assert np.isnan(values[bad]) and np.all(np.isfinite(np.delete(values, bad)))
         assert threading.active_count() == alive
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            _checked_data(ModelKind.GAUSSIAN, [])
-        with pytest.raises(ValueError):
-            loglik_at(ModelKind.GAUSSIAN, [], np.zeros((1, 2)))
-        with pytest.raises(DomainError):
-            loglik_at(ModelKind.FOLDED_NORMAL, [1.0, 0.0], np.zeros((1, 2)))
-
-
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("partials", [True, False], ids=["partials", "value-only"])
     def test_float_point_equals_one_row_bitwise(self, kind, partials):
@@ -461,11 +459,11 @@ class TestLoglikTerms:
         points = [(0.0, 0.3), (-0.0, 0.3), (-1.7, -0.5), (2.3, 1.2), (50.0, 0.0),
                   (-50.0, 2.0), (1e4, -4.0), (0.4, 5.0), (3.0, -30.0), (-3.0, -30.0)]
         for data in batches:
-            batch = summarize(kind, data)
+            batch = summarize(kind, data, 100, 100)
             for mu, theta2 in points:
-                at_floats = distributions.loglik_terms(kind, batch, mu, theta2, 100, partials)
+                at_floats = distributions.loglik_terms(batch, mu, theta2, partials)
                 at_row = distributions.loglik_terms(
-                    kind, batch, np.array([mu]), np.array([theta2]), 100, partials
+                    batch, np.array([mu]), np.array([theta2]), partials
                 )
                 for one, row in zip(at_floats, at_row):
                     if row is None:
@@ -519,16 +517,28 @@ class TestGaussianSufficientStatistics:
             assert d_theta2[i] == pytest.approx(fd_theta2, rel=1e-7)
 
     def test_one_point_batch_has_zero_spread(self):
-        stats = summarize(self.GAUSSIAN, np.array([1e6 + 0.37]))
+        stats = whole(self.GAUSSIAN, np.array([1e6 + 0.37]))
         assert len(stats.y) == 1 and stats.sum_y == 1e6 + 0.37
         assert stats.ss_c == 0.0 and stats.mean_lo == 0.0
 
+    def test_summary_carries_its_model_and_both_counts(self):
+        """A batch of 3 standing for 6 of 9 points: W/M = 2 scales its data
+        terms, N its normalizer, whichever model it is read under."""
+        y = np.array([0.5, 1.25, 3.0])
+        for kind in ModelKind:
+            batch = summarize(kind, y, 6, 9)
+            assert (batch.kind, batch.count, batch.n_total) == (kind, 6, 9)
+            normalizer = -4.5 * (0.3 + LOG_TWO_PI)
+            value = distributions.loglik_terms(batch, 0.7, 0.3, False)[0]
+            data = log_pdf(kind, y, 0.7, math.exp(-0.3)).sum() + 1.5 * (0.3 + LOG_TWO_PI)
+            assert value == pytest.approx(normalizer + 2.0 * data, rel=1e-12)
+
     def test_summary_holds_only_the_sums_its_model_reads(self):
         y = np.array([0.5, 1.25, 3.0])
-        gaussian = summarize(self.GAUSSIAN, y)
+        gaussian = whole(self.GAUSSIAN, y)
         assert gaussian.yy is None
         assert gaussian.ss_c == pytest.approx(float(np.sum((y - y.mean()) ** 2)), rel=1e-15)
-        folded = summarize(ModelKind.FOLDED_NORMAL, y)
+        folded = whole(ModelKind.FOLDED_NORMAL, y)
         assert folded.mean_lo is None and folded.ss_c is None
         assert folded.sum_y == float(np.sum(y)) and folded.yy == float(y @ y)
 
@@ -542,7 +552,7 @@ class TestGaussianSufficientStatistics:
         inner = distributions.loglik_terms
 
         def counted(*args, **kwargs):
-            calls.append(len(args[2]))
+            calls.append(len(args[1]))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(distributions, "loglik_terms", counted)

@@ -25,19 +25,17 @@ PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
 TRUE_MU, TRUE_VARIANCE = 1.0, 4.0
 
 
-def free_energy_and_grad(
-    model, values, n_total, zeta, epsilons, prior, correlation_enabled, count=None
-):
-    """The fit step on raw batch values standing for `count` points (None:
-    all n_total) and (L, 2) noise eps, summarized here and passed as `fit`
-    passes them: at L = 1 the float pair (e0, e1), else widened to [1 | eps]."""
+def free_energy_and_grad(model, values, n_total, zeta, epsilons, prior, count=None):
+    """The fit step on raw batch values standing for `count` of n_total points
+    (None: all of them) and (L, 2) noise eps, summarized here and passed as
+    `fit` passes them: at L = 1 the float pair (e0, e1), else widened to
+    [1 | eps].  The step reads correlation from zeta's length."""
     if len(epsilons) == 1:
         noise = epsilons[0].tolist()
     else:
         noise = np.column_stack((np.ones(len(epsilons)), epsilons))
-    return engine.free_energy_and_grad(
-        model, summarize(model, values, count), n_total, zeta, noise, prior, correlation_enabled
-    )
+    batch = summarize(model, values, n_total if count is None else count, n_total)
+    return engine.free_energy_and_grad(batch, zeta, noise, prior)
 
 
 def model_data(model, seed=42):
@@ -97,7 +95,7 @@ def reference_objective(model, values, n_total, zeta, epsilons, prior, correlati
 def assert_matches_reference(model, batch, params, epsilons):
     """The fit step against `reference_objective` and its complex-step gradient."""
     zeta, corr = packed(params), params.correlation_enabled
-    fe, mc, kl, got = free_energy_and_grad(model, batch, 100, zeta, epsilons, PRIOR, corr)
+    fe, mc, kl, got = free_energy_and_grad(model, batch, 100, zeta, epsilons, PRIOR)
     parts = reference_objective(model, batch, 100, zeta, epsilons, PRIOR, corr)
     np.testing.assert_allclose([fe, mc, kl], np.real(parts), rtol=1e-10, atol=0.0)
     grad = complex_step(
@@ -172,9 +170,7 @@ class TestClosedFormObjective:
             epsilons = rng.standard_normal((int(rng.integers(1, 4)), 2))
 
             def objective(zeta):
-                return free_energy_and_grad(
-                    model, data.values, 100, zeta, epsilons, PRIOR, correlation
-                )
+                return free_energy_and_grad(model, data.values, 100, zeta, epsilons, PRIOR)
 
             _, _, _, grad = objective(at)
             fd = central_differences(lambda z: objective(z)[0], at)
@@ -204,13 +200,11 @@ class TestOneSamplePath:
                 correlation_enabled=correlation,
             )
             zeta, eps = packed(params).tolist(), rng.standard_normal((1, 2))
-            one = free_energy_and_grad(model, batch_values, 100, zeta, eps, PRIOR, correlation)
-            row = engine.free_energy_and_grad(
-                model, summarize(model, batch_values), 100, zeta,
-                np.column_stack(([1.0], eps)), PRIOR, correlation,
-            )
+            one = free_energy_and_grad(model, batch_values, 100, zeta, eps, PRIOR)
+            batch = summarize(model, batch_values, 100, 100)
+            row = engine.free_energy_and_grad(batch, zeta, np.column_stack(([1.0], eps)), PRIOR)
             two = free_energy_and_grad(
-                model, batch_values, 100, zeta, np.repeat(eps, 2, axis=0), PRIOR, correlation
+                model, batch_values, 100, zeta, np.repeat(eps, 2, axis=0), PRIOR
             )
             assert all(type(x) is float for x in (*one[:3], *one[3])), one
             for other in (row, two):
@@ -230,7 +224,7 @@ class TestObjectiveParts:
         s = np.linalg.cholesky(prior.C0)
         params = PosteriorParams(m=prior.m0, v=np.log(np.diag(s)), u=[s[1, 0]])
         fe, _, kl, _ = free_energy_and_grad(
-            ModelKind.GAUSSIAN, data.values, 100, packed(params), np.zeros((1, 2)), prior, True
+            ModelKind.GAUSSIAN, data.values, 100, packed(params), np.zeros((1, 2)), prior
         )
         assert kl == pytest.approx(0.0, abs=1e-12)
         mu, theta2 = prior.m0
@@ -244,8 +238,7 @@ class TestObjectiveParts:
         values = []
         for _ in range(2):
             fe, _, kl, _ = free_energy_and_grad(
-                ModelKind.GAUSSIAN, data.values, 100, zeta, rng.standard_normal((1, 2)),
-                PRIOR, True,
+                ModelKind.GAUSSIAN, data.values, 100, zeta, rng.standard_normal((1, 2)), PRIOR
             )
             values.append((fe, kl))
         assert values[0][0] != values[1][0]  # stochastic likelihood part
@@ -257,14 +250,14 @@ class TestObjectiveParts:
         rng = np.random.default_rng(2)
         fe, mc, kl, _ = free_energy_and_grad(
             ModelKind.GAUSSIAN, data.values, 100, [1.0, 1.0, -0.5, -0.5, 0.3],
-            rng.standard_normal((4, 2)), PRIOR, True,
+            rng.standard_normal((4, 2)), PRIOR,
         )
         assert fe == pytest.approx(mc - kl, rel=1e-10)
 
     @staticmethod
     def assert_gradient_matches_central_differences(data, at, eps):
         def objective(zeta):
-            return free_energy_and_grad(ModelKind.GAUSSIAN, data.values, 100, zeta, eps, PRIOR, True)
+            return free_energy_and_grad(ModelKind.GAUSSIAN, data.values, 100, zeta, eps, PRIOR)
 
         fd = central_differences(lambda z: objective(z)[0], at)
         _, _, _, grad = objective(at)
@@ -317,9 +310,9 @@ class TestMakeBatches:
         the batch log-likelihoods is the full-data value, partials too."""
         seen, inner = [], distributions.loglik_terms
 
-        def recording(kind, batch, *args):
+        def recording(batch, *args):
             seen.append(batch)
-            return inner(kind, batch, *args)
+            return inner(batch, *args)
 
         data = model_data(model)
         monkeypatch.setattr(distributions, "loglik_terms", recording)
@@ -327,10 +320,10 @@ class TestMakeBatches:
         monkeypatch.undo()
         batches = seen[: -(-len(data) // batch_size)]  # one step a batch, then the final F
         assert np.concatenate([b.y for b in batches]).tolist() == data.values.tolist()
-        whole = summarize(model, data.values)
+        whole = summarize(model, data.values, len(data), len(data))
         for mu, theta2 in ((0.4, 0.3), (-0.7, 1.9), (2.5, -0.6)):
-            full = loglik_terms(model, whole, mu, theta2, len(data))
-            mean = np.mean([loglik_terms(model, b, mu, theta2, len(data)) for b in batches], 0)
+            full = loglik_terms(whole, mu, theta2)
+            mean = np.mean([loglik_terms(b, mu, theta2) for b in batches], 0)
             np.testing.assert_allclose(mean, full, rtol=1e-12, atol=0.0)
 
     def test_out_of_range_rejected(self):
@@ -359,8 +352,7 @@ def reference_fit(model, data, prior, config):
         for batch in batches:
             eps = rng.standard_normals(config.mc_samples * 2).reshape(config.mc_samples, 2)
             fe, mc, kl, grad = free_energy_and_grad(
-                model, batch, len(data), zeta, eps, prior, config.correlation_enabled,
-                len(batches) * len(batch),
+                model, batch, len(data), zeta, eps, prior, len(batches) * len(batch)
             )
             trace.append((fe, kl, mc))
             t += 1
@@ -369,7 +361,7 @@ def reference_fit(model, data, prior, config):
             v = beta2 * v + (1.0 - beta2) * grad * grad
             m_hat, v_hat = m / (1.0 - beta1**t), v / (1.0 - beta2**t)
             zeta = zeta - lr * m_hat / (np.sqrt(v_hat) + eps_hat)
-    params = PosteriorParams.from_zeta(zeta, config.correlation_enabled)
+    params = PosteriorParams.from_zeta(zeta)
     final_fe = engine._final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
     return np.array(trace), zeta, final_fe
 
@@ -530,6 +522,17 @@ class TestFit:
             fit(ModelKind.FOLDED_NORMAL, data, PRIOR, TrainConfig(epochs=3))
         assert steps == []
 
+    @pytest.mark.parametrize("batch_size", [None, 30], ids=["full", "batch30"])
+    def test_folded_support_is_checked_once(self, monkeypatch, batch_size):
+        """The fit checks the data once; its final free energy does not again."""
+        calls, inner = [], distributions.check_support
+        monkeypatch.setattr(
+            distributions, "check_support", lambda *args: calls.append(args) or inner(*args)
+        )
+        data = model_data(ModelKind.FOLDED_NORMAL)
+        fit(ModelKind.FOLDED_NORMAL, data, PRIOR, TrainConfig(epochs=2, batch_size=batch_size))
+        assert len(calls) == 1 and calls[0][1] is data.values
+
     def test_non_integer_seed_raises_before_the_first_step(self, monkeypatch):
         """A seed of 1.9 would otherwise run seed 1's fit and record 1.9."""
         steps = []
@@ -585,9 +588,9 @@ class TestFit:
         still aborts at that step, through Adam's check, with the pre-step zeta."""
         step_fn, zetas = engine.free_energy_and_grad, []
 
-        def bad_fourth_step(model, batch, n_total, zeta, *rest):
+        def bad_fourth_step(batch, zeta, *rest):
             zetas.append(list(zeta))
-            fe, mc, kl, grad = step_fn(model, batch, n_total, zeta, *rest)
+            fe, mc, kl, grad = step_fn(batch, zeta, *rest)
             if len(zetas) == 4:
                 grad = [*grad[:2], bad, *grad[3:]]
             assert math.isfinite(fe)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from svbayes import distributions
+from svbayes import distributions, grid_oracle
 from svbayes.distributions import (
     CHUNK_TERMS,
     Dataset,
@@ -177,6 +177,28 @@ class TestChunkedEvaluation:
         np.testing.assert_allclose(
             grid.mass, self.direct_mass(model, data, prior, spec), rtol=0, atol=1e-12
         )
+
+    def test_folded_support_is_checked_once(self, monkeypatch):
+        """The grid checks the data once, whichever namespace it calls through,
+        and evaluates the whole data as N of N points."""
+        calls, seen = [], []
+        check_support, loglik_at = distributions.check_support, distributions.loglik_at
+
+        def counted(*args):
+            calls.append(args)
+            return check_support(*args)
+
+        def recorded(batch, thetas):
+            seen.append(batch)
+            return loglik_at(batch, thetas)
+
+        monkeypatch.setattr(distributions, "check_support", counted)
+        monkeypatch.setattr(grid_oracle, "check_support", counted, raising=False)
+        monkeypatch.setattr(grid_oracle, "loglik_at", recorded)
+        data = sample_data(ModelKind.FOLDED_NORMAL, 1.0, 4.0, 40, seed=19)
+        grid_posterior(ModelKind.FOLDED_NORMAL, data, PRIOR, GridSpec(resolution=21))
+        assert len(calls) == 1 and calls[0][1] is data.values
+        assert [(b.kind, b.count, b.n_total) for b in seen] == [(ModelKind.FOLDED_NORMAL, 40, 40)]
 
     @pytest.mark.parametrize("model", list(ModelKind))
     def test_peak_memory_bounded(self, model):

@@ -22,7 +22,7 @@ def textbook_adam(zeta, grads, lr=0.1, beta1=0.9, beta2=0.999, eps_hat=1e-8):
 
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters_unchanged(self):
-        opt = Adam(3)
+        opt = Adam(3, learning_rate=0.1)
         zeta = [1.0, -2.0, 0.5]
         updated = opt.step(zeta, [0.0, 0.0, 0.0])
         assert updated == zeta
@@ -51,7 +51,7 @@ class TestAdamStep:
         first, second = rng.uniform(-1, 1, 5).tolist(), rng.uniform(0, 1, 5).tolist()
         runs = []
         for _ in range(2):
-            opt = Adam(5)
+            opt = Adam(5, learning_rate=0.1)
             opt.step_count, opt.first_moment, opt.second_moment = 3, first[:], second[:]
             runs.append((opt.step(zeta, grad), opt.first_moment, opt.second_moment))
         assert runs[0] == runs[1]
@@ -79,7 +79,7 @@ class TestAdamStep:
                 assert np.all(np.abs(x - prev) <= 0.05 * (1.0 + 1e-6))
 
     def test_step_count_increments(self):
-        opt = Adam(2)
+        opt = Adam(2, learning_rate=0.1)
         zeta = [0.0, 0.0]
         for expected in (1, 2, 3):
             zeta = opt.step(zeta, [1.0, 1.0])
@@ -89,7 +89,7 @@ class TestAdamStep:
     def test_non_finite_gradient_raises_and_keeps_state(self, bad):
         """A NaN or infinite gradient entry makes its moments non-finite; the
         post-update check raises and nothing is committed."""
-        opt = Adam(2)
+        opt = Adam(2, learning_rate=0.1)
         opt.step([0.0, 0.0], [1.0, 1.0])
         before = (opt.step_count, opt.first_moment[:], opt.second_moment[:])
         for grad in ([1.0, bad], [bad, 0.0]):
@@ -100,7 +100,7 @@ class TestAdamStep:
     def test_moment_overflow_raises_and_keeps_state(self):
         """A finite gradient whose square overflows would leave v = inf and
         the coordinate frozen; the step raises instead and changes nothing."""
-        opt = Adam(2)
+        opt = Adam(2, learning_rate=0.1)
         opt.step([0.0, 0.0], [1.0, 1.0])
         before = (opt.step_count, opt.first_moment[:], opt.second_moment[:])
         with pytest.raises(OverflowError):
@@ -109,9 +109,9 @@ class TestAdamStep:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Adam(2).step([0.0, 0.0], [0.0, 0.0, 0.0])
+            Adam(2, learning_rate=0.1).step([0.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            Adam(3).step([0.0, 0.0], [0.0, 0.0])
+            Adam(3, learning_rate=0.1).step([0.0, 0.0], [0.0, 0.0])
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ class TestAdamStep:
     def test_overflow_in_a_later_coordinate_keeps_state(self):
         """The single pass raises on the last coordinate after the first ones
         were computed; nothing is committed."""
-        opt = Adam(3)
+        opt = Adam(3, learning_rate=0.1)
         opt.step([0.0, 0.0, 0.0], [1.0, -2.0, 0.5])
         before = (opt.step_count, opt.first_moment[:], opt.second_moment[:])
         with pytest.raises(OverflowError):

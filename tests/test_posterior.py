@@ -98,19 +98,17 @@ def fit_step_samples(params, eps):
     """The theta rows the fit step evaluates the likelihood at, for noise eps."""
     seen, inner = [], distributions.loglik_terms
 
-    def recording(kind, batch, mu, theta2, n_total):
+    def recording(batch, mu, theta2):
         seen.append(np.column_stack((mu, theta2)))
-        return inner(kind, batch, mu, theta2, n_total)
+        return inner(batch, mu, theta2)
 
-    zeta = np.concatenate((params.m, params.v, params.u))
+    zeta = params.zeta
     noise = np.column_stack((np.ones(len(eps)), eps))
-    batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]))
+    batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2, 2)
     prior = PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distributions, "loglik_terms", recording)
-        engine.free_energy_and_grad(
-            ModelKind.GAUSSIAN, batch, 2, zeta, noise, prior, params.correlation_enabled
-        )
+        engine.free_energy_and_grad(batch, zeta, noise, prior)
     return seen[0]
 
 
@@ -129,13 +127,11 @@ class TestReparamSample:
     def test_noise_width_mismatch_rejected(self):
         """Noise rows must be [1 | eps], and a one-sample float noise (e0, e1),
         with one eps per parameter."""
-        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]))
+        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2, 2)
         prior = PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
         for noise in (np.ones((1, 2)), np.ones((1, 4)), (1.0,), (1.0, 1.0, 1.0)):
             with pytest.raises(ValueError):
-                engine.free_energy_and_grad(
-                    ModelKind.GAUSSIAN, batch, 2, [0.0] * 5, noise, prior, True
-                )
+                engine.free_energy_and_grad(batch, [0.0] * 5, noise, prior)
 
     @pytest.mark.parametrize("correlation", [True, False], ids=["corr", "nocorr"])
     def test_gradient_through_transform(self, correlation, monkeypatch):
@@ -143,11 +139,11 @@ class TestReparamSample:
         f(theta) = mu^2 + exp(theta2), the fit step's gradient (pulled back
         through theta = m + S eps) matches central differences of its value."""
 
-        def smooth(kind, batch, mu, theta2, n_total):
+        def smooth(batch, mu, theta2):
             return mu * mu + np.exp(theta2), 2.0 * mu, np.exp(theta2)
 
         monkeypatch.setattr(distributions, "loglik_terms", smooth)
-        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]))
+        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2, 2)
         rng = np.random.default_rng(5)
         prior = random_prior(rng)
         for _ in range(10):
@@ -155,9 +151,7 @@ class TestReparamSample:
             at = rng.uniform(-1, 1, size=5 if correlation else 4)
 
             def objective(zeta):
-                return engine.free_energy_and_grad(
-                    ModelKind.GAUSSIAN, batch, 2, list(zeta), noise, prior, correlation
-                )
+                return engine.free_energy_and_grad(batch, list(zeta), noise, prior)
 
             fd = central_differences(lambda z: objective(z)[0], at)
             _, _, _, grad = objective(at)
@@ -339,7 +333,7 @@ class TestRecord:
             assert all(type(x) is float for x in zeta)
             assert zeta[:4] == params.m.tolist() + params.v.tolist()
             assert zeta[4:] == (params.u.tolist() if correlation else [])
-            back = PosteriorParams.from_zeta(zeta, correlation)
+            back = PosteriorParams.from_zeta(zeta)
             assert back.correlation_enabled is correlation
             assert back.zeta == zeta
             assert back.m.tobytes() == params.m.tobytes()
@@ -355,7 +349,16 @@ class TestRecord:
         assert with_u.zeta == without.zeta == [0.3, -1.0, 0.2, 0.4]
         assert with_u.s == without.s and with_u.s[1] == 0.0
         assert with_u.to_json_dict() == without.to_json_dict()
-        assert PosteriorParams.from_zeta(with_u.zeta, False).u.tolist() == [0.0]
+        assert PosteriorParams.from_zeta(with_u.zeta).u.tolist() == [0.0]
+
+    def test_zeta_length_sets_the_correlation(self):
+        """Four entries unpack without correlation, five with it; a length
+        that is neither is refused, not read as either."""
+        assert PosteriorParams.from_zeta([0.1, 0.2, 0.3, 0.4]).correlation_enabled is False
+        assert PosteriorParams.from_zeta([0.1, 0.2, 0.3, 0.4, 0.5]).u.tolist() == [0.5]
+        for zeta in ([0.1, 0.2, 0.3], [0.1] * 6):
+            with pytest.raises(ValueError, match="lengths 2, 2 and 1"):
+                PosteriorParams.from_zeta(zeta)
 
     def test_views_match_the_factor(self):
         """`cov` is S S^T of `cholesky_factor`, `mean` is m, bit for bit."""
