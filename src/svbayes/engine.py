@@ -9,12 +9,14 @@ is subtracted.  Adam ascends along that gradient.
 
 The step (:func:`free_energy_and_grad`) is fused for the two-parameter
 posterior around one likelihood call; S, the KL, the chain rule and Adam
-are plain floats on (m0, m1, v0, v1[, u]).  It takes the noise in one of
-two forms and branches only from the samples to the pull-back: at one
-sample per step (the paper's estimator and the default) `fit` hands it
-the sample's float pair, so the whole step is float arithmetic from the
-noise draw to the Adam update; at L > 1 it gets the noise widened to
-[1 | eps], and the samples and the pull-back are one matmul each.
+are plain floats on zeta = (m0, m1, v0, v1[, u]), the one field of the
+`PosteriorParams` record a fit starts from and returns.  It takes the
+noise in one of two forms and branches only from the samples to the
+pull-back: at one sample per step (the paper's estimator and the default)
+`fit` hands it the sample's float pair, so the whole step is float
+arithmetic from the noise draw to the Adam update; at L > 1 it gets the
+noise widened to [1 | eps], and the samples and the pull-back are one
+matmul each.
 `fit` checks the data once and summarizes each batch once (every epoch
 when shuffling).  Each step's value is checked once: F by `fit`, the
 gradient by the finiteness check Adam makes after its update anyway.  One
@@ -104,7 +106,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class FitResult:
     """The fitted posterior record (its mean, cov and rho are views of the
-    five fitted numbers) plus the full optimization record."""
+    fitted zeta) plus the full optimization record."""
 
     posterior: PosteriorParams
     trace: Trace = field(repr=False)
@@ -130,7 +132,7 @@ def free_energy_and_grad(
 ) -> StepResult:
     """Stochastic free energy and its exact gradient: the fit step.
 
-    `zeta` packs (m0, m1, v0, v1[, u]) in the order `fit` optimizes them,
+    `zeta` packs (m0, m1, v0, v1[, u]) as `PosteriorParams.zeta` does,
     with u (and its gradient entry) only when it has five entries, and
     `batch` is the `distributions.summarize` of the batch.  `noise` is the
     float pair (e0, e1) of one sample, as a list or tuple, or the (L, 3)
@@ -141,14 +143,13 @@ def free_energy_and_grad(
     which holds the Monte Carlo log-likelihood, the mean partials g (the
     pull-back to m) and D = (1/L) g eps.  Through S_ii = exp(v_i) the v_i
     partial is D_ii exp(v_i), the u partial is D_10; the KL and its gradient
-    come from `posterior.kl_and_grad` on the step's S.  The batch is not
-    checked (`fit` checks the whole dataset once).  Raises OverflowError or,
-    under a raising numpy error state, FloatingPointError; a plain-float
-    overflow shows as a non-finite value or gradient.
+    come from `posterior.kl_and_grad` on zeta and the step's S.  The batch
+    is not checked (`fit` checks the whole dataset once).  Raises
+    OverflowError or, under a raising numpy error state, FloatingPointError;
+    a plain-float overflow shows as a non-finite value or gradient.
     """
-    m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
-    correlation = len(zeta) == 5
-    s = s00, s10, s11 = posterior.factor(v0, v1, zeta[4] if correlation else 0.0)
+    m0, m1 = zeta[0], zeta[1]
+    s = s00, s10, s11 = posterior.factor(zeta)
     if isinstance(noise, (list, tuple)):
         e0, e1 = noise
         mc, g0, g1 = distributions.loglik_terms(batch, m0 + s00 * e0, m1 + s10 * e0 + s11 * e1)
@@ -161,11 +162,9 @@ def free_energy_and_grad(
         (mc, _, _), (g0, d00, _), (g1, d10, d11) = (np.array(parts) @ noise).tolist()
         # divided as floats, not as an array: the same bits, about 1 us a step less
         mc, g0, g1, d00, d10, d11 = mc / n, g0 / n, g1 / n, d00 / n, d10 / n, d11 / n
-    kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(
-        m0, m1, v0, v1, s, prior
-    )
+    kl, dkl_dm0, dkl_dm1, dkl_dv0, dkl_dv1, dkl_du = posterior.kl_and_grad(zeta, s, prior)
     grad = [g0 - dkl_dm0, g1 - dkl_dm1, d00 * s00 - dkl_dv0, d11 * s11 - dkl_dv1]
-    if correlation:
+    if len(zeta) == 5:  # u, as `posterior.factor` reads it
         grad.append(d10 - dkl_du)
     return mc - kl, mc, kl, grad
 
@@ -237,7 +236,7 @@ def fit(
         except (FloatingPointError, OverflowError) as err:
             raise DivergenceError(f"step failed: {err}", trace, zeta) from err
 
-        params = PosteriorParams.from_zeta(zeta)
+        params = PosteriorParams(zeta)
         try:
             final_fe = _final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
         except (FloatingPointError, OverflowError) as err:
@@ -267,7 +266,7 @@ def _final_free_energy(
     """Multi-sample estimate of F on the full data: (mean, standard error)."""
     kl = posterior.kl_value(params, prior)
     epsilons = rng.standard_normals(n_samples * 2).reshape(n_samples, 2)
-    thetas = params.m + epsilons @ posterior.cholesky_factor(params).T
+    thetas = params.mean + epsilons @ posterior.cholesky_factor(params).T
     whole = distributions.summarize(model, data.values, len(data), len(data))
     values = distributions.loglik_at(whole, thetas) - kl
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples))

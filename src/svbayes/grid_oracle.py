@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Dataset, ModelKind, check_support, loglik_at, summarize
-from .posterior import PosteriorParams, PriorSpec, correlation
+from .posterior import PosteriorParams, PriorSpec, correlation, mvn_log_pdf
 from .rng import check_count
 
 
@@ -131,7 +131,7 @@ def grid_posterior(
         check_support(model, data.values)
         log_post = loglik_at(summarize(model, data.values, len(data), len(data)), nodes)
         if prior is not None:
-            log_post = log_post + prior.log_pdf(nodes)
+            log_post = log_post + mvn_log_pdf(nodes, prior.m0, prior.C0)
         mass = normalize_log_density(log_post.reshape(n, n))
 
     mu_marginal = mass.sum(axis=1)

@@ -6,19 +6,20 @@ lower entries u_ij.  Samples are the deterministic transform
 theta = m + S eps of standard-normal noise, so gradients reach (m, v, u)
 while the noise stays outside the differentiated path.  The fitted models
 have two parameters; the posterior and prior records accept only that case,
-and the algebra is written for it: :func:`factor` gives the three entries
-of S and :func:`kl_and_grad` the KL to an MVN prior with its gradient, both
-in plain Python floats, which is what the fit loop's per-step algebra runs
-on; :func:`kl_value` reads the same formula.  A prior keeps C0^-1 and
-log|C0| only as the cached floats `kl_and_grad` reads.  One
-:class:`PosteriorParams` record holds the five fitted numbers: it packs
-them into the float list Adam ascends and back, and a fit returns it with
-the mean, covariance, correlation and JSON views read from it.
+and the algebra is written for it on zeta = (m0, m1, v0, v1[, u]), the
+floats Adam ascends, u only with five entries: :func:`factor` gives the
+three entries of S and :func:`kl_and_grad` the KL to an MVN prior with its
+gradient, both in plain Python floats, which is what the fit loop's
+per-step algebra runs on; :func:`kl_value` reads the same formula.  A prior
+keeps C0^-1 and log|C0| only as the cached floats `kl_and_grad` reads.  A
+fit's :class:`PosteriorParams` record is its zeta, with the mean,
+covariance, correlation and JSON views read from it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -31,59 +32,43 @@ DEFAULT_PRIOR_VAR = 100.0
 
 @dataclass(frozen=True)
 class PosteriorParams:
-    """Hyper-parameters of the approximate posterior: the one record of a fit.
+    """The approximate posterior as its zeta = (m0, m1, v0, v1[, u]): the one
+    record of a fit.
 
-    m: posterior means, length 2.
-    v: log of the Cholesky diagonal, length 2.
-    u: the one strict lower-triangle entry S10, length 1; ignored (treated
-       as zero) when correlation_enabled is False.
-    The arrays are read-only copies of the inputs.
+    m: the posterior means; v: the logs of the Cholesky diagonal; u: the one
+    strict lower-triangle entry S10, present with correlation (five entries)
+    and zero without it (four).  The entries are kept as a tuple of finite
+    floats; every other attribute is a view of them.
     """
 
-    m: np.ndarray
-    v: np.ndarray
-    u: np.ndarray | None = None
-    correlation_enabled: bool = True
+    zeta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        u = np.zeros(1) if self.u is None else self.u
-        arrays = {n: np.array(x, dtype=float) for n, x in (("m", self.m), ("v", self.v), ("u", u))}
-        shapes = [arr.shape for arr in arrays.values()]
-        if shapes != [(2,), (2,), (1,)]:
-            raise ValueError(f"m, v and u must have lengths 2, 2 and 1, got shapes {shapes}")
-        for name, arr in arrays.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite entries in {name}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        zeta = tuple(map(float, self.zeta))
+        if len(zeta) not in (4, 5):
+            raise ValueError(f"zeta takes 4 or 5 entries (m0, m1, v0, v1[, u]), got {len(zeta)}")
+        if not all(map(math.isfinite, zeta)):
+            raise ValueError(f"non-finite entries in zeta {list(zeta)}")
+        object.__setattr__(self, "zeta", zeta)
 
     @classmethod
-    def initial(cls, prior: "PriorSpec", correlation_enabled: bool = True) -> "PosteriorParams":
-        """Neutral starting point: prior mean, unit scales, no correlation."""
-        return cls(m=prior.m0, v=np.zeros(2), correlation_enabled=correlation_enabled)
-
-    @classmethod
-    def from_zeta(cls, zeta: Sequence[float]) -> "PosteriorParams":
-        """The record of a packed list (see `zeta`), correlated unless it has 4 entries."""
-        correlation = len(zeta) != 4
-        u = zeta[4:] if correlation else None
-        return cls(m=zeta[:2], v=zeta[2:4], u=u, correlation_enabled=correlation)
+    def initial(cls, prior: "PriorSpec", correlation_enabled: bool) -> "PosteriorParams":
+        """Neutral starting point: prior mean, unit scales and, with
+        correlation, u = 0."""
+        return cls((*prior.m0.tolist(), 0.0, 0.0) + (0.0,) * correlation_enabled)
 
     @property
-    def zeta(self) -> list[float]:
-        """(m0, m1, v0, v1[, u]) as floats, u only with correlation: Adam's list."""
-        u = self.u.tolist() if self.correlation_enabled else []
-        return self.m.tolist() + self.v.tolist() + u
+    def correlation_enabled(self) -> bool:
+        return len(self.zeta) == 5
 
     @property
     def s(self) -> tuple[float, float, float]:
-        """Entries (S00, S10, S11) of the factor S; u counts as 0 without correlation."""
-        (v0, v1), (u,) = self.v.tolist(), self.u.tolist()
-        return factor(v0, v1, u if self.correlation_enabled else 0.0)
+        """Entries (S00, S10, S11) of the factor S."""
+        return factor(self.zeta)
 
     @property
     def mean(self) -> np.ndarray:
-        return self.m
+        return np.array(self.zeta[:2])
 
     @property
     def cov(self) -> np.ndarray:
@@ -93,12 +78,19 @@ class PosteriorParams:
 
     @property
     def rho(self) -> float:
-        return correlation(self.cov)
+        """`correlation(cov)` while both variances are normal floats, else
+        S10 / hypot(S10, S11) from S (0 when S10 is), which no underflow of
+        C00 or C11 reaches."""
+        cov = self.cov
+        if min(cov[0, 0], cov[1, 1]) >= sys.float_info.min:
+            return correlation(cov)
+        _, s10, s11 = self.s
+        return s10 / math.hypot(s10, s11) if s10 else 0.0
 
     def to_json_dict(self) -> dict:
         """The fit JSON's `posterior` block: mean, covariance, correlation."""
         return {
-            "m": self.m.tolist(),
+            "m": list(self.zeta[:2]),
             "C": self.cov.tolist(),
             "rho": self.rho,
             "correlation_enabled": self.correlation_enabled,
@@ -140,10 +132,6 @@ class PriorSpec:
         log_det = float(np.linalg.slogdet(self.C0)[1])
         return (*np.linalg.inv(self.C0).tolist(), self.m0.tolist(), log_det - 2)
 
-    def log_pdf(self, points: np.ndarray) -> np.ndarray:
-        """Prior log density at `points`, shape (..., P)."""
-        return mvn_log_pdf(points, self.m0, self.C0)
-
     @classmethod
     def diagonal(cls, means, variances) -> "PriorSpec":
         """Independent prior from one shared or two per-dimension values each."""
@@ -169,15 +157,16 @@ def correlation(cov: np.ndarray) -> float:
     return float(cov[0, 1] / (math.sqrt(cov[0, 0]) * math.sqrt(cov[1, 1])))
 
 
-def factor(v0: float, v1: float, u: float) -> tuple[float, float, float]:
-    """Entries (S00, S10, S11) of the lower-triangular 2x2 factor S.
+def factor(zeta: Sequence[float]) -> tuple[float, float, float]:
+    """Entries (S00, S10, S11) of the lower-triangular 2x2 factor S of zeta.
 
-    The diagonal is exp(v) and S10 = u (pass 0.0 without correlation).
-    Raises OverflowError when an exp(v_i) does not fit a float.
+    The diagonal is exp(v) and S10 = u, which a zeta of four entries does
+    not carry (S10 = 0).  Raises OverflowError when an exp(v_i) does not fit
+    a float.
     """
     # math.exp, not np.exp: the two can differ in the last bit, and the fit's
     # artifacts are pinned to math.exp
-    return math.exp(v0), u, math.exp(v1)
+    return math.exp(zeta[2]), zeta[4] if len(zeta) == 5 else 0.0, math.exp(zeta[3])
 
 
 def cholesky_factor(params: PosteriorParams) -> np.ndarray:
@@ -187,18 +176,19 @@ def cholesky_factor(params: PosteriorParams) -> np.ndarray:
 
 
 def kl_and_grad(
-    m0: float, m1: float, v0: float, v1: float, s: tuple[float, float, float],
-    prior: PriorSpec,
+    zeta: Sequence[float], s: tuple[float, float, float], prior: PriorSpec
 ) -> tuple[float, float, float, float, float, float]:
     """Closed-form KL(q || prior) and its gradient, in plain floats.
 
     KL = 1/2 [ Trace(C0^-1 C) - log|C| + log|C0| - P + (m - m0)^T C0^-1 (m - m0) ]
-    with C = S S^T, `s` = (S00, S10, S11) = factor(v0, v1, u) as the caller
+    with C = S S^T, `s` = (S00, S10, S11) = factor(zeta) as the caller
     already has it, and log|C| = 2 (v0 + v1).  With A = C0^-1 S, returns the
     KL and its partials dKL/dm = C0^-1 (m - m0), dKL/dv_i = A_ii exp(v_i) - 1
-    and dKL/du = A_10.  Python float arithmetic
-    does not raise on overflow: an overflowing KL comes back as inf or nan.
+    and dKL/du = A_10 (which a zeta of four entries has no entry for).
+    Python float arithmetic does not raise on overflow: an overflowing KL
+    comes back as inf or nan.
     """
+    m0, m1, v0, v1 = zeta[0], zeta[1], zeta[2], zeta[3]
     (i00, i01), (i10, i11), (p0, p1), const = prior._kl_constants
     s00, s10, s11 = s
     d0, d1 = m0 - p0, m1 - p1
@@ -213,4 +203,4 @@ def kl_and_grad(
 
 def kl_value(params: PosteriorParams, prior: PriorSpec) -> float:
     """Closed-form KL(q || prior) as a plain number."""
-    return kl_and_grad(*params.m.tolist(), *params.v.tolist(), params.s, prior)[0]
+    return kl_and_grad(params.zeta, params.s, prior)[0]

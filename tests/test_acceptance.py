@@ -29,6 +29,7 @@ from svbayes.posterior import (
     PriorSpec,
     cholesky_factor,
     kl_value,
+    mvn_log_pdf,
 )
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
@@ -121,11 +122,8 @@ def test_criterion_2_kl_closed_form_vs_monte_carlo():
     ok = True
     detail = ""
     for i in range(20):
-        params = PosteriorParams(
-            m=rng.uniform(-3, 3, size=2),
-            v=rng.uniform(-1.5, 1.5, size=2),
-            u=rng.uniform(-2, 2, size=1),
-        )
+        m, v = rng.uniform(-3, 3, size=2), rng.uniform(-1.5, 1.5, size=2)
+        params = PosteriorParams((*m, *v, *rng.uniform(-2, 2, size=1)))
         a = rng.uniform(-1, 1, size=(2, 2))
         prior = PriorSpec(
             m0=rng.uniform(-2, 2, size=2),
@@ -137,14 +135,14 @@ def test_criterion_2_kl_closed_form_vs_monte_carlo():
             break
         s = cholesky_factor(params)
         c = params.cov
-        draws = params.m + rng.standard_normal((100_000, 2)) @ s.T
-        diff = draws - params.m
+        draws = params.mean + rng.standard_normal((100_000, 2)) @ s.T
+        diff = draws - params.mean
         inv = np.linalg.inv(c)
         logq = -0.5 * (
             np.einsum("ni,ij,nj->n", diff, inv, diff)
             + np.linalg.slogdet(c)[1] + 2 * math.log(2 * math.pi)
         )
-        samples = logq - prior.log_pdf(draws)
+        samples = logq - mvn_log_pdf(draws, prior.m0, prior.C0)
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         if abs(closed - samples.mean()) >= 3.0 * se:
             ok, detail = False, f"pair {i}: |{closed:.4f} - {samples.mean():.4f}| >= 3*{se:.4f}"
@@ -155,23 +153,19 @@ def test_criterion_2_kl_closed_form_vs_monte_carlo():
 
 def test_criterion_3_reparameterization_moments():
     """1e5 reparameterized samples reproduce the first two moments."""
-    params = PosteriorParams(
-        m=np.array([1.0, -0.5]),
-        v=np.array([math.log(0.8), math.log(1.2)]),
-        u=np.array([0.7]),
-    )
+    params = PosteriorParams((1.0, -0.5, math.log(0.8), math.log(1.2), 0.7))
     eps = np.random.default_rng(2718).standard_normal((100_000, 2))
     s = cholesky_factor(params)
-    draws = params.m + eps @ s.T
+    draws = params.mean + eps @ s.T
     c = params.cov
     mean_ok = all(
-        abs(draws[:, i].mean() - params.m[i]) < 4.0 * math.sqrt(c[i, i]) / math.sqrt(1e5)
+        abs(draws[:, i].mean() - params.zeta[i]) < 4.0 * math.sqrt(c[i, i]) / math.sqrt(1e5)
         for i in range(2)
     )
     emp = np.cov(draws.T)
     cov_ok = np.all(np.abs(emp / c - 1.0) < 0.02)
     report(3, mean_ok and cov_ok,
-           f"mean err {np.abs(draws.mean(axis=0) - params.m).max():.4f}, "
+           f"mean err {np.abs(draws.mean(axis=0) - params.mean).max():.4f}, "
            f"cov rel err {np.abs(emp / c - 1.0).max():.4f}")
 
 

@@ -54,11 +54,21 @@ def test_the_step_and_the_likelihood_take_no_input_they_can_derive():
     assert parameters(engine.free_energy_and_grad) == ["batch", "zeta", "noise", "prior"]
     assert parameters(distributions.loglik_terms) == ["batch", "mu", "theta2", "partials"]
     assert parameters(distributions.loglik_at) == ["batch", "thetas"]
-    assert parameters(svbayes.PosteriorParams.from_zeta) == ["zeta"]
+    assert parameters(posterior.factor) == ["zeta"]
+    assert parameters(posterior.kl_and_grad) == ["zeta", "s", "prior"]
     assert parameters(distributions.summarize) == ["kind", "y", "count", "n_total"]
     assert {"kind", "count", "n_total"} <= set(distributions.Batch._fields)
     assert distributions.Batch._field_defaults == {}
     assert not hasattr(distributions, "_checked_data")
+
+
+def test_the_posterior_record_is_its_zeta():
+    """`PosteriorParams` holds zeta alone, with no converter to or from it,
+    no m/v/u arrays beside it and no prior density wrapper beside `mvn_log_pdf`."""
+    assert [f.name for f in dataclasses.fields(svbayes.PosteriorParams)] == ["zeta"]
+    record = svbayes.PosteriorParams((0.0, 0.0, 0.0, 0.0))
+    assert not [n for n in ("from_zeta", "m", "v", "u") if hasattr(record, n)]
+    assert not hasattr(svbayes.PriorSpec, "log_pdf")
 
 
 def test_train_config_owns_the_default_learning_rate():

@@ -60,20 +60,19 @@ def start_from(monkeypatch, init):
     monkeypatch.setattr(PosteriorParams, "initial", lambda prior, correlation_enabled: init)
 
 
-def packed(params):
-    parts = [params.m, params.v]
-    if params.correlation_enabled:
-        parts.append(params.u)
-    return np.concatenate(parts)
+def random_params(rng, correlation):
+    """A record of random (m, v, u), the u drawn also when it is left out."""
+    m, v, u = rng.uniform(-2, 3, size=2), rng.uniform(-2, 1, size=2), rng.uniform(-1, 1, size=1)
+    return PosteriorParams((*m, *v, *(u if correlation else ())))
 
 
-def reference_objective(model, values, n_total, zeta, epsilons, prior, correlation_enabled):
+def reference_objective(model, values, n_total, zeta, epsilons, prior):
     """(F, mc_loglik, KL) at the packed `zeta`, written plainly and complex-safe
     for the complex step: a loop over the samples of the N/M-rescaled log
     density, the folded one as the log-sum-exp of its two reflected
     Gaussians, minus the full-matrix KL."""
     zeta = np.asarray(zeta)
-    u = zeta[4] if correlation_enabled else 0.0
+    u = zeta[4] if len(zeta) == 5 else 0.0
     s = np.array([[np.exp(zeta[2]), 0.0], [u, np.exp(zeta[3])]])
     mc = 0.0
     for eps in epsilons:
@@ -94,12 +93,12 @@ def reference_objective(model, values, n_total, zeta, epsilons, prior, correlati
 
 def assert_matches_reference(model, batch, params, epsilons):
     """The fit step against `reference_objective` and its complex-step gradient."""
-    zeta, corr = packed(params), params.correlation_enabled
+    zeta = np.array(params.zeta)
     fe, mc, kl, got = free_energy_and_grad(model, batch, 100, zeta, epsilons, PRIOR)
-    parts = reference_objective(model, batch, 100, zeta, epsilons, PRIOR, corr)
+    parts = reference_objective(model, batch, 100, zeta, epsilons, PRIOR)
     np.testing.assert_allclose([fe, mc, kl], np.real(parts), rtol=1e-10, atol=0.0)
     grad = complex_step(
-        lambda z: reference_objective(model, batch, 100, z, epsilons, PRIOR, corr)[0], zeta
+        lambda z: reference_objective(model, batch, 100, z, epsilons, PRIOR)[0], zeta
     )
     np.testing.assert_allclose(got, grad, rtol=1e-10, atol=0.0)
 
@@ -116,12 +115,7 @@ class TestClosedFormObjective:
         batch_values = BATCHES[batch](model_data(model).values)
         rng = np.random.default_rng(17)
         for _ in range(10):
-            params = PosteriorParams(
-                m=rng.uniform(-2, 3, size=2),
-                v=rng.uniform(-2, 1, size=2),
-                u=rng.uniform(-1, 1, size=1),
-                correlation_enabled=correlation,
-            )
+            params = random_params(rng, correlation)
             epsilons = rng.standard_normal((n_samples, 2))
             assert_matches_reference(model, batch_values, params, epsilons)
 
@@ -150,13 +144,13 @@ class TestClosedFormObjective:
         data = model_data(model)
         rng = np.random.default_rng(19)
         trajectory = [
-            packed(fit(
+            np.array(fit(
                 model, data, PRIOR,
                 TrainConfig(
                     epochs=epochs, seed=5, correlation_enabled=correlation,
                     final_fe_samples=2,
                 ),
-            ).posterior)
+            ).posterior.zeta)
             for epochs in (10, 400)
         ]
         random_points = [
@@ -193,13 +187,7 @@ class TestOneSamplePath:
         batch_values = BATCHES[batch](model_data(model).values)
         rng = np.random.default_rng(20)
         for _ in range(20):
-            params = PosteriorParams(
-                m=rng.uniform(-2, 3, size=2),
-                v=rng.uniform(-2, 1, size=2),
-                u=rng.uniform(-1, 1, size=1),
-                correlation_enabled=correlation,
-            )
-            zeta, eps = packed(params).tolist(), rng.standard_normal((1, 2))
+            zeta, eps = random_params(rng, correlation).zeta, rng.standard_normal((1, 2))
             one = free_energy_and_grad(model, batch_values, 100, zeta, eps, PRIOR)
             batch = summarize(model, batch_values, 100, 100)
             row = engine.free_energy_and_grad(batch, zeta, np.column_stack(([1.0], eps)), PRIOR)
@@ -222,9 +210,9 @@ class TestObjectiveParts:
         data = example1_data()
         prior = PriorSpec(m0=[0.5, 1.2], C0=np.diag([4.0, 4.0]))
         s = np.linalg.cholesky(prior.C0)
-        params = PosteriorParams(m=prior.m0, v=np.log(np.diag(s)), u=[s[1, 0]])
+        zeta = (*prior.m0, *np.log(np.diag(s)), s[1, 0])
         fe, _, kl, _ = free_energy_and_grad(
-            ModelKind.GAUSSIAN, data.values, 100, packed(params), np.zeros((1, 2)), prior
+            ModelKind.GAUSSIAN, data.values, 100, zeta, np.zeros((1, 2)), prior
         )
         assert kl == pytest.approx(0.0, abs=1e-12)
         mu, theta2 = prior.m0
@@ -280,7 +268,7 @@ class TestObjectiveParts:
                 TrainConfig(epochs=epochs, seed=11, final_fe_samples=2),
             )
             eps = rng.standard_normal((1, 2))
-            self.assert_gradient_matches_central_differences(data, packed(res.posterior), eps)
+            self.assert_gradient_matches_central_differences(data, res.posterior.zeta, eps)
 
 
 class TestMakeBatches:
@@ -341,7 +329,7 @@ def reference_fit(model, data, prior, config):
     (trace rows, final zeta, final F)."""
     lr, beta1, beta2, eps_hat = config.learning_rate, 0.9, 0.999, 1e-8
     rng = Rng(config.seed)
-    zeta = packed(PosteriorParams.initial(prior, config.correlation_enabled))
+    zeta = np.array(PosteriorParams.initial(prior, config.correlation_enabled).zeta)
     m, v = np.zeros_like(zeta), np.zeros_like(zeta)
     batch_size = config.batch_size or len(data)
     batches = make_batches(data, batch_size)
@@ -361,7 +349,7 @@ def reference_fit(model, data, prior, config):
             v = beta2 * v + (1.0 - beta2) * grad * grad
             m_hat, v_hat = m / (1.0 - beta1**t), v / (1.0 - beta2**t)
             zeta = zeta - lr * m_hat / (np.sqrt(v_hat) + eps_hat)
-    params = PosteriorParams.from_zeta(zeta)
+    params = PosteriorParams(zeta)
     final_fe = engine._final_free_energy(model, data, params, prior, config.final_fe_samples, rng)
     return np.array(trace), zeta, final_fe
 
@@ -375,11 +363,11 @@ def assert_matches_reference_fit(result, model, data, config):
     assert got.shape == trace.shape
     if config.mc_samples == 1:
         assert got.tolist() == trace.tolist()
-        assert packed(result.posterior).tolist() == zeta.tolist()
+        assert list(result.posterior.zeta) == zeta.tolist()
         assert result.final_free_energy == final_fe
     else:
         np.testing.assert_allclose(got, trace, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(packed(result.posterior), zeta, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(result.posterior.zeta, zeta, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(result.final_free_energy, final_fe, rtol=1e-12, atol=0.0)
 
 
@@ -420,7 +408,7 @@ class TestFusedLoop:
         monkeypatch.setattr(engine, "NOISE_BLOCK_DRAWS", 16)
         result = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
         assert result.trace == default.trace
-        assert packed(result.posterior).tobytes() == packed(default.posterior).tobytes()
+        assert result.posterior.zeta == default.posterior.zeta
         assert result.final_free_energy == default.final_free_energy
         assert_matches_reference_fit(result, ModelKind.GAUSSIAN, data, config)
 
@@ -432,18 +420,14 @@ class TestFit:
             ModelKind.GAUSSIAN, data, PRIOR,
             TrainConfig(epochs=1, learning_rate=0.0, final_fe_samples=2),
         )
-        np.testing.assert_array_equal(res.posterior.m, PRIOR.m0)
-        np.testing.assert_array_equal(res.posterior.v, np.zeros(2))
-        np.testing.assert_array_equal(res.posterior.u, np.zeros(1))
+        assert res.posterior.zeta == (*PRIOR.m0, 0.0, 0.0, 0.0)
 
     def test_same_seed_bitwise_identical(self):
         data = example1_data()
         config = TrainConfig(epochs=30, seed=5, final_fe_samples=50)
         r1 = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
         r2 = fit(ModelKind.GAUSSIAN, data, PRIOR, config)
-        np.testing.assert_array_equal(r1.posterior.m, r2.posterior.m)
-        np.testing.assert_array_equal(r1.posterior.v, r2.posterior.v)
-        np.testing.assert_array_equal(r1.posterior.u, r2.posterior.u)
+        assert r1.posterior.zeta == r2.posterior.zeta
         assert r1.trace == r2.trace
         assert r1.final_free_energy == r2.final_free_energy
 
@@ -543,7 +527,7 @@ class TestFit:
 
     def test_divergent_initialization_aborts_with_diagnostics(self, monkeypatch):
         data = example1_data()
-        start_from(monkeypatch, PosteriorParams(m=[0.0, 0.0], v=[700.0, 700.0], u=[0.0]))
+        start_from(monkeypatch, PosteriorParams((0.0, 0.0, 700.0, 700.0, 0.0)))
         with pytest.raises(DivergenceError) as excinfo:
             fit(ModelKind.GAUSSIAN, data, PRIOR, TrainConfig(epochs=1))
         assert excinfo.value.step == 0
@@ -554,11 +538,11 @@ class TestFit:
     @pytest.mark.parametrize(
         "prior,init",
         [
-            (PRIOR, PosteriorParams(m=[0.0, 0.0], v=[700.0, 700.0], u=[0.0])),
+            (PRIOR, PosteriorParams((0.0, 0.0, 700.0, 700.0, 0.0))),
             # a finite likelihood at mu = 1e5, but (m - m0)^T C0^-1 (m - m0) overflows
             (
                 PriorSpec(m0=[0.0, 0.0], C0=np.diag([1e-300, 1e-300])),
-                PosteriorParams(m=[1e5, 0.0], v=[0.0, 0.0], u=[0.0]),
+                PosteriorParams((1e5, 0.0, 0.0, 0.0, 0.0)),
             ),
         ],
         ids=["scale-overflow", "kl-overflow"],
@@ -570,17 +554,17 @@ class TestFit:
         with pytest.raises(DivergenceError) as excinfo:
             fit(model, model_data(model), prior, TrainConfig(epochs=1))
         assert excinfo.value.step == 0
-        np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
+        assert excinfo.value.zeta.tolist() == list(init.zeta)
 
     def test_gradient_square_overflow_raises(self, monkeypatch):
         """At log variance -360 the theta2 gradient is finite but its square
         is not; the fit must abort, not continue with a frozen coordinate."""
-        init = PosteriorParams(m=[0.0, -360.0], v=[-10.0, -10.0], u=[0.0])
+        init = PosteriorParams((0.0, -360.0, -10.0, -10.0, 0.0))
         start_from(monkeypatch, init)
         with pytest.raises(DivergenceError) as excinfo:
             fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=1))
         assert excinfo.value.step == 0
-        np.testing.assert_array_equal(excinfo.value.zeta, packed(init))
+        assert excinfo.value.zeta.tolist() == list(init.zeta)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gradient_with_finite_objective_aborts(self, monkeypatch, bad):

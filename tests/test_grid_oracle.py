@@ -24,7 +24,7 @@ from svbayes.grid_oracle import (
     grid_posterior,
     normalize_log_density,
 )
-from svbayes.posterior import PriorSpec, correlation
+from svbayes.posterior import PriorSpec, correlation, mvn_log_pdf
 
 PRIOR = PriorSpec(m0=[0.0, 0.0], C0=np.diag([100.0, 100.0]))
 # each model's default mu range: the folded likelihood is even in mu
@@ -153,7 +153,7 @@ class TestChunkedEvaluation:
         y = data.values[None, None, :]
         log_post = log_pdf(model, y, mu_axis[:, None, None], beta).sum(axis=2)
         if prior is not None:
-            log_post = log_post + prior.log_pdf(grid_nodes(mu_axis, logvar_axis))
+            log_post = log_post + mvn_log_pdf(grid_nodes(mu_axis, logvar_axis), prior.m0, prior.C0)
         return normalize_log_density(log_post)
 
     @pytest.mark.parametrize("model", list(ModelKind))
