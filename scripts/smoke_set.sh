@@ -1,10 +1,11 @@
 #!/bin/sh
 # Write the CLI smoke set into DIR (made if missing): the README quick start,
 # a fit under a given prior, shuffled, three-sample, 100-sample and
-# no-correlation Gaussian fits, a folded-normal chain (three-, 700- and
-# 100-sample batch-10 fits, a 5,000-sample final F, a one-sample batch-30 fit
-# without correlation), the grids, the comparisons and figures 1, 3, 5 and 6:
-# 63 files in all.
+# no-correlation Gaussian fits, an in-order batch-30 Gaussian fit (a remainder
+# batch, correlation on), a folded-normal chain (three-, 700- and 100-sample
+# batch-10 fits, a 5,000-sample final F, a one-sample batch-30 fit without
+# correlation), the grids, the comparisons and figures 1, 3, 5 and 6: 66 files
+# in all.
 #
 # Usage: scripts/smoke_set.sh DIR
 #
@@ -29,6 +30,7 @@ svbayes fit --data data.csv --batch-size 10 --mc-samples 3 --seed 1 --out fit_l3
 svbayes fit --data data.csv --batch-size 7 --shuffle --mc-samples 3 --seed 2 --out fit_sh_l3
 svbayes fit --data data.csv --batch-size 10 --mc-samples 100 --seed 1 --out fit_l100
 svbayes fit --data data.csv --no-correlation --batch-size 7 --shuffle --mc-samples 3 --seed 2 --out fit_nc_l3
+svbayes fit --data data.csv --batch-size 30 --seed 1 --out fit_b30
 svbayes grid --data data.csv --model gaussian --out grid
 svbayes grid --data data.csv --no-prior --resolution 51 --out grid_np
 svbayes compare fit.json grid.summary.json --out cmp

@@ -13,10 +13,11 @@ from .distributions import (
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
+    make_batches,
     pdf,
     sample_data,
 )
-from .engine import DivergenceError, FitResult, Trace, TrainConfig, fit, make_batches
+from .engine import DivergenceError, FitResult, Trace, TrainConfig, fit
 from .grid_oracle import (
     ComparisonReport,
     GridResult,

@@ -9,7 +9,7 @@ each point counts once an epoch, a short remainder batch included.
 
 Elementwise numpy (log-)densities serve the figures and the tests.  The
 likelihood proper reads a :class:`Batch`: its model, the values with the
-sums that model needs, W and N, taken once per batch by :func:`summarize`.
+sums that model needs, W and N, set for each batch by :func:`make_batches`.
 The Gaussian likelihood is exact in the count, mean and centred sum of
 squares, so at L theta points it costs O(L) whatever the batch size.
 :func:`loglik_terms` gives the rescaled batch value with closed-form
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import Rng
+from .rng import Rng, check_count
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
@@ -155,9 +155,21 @@ class Batch(NamedTuple):
     ss_c: float | None  # sum_m (y_m - ybar)^2 (Gaussian)
 
 
-def summarize(kind: ModelKind, y, count: int, n_total: int) -> Batch:
+def make_batches(kind: ModelKind, values: np.ndarray, batch_size: int) -> list[Batch]:
+    """The N `values` cut in order into B contiguous batches of `batch_size`
+    (in [1, N]; a shorter remainder batch last), each summarized for `kind`
+    as standing for B M_b of the N points: the data terms of an epoch's
+    batches count every point once, and `make_batches(kind, values, N)` is
+    the whole data as N of N points.  Their support is not checked."""
+    n = len(values)
+    size = check_count(batch_size, "batch_size", 1, n)
+    cut = [values[i : i + size] for i in range(0, n, size)]
+    return [_summarize(kind, y, len(cut) * len(y), n) for y in cut]
+
+
+def _summarize(kind: ModelKind, y, count: int, n_total: int) -> Batch:
     """The :class:`Batch` of the nonempty values `y` for `kind`, standing for
-    `count` of the `n_total` data points, unchecked."""
+    `count` of the `n_total` data points."""
     y = np.asarray(y, dtype=float)
     sum_y = float(np.add.reduce(y))
     if kind is ModelKind.FOLDED_NORMAL:
@@ -266,8 +278,8 @@ def _usable_cpus() -> int:
 def loglik_at(batch: Batch, thetas) -> np.ndarray:
     """Log-likelihood of `batch` at every (mu, log variance) row of `thetas`.
 
-    The final free energy and the grid pass the whole data, summarized as N
-    of N points and checked by the caller.  One value-only
+    The final free energy and the grid pass the whole data, the one batch of
+    `make_batches(kind, values, N)`, checked by the caller.  One value-only
     :func:`loglik_terms` call per run of rows; never an (L, N) array.  The
     Gaussian's cost does not depend on N, so it makes one call.  The Folded
     Normal's rows split into chunks of at most CHUNK_TERMS terms (at least

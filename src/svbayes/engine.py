@@ -17,13 +17,13 @@ pull-back: at one sample per step (the paper's estimator and the default)
 arithmetic from the noise draw to the Adam update; at L > 1 it gets the
 noise widened to [1 | eps], and the samples and the pull-back are one
 matmul each.
-`fit` checks the data once and summarizes each batch once (every epoch
-when shuffling).  Each step's value is checked once: F by `fit`, the
-gradient by the finiteness check Adam makes after its update anyway.  One
-generator, `_noise`, owns the draw order: `fit` opens one stream for the
-whole fit, or one per epoch right after its shuffle, and the stream draws
-lazily in blocks of up to NOISE_BLOCK_DRAWS normals, in the stream order of
-per-step draws, so everything downstream of the seed is deterministic.
+`fit` checks the data once and has `distributions.make_batches` make its
+batches once (every epoch when shuffling).  Each step's value is checked once:
+F by `fit`, the gradient by the finiteness check Adam makes after its update
+anyway.  One generator, `_noise`, owns the draw order: `fit` opens one stream
+for the whole fit, or one per epoch right after its shuffle, and the stream
+draws lazily in blocks of up to NOISE_BLOCK_DRAWS normals, in the stream order
+of per-step draws, so everything downstream of the seed is deterministic.
 A step keeps nothing for the garbage collector to track: its noise pair is
 made as it is taken, and its five trace numbers go onto the `Trace` columns.
 The final free-energy re-estimate runs on `distributions.loglik_at`.
@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import distributions, posterior
-from .distributions import Dataset, ModelKind
+from .distributions import Dataset, ModelKind, make_batches
 from .optimizer import Adam, check_learning_rate
 from .posterior import PosteriorParams, PriorSpec
 from .rng import SEED_MAX, Rng, check_count
@@ -134,7 +134,7 @@ def free_energy_and_grad(
 
     `zeta` packs (m0, m1, v0, v1[, u]) as `PosteriorParams.zeta` does,
     with u (and its gradient entry) only when it has five entries, and
-    `batch` is the `distributions.summarize` of the batch.  `noise` is the
+    `batch` is one of `make_batches`' batches of the data.  `noise` is the
     float pair (e0, e1) of one sample, as a list or tuple, or the (L, 3)
     array [1 | eps] of L samples.  Only the samples and the pull-back depend
     on the form.  One sample gives theta = m + S eps as three float products
@@ -169,26 +169,6 @@ def free_energy_and_grad(
     return mc - kl, mc, kl, grad
 
 
-def make_batches(data: Dataset, batch_size: int) -> list[np.ndarray]:
-    """Contiguous disjoint batches covering the data in order.
-
-    A shorter remainder batch is allowed.  `fit` scales the data terms of
-    each of the B batches by B, so every point counts once an epoch and the
-    mean of an epoch's batch log-likelihoods is the full-data value.
-    """
-    return _cut(data.values, check_count(batch_size, "batch_size", 1, len(data)))
-
-
-def _cut(values: np.ndarray, batch_size: int) -> list[np.ndarray]:
-    return [values[i : i + batch_size] for i in range(0, len(values), batch_size)]
-
-
-def _summaries(model: ModelKind, cut: list[np.ndarray]) -> list[distributions.Batch]:
-    """Each of the B batches summarized as standing for B times its points of all N."""
-    n_total = sum(map(len, cut))
-    return [distributions.summarize(model, b, len(cut) * len(b), n_total) for b in cut]
-
-
 def fit(
     model: ModelKind, data: Dataset, prior: PriorSpec, config: TrainConfig
 ) -> FitResult:
@@ -215,11 +195,11 @@ def fit(
     # estimate makes its numbers meaningless: report it as a divergence
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            batches = _summaries(model, make_batches(data, batch_size))
+            batches = make_batches(model, data.values, batch_size)
             noise = _noise(rng, config.epochs * len(batches), n_samples)
             for epoch in range(config.epochs):
                 if config.shuffle:
-                    batches = _summaries(model, _cut(rng.shuffle(data.values), batch_size))
+                    batches = make_batches(model, rng.shuffle(data.values), batch_size)
                     noise = _noise(rng, len(batches), n_samples)
                 for step, (batch, eps) in enumerate(zip(batches, noise)):
                     fe, mc, kl, grad = free_energy_and_grad(batch, zeta, eps, prior)
@@ -267,7 +247,7 @@ def _final_free_energy(
     kl = posterior.kl_value(params, prior)
     epsilons = rng.standard_normals(n_samples * 2).reshape(n_samples, 2)
     thetas = params.mean + epsilons @ posterior.cholesky_factor(params).T
-    whole = distributions.summarize(model, data.values, len(data), len(data))
+    (whole,) = make_batches(model, data.values, len(data))
     values = distributions.loglik_at(whole, thetas) - kl
     se = float(np.std(values, ddof=1) / math.sqrt(n_samples))
     return float(np.mean(values)), se

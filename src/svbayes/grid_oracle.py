@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Dataset, ModelKind, check_support, loglik_at, summarize
+from .distributions import Dataset, ModelKind, check_support, loglik_at, make_batches
 from .posterior import PosteriorParams, PriorSpec, correlation, mvn_log_pdf
 from .rng import check_count
 
@@ -129,7 +129,8 @@ def grid_posterior(
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         check_support(model, data.values)
-        log_post = loglik_at(summarize(model, data.values, len(data), len(data)), nodes)
+        (whole,) = make_batches(model, data.values, len(data))
+        log_post = loglik_at(whole, nodes)
         if prior is not None:
             log_post = log_post + mvn_log_pdf(nodes, prior.m0, prior.C0)
         mass = normalize_log_density(log_post.reshape(n, n))

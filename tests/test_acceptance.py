@@ -19,8 +19,8 @@ from svbayes.distributions import (
     ModelKind,
     folded_normal_log_pdf,
     loglik_terms,
+    make_batches,
     sample_data,
-    summarize,
 )
 from svbayes.engine import TrainConfig, fit, free_energy_and_grad
 from svbayes.grid_oracle import GridSpec, grid_posterior
@@ -91,7 +91,7 @@ def convergence_epoch(result, window=10):
 
 def test_criterion_1_gradient_correctness():
     """The gradient `fit` follows matches central differences of the objective."""
-    batch = summarize(ModelKind.GAUSSIAN, gaussian_data(1).values, 100, 100)
+    (batch,) = make_batches(ModelKind.GAUSSIAN, gaussian_data(1).values, 100)
     rng = np.random.default_rng(314)
     start = time.monotonic()
     worst = 0.0
@@ -281,14 +281,13 @@ def test_criterion_9_minibatch_likelihood_identity():
     mu, theta2 = np.array([0.8]), np.array([1.2])
 
     def value(batch):
-        stats = summarize(ModelKind.GAUSSIAN, batch, 100, 100)
-        return loglik_terms(stats, mu, theta2, partials=False)[0][0]
+        return loglik_terms(batch, mu, theta2, partials=False)[0][0]
 
-    full = value(data.values)
+    full = value(make_batches(ModelKind.GAUSSIAN, data.values, 100)[0])
     ok = True
     worst = 0.0
     for bs in (5, 10, 20, 25, 50, 100):
-        vals = [value(data.values[i : i + bs]) for i in range(0, 100, bs)]
+        vals = [value(b) for b in make_batches(ModelKind.GAUSSIAN, data.values, bs)]
         rel = abs(np.mean(vals) - full) / abs(full)
         worst = max(worst, rel)
         ok = ok and rel < 1e-10

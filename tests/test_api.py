@@ -1,5 +1,6 @@
 """The public namespace of the package."""
 
+import ast
 import dataclasses
 import inspect
 import math
@@ -56,10 +57,43 @@ def test_the_step_and_the_likelihood_take_no_input_they_can_derive():
     assert parameters(distributions.loglik_at) == ["batch", "thetas"]
     assert parameters(posterior.factor) == ["zeta"]
     assert parameters(posterior.kl_and_grad) == ["zeta", "s", "prior"]
-    assert parameters(distributions.summarize) == ["kind", "y", "count", "n_total"]
     assert {"kind", "count", "n_total"} <= set(distributions.Batch._fields)
     assert distributions.Batch._field_defaults == {}
     assert not hasattr(distributions, "_checked_data")
+
+
+def test_the_cut_sets_every_batch_count():
+    """`distributions.make_batches` is the one maker of a `Batch` from data:
+    the summarizer that takes counts is private, and the engine has no cut
+    or summary helpers of its own."""
+    engine_defs = ast.parse(Path(engine.__file__).read_text(encoding="utf-8")).body
+    defined = {n.name for n in engine_defs if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"make_batches", "_cut", "_summaries"})
+    assert list(inspect.signature(distributions.make_batches).parameters) == [
+        "kind", "values", "batch_size"
+    ]
+    assert svbayes.make_batches is distributions.make_batches
+    assert not hasattr(distributions, "summarize")
+
+
+def test_every_module_level_name_is_used():
+    """No op or helper that shipped code does not use: each module-level def
+    or class of the package is referenced (by name or attribute) somewhere
+    in it outside its own definition, or exported in `svbayes.__all__`."""
+    defined, used = {}, set()
+    for path in sorted(Path(svbayes.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            refs = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = path.name
+                refs.discard(node.name)
+            used |= refs
+    unused = {n: f for n, f in defined.items() if n not in used and n not in svbayes.__all__}
+    assert unused == {}
 
 
 def test_the_posterior_record_is_its_zeta():

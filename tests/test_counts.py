@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from svbayes import rng
-from svbayes.distributions import Dataset, ModelKind, sample_data
-from svbayes.engine import TrainConfig, fit, make_batches
+from svbayes.distributions import Dataset, ModelKind, make_batches, sample_data
+from svbayes.engine import TrainConfig, fit
 from svbayes.grid_oracle import GridSpec
 from svbayes.posterior import PriorSpec
 from svbayes.rng import Rng
@@ -30,7 +30,9 @@ COUNTS = {
     ),
     "batch_size": ("batch_size", 1, lambda k: TrainConfig(batch_size=k).batch_size),
     "seed": ("seed", 0, lambda k: TrainConfig(seed=k).seed),
-    "make_batches": ("batch_size", 1, lambda k: len(make_batches(DATA, k)[0])),
+    "make_batches": (
+        "batch_size", 1, lambda k: len(make_batches(ModelKind.GAUSSIAN, DATA.values, k)[0].y)
+    ),
     "resolution": ("resolution", 2, lambda k: GridSpec(resolution=k).resolution),
     "sample_data": ("n", 1, lambda k: len(sample_data(ModelKind.GAUSSIAN, 1.0, 4.0, k, 0))),
     "standard_normals": ("n", 1, lambda k: len(Rng(0).standard_normals(k))),
@@ -62,7 +64,7 @@ def test_a_value_below_the_minimum_is_refused(name, lo, build):
 
 def test_make_batches_refuses_more_than_the_data():
     with pytest.raises(ValueError, match=r"^batch_size must be in \[1, 10\], got 11$"):
-        make_batches(DATA, 11)
+        make_batches(ModelKind.GAUSSIAN, DATA.values, 11)
 
 
 def test_check_count_bounds_are_inclusive():

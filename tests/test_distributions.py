@@ -19,9 +19,9 @@ from svbayes.distributions import (
     folded_normal_log_pdf,
     gaussian_log_pdf,
     log_pdf,
+    make_batches,
     pdf,
     sample_data,
-    summarize,
 )
 from svbayes.engine import TrainConfig, fit
 from svbayes.grid_oracle import GridSpec, grid_posterior
@@ -30,14 +30,15 @@ from svbayes.rng import Rng
 
 
 def whole(kind, data):
-    """Raw values summarized as the whole data: N of N points."""
-    return summarize(kind, data, len(data), len(data))
+    """Raw values made into the whole data: N of N points."""
+    (batch,) = make_batches(kind, data, len(data))
+    return batch
 
 
 def loglik_terms(kind, data, mu, theta2, n_total, partials=True):
     """The likelihood core on raw batch values standing for all n_total
     points, summarized here."""
-    batch = summarize(kind, data, n_total, n_total)
+    batch = distributions._summarize(kind, data, n_total, n_total)
     return distributions.loglik_terms(batch, mu, theta2, partials)
 
 
@@ -459,7 +460,7 @@ class TestLoglikTerms:
         points = [(0.0, 0.3), (-0.0, 0.3), (-1.7, -0.5), (2.3, 1.2), (50.0, 0.0),
                   (-50.0, 2.0), (1e4, -4.0), (0.4, 5.0), (3.0, -30.0), (-3.0, -30.0)]
         for data in batches:
-            batch = summarize(kind, data, 100, 100)
+            batch = distributions._summarize(kind, data, 100, 100)
             for mu, theta2 in points:
                 at_floats = distributions.loglik_terms(batch, mu, theta2, partials)
                 at_row = distributions.loglik_terms(
@@ -526,7 +527,7 @@ class TestGaussianSufficientStatistics:
         terms, N its normalizer, whichever model it is read under."""
         y = np.array([0.5, 1.25, 3.0])
         for kind in ModelKind:
-            batch = summarize(kind, y, 6, 9)
+            batch = distributions._summarize(kind, y, 6, 9)
             assert (batch.kind, batch.count, batch.n_total) == (kind, 6, 9)
             normalizer = -4.5 * (0.3 + LOG_TWO_PI)
             value = distributions.loglik_terms(batch, 0.7, 0.3, False)[0]

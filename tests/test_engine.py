@@ -14,10 +14,10 @@ from svbayes.distributions import (
     ModelKind,
     log_pdf,
     loglik_terms,
+    make_batches,
     sample_data,
-    summarize,
 )
-from svbayes.engine import DivergenceError, TrainConfig, fit, make_batches
+from svbayes.engine import DivergenceError, TrainConfig, fit
 from svbayes.posterior import PosteriorParams, PriorSpec
 from svbayes.rng import Rng
 
@@ -34,7 +34,7 @@ def free_energy_and_grad(model, values, n_total, zeta, epsilons, prior, count=No
         noise = epsilons[0].tolist()
     else:
         noise = np.column_stack((np.ones(len(epsilons)), epsilons))
-    batch = summarize(model, values, n_total if count is None else count, n_total)
+    batch = distributions._summarize(model, values, n_total if count is None else count, n_total)
     return engine.free_energy_and_grad(batch, zeta, noise, prior)
 
 
@@ -46,12 +46,17 @@ def example1_data(seed=42):
     return model_data(ModelKind.GAUSSIAN, seed)
 
 
-# the full data, one batch of 10, and the 2-point remainder batch of size 7
+# the full data, the fourth batch of 10, and the 2-point remainder of batches of 7
 BATCHES = {
     "full": lambda values: values,
-    "batch10": lambda values: make_batches(Dataset(values), 10)[3],
-    "remainder": lambda values: make_batches(Dataset(values), 7)[-1],
+    "batch10": lambda values: values[30:40],
+    "remainder": lambda values: values[98:],
 }
+
+
+def cut(values, batch_size):
+    """Contiguous batches of `batch_size` in order, a shorter remainder last."""
+    return [values[i : i + batch_size] for i in range(0, len(values), batch_size)]
 
 
 def start_from(monkeypatch, init):
@@ -72,8 +77,7 @@ def reference_objective(model, values, n_total, zeta, epsilons, prior):
     density, the folded one as the log-sum-exp of its two reflected
     Gaussians, minus the full-matrix KL."""
     zeta = np.asarray(zeta)
-    u = zeta[4] if len(zeta) == 5 else 0.0
-    s = np.array([[np.exp(zeta[2]), 0.0], [u, np.exp(zeta[3])]])
+    s = reference_factor(zeta)
     mc = 0.0
     for eps in epsilons:
         mu, theta2 = zeta[:2] + s @ eps
@@ -84,11 +88,22 @@ def reference_objective(model, values, n_total, zeta, epsilons, prior):
             near = hi + np.log(1.0 + np.exp(near + far - 2.0 * hi))
         mc = mc + n_total / len(values) * np.sum(0.5 * (-theta2 - math.log(2 * math.pi)) + near)
     mc = mc / len(epsilons)
+    kl = reference_kl(zeta, s, prior)
+    return mc - kl, mc, kl
+
+
+def reference_factor(zeta):
+    """S = [[exp v0, 0], [u, exp v1]] of the packed `zeta` (u = 0 without it)."""
+    u = zeta[4] if len(zeta) == 5 else 0.0
+    return np.array([[np.exp(zeta[2]), 0.0], [u, np.exp(zeta[3])]])
+
+
+def reference_kl(zeta, s, prior):
+    """KL(q || prior) of q = N(m, S S^T) from the full matrices, complex-safe."""
     c, inv0, d = s @ s.T, np.linalg.inv(prior.C0), zeta[:2] - prior.m0
     log_det_c = np.log(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0])
     log_det_c0 = np.linalg.slogdet(prior.C0)[1]
-    kl = 0.5 * (np.trace(inv0 @ c) - log_det_c + log_det_c0 - 2 + d @ inv0 @ d)
-    return mc - kl, mc, kl
+    return 0.5 * (np.trace(inv0 @ c) - log_det_c + log_det_c0 - 2 + d @ inv0 @ d)
 
 
 def assert_matches_reference(model, batch, params, epsilons):
@@ -189,7 +204,7 @@ class TestOneSamplePath:
         for _ in range(20):
             zeta, eps = random_params(rng, correlation).zeta, rng.standard_normal((1, 2))
             one = free_energy_and_grad(model, batch_values, 100, zeta, eps, PRIOR)
-            batch = summarize(model, batch_values, 100, 100)
+            batch = distributions._summarize(model, batch_values, 100, 100)
             row = engine.free_energy_and_grad(batch, zeta, np.column_stack(([1.0], eps)), PRIOR)
             two = free_energy_and_grad(
                 model, batch_values, 100, zeta, np.repeat(eps, 2, axis=0), PRIOR
@@ -272,23 +287,27 @@ class TestObjectiveParts:
 
 
 class TestMakeBatches:
+    GAUSSIAN = ModelKind.GAUSSIAN
+
     def test_even_split(self):
         data = Dataset(np.arange(100.0))
-        batches = make_batches(data, 10)
+        batches = make_batches(self.GAUSSIAN, data.values, 10)
         assert len(batches) == 10
-        assert all(len(b) == 10 for b in batches)
-        np.testing.assert_array_equal(np.concatenate(batches), data.values)
+        assert all(len(b.y) == 10 for b in batches)
+        np.testing.assert_array_equal(np.concatenate([b.y for b in batches]), data.values)
 
     def test_full_batch(self):
         data = Dataset(np.arange(7.0))
-        batches = make_batches(data, 7)
+        batches = make_batches(self.GAUSSIAN, data.values, 7)
         assert len(batches) == 1
-        np.testing.assert_array_equal(batches[0], data.values)
+        np.testing.assert_array_equal(batches[0].y, data.values)
 
     def test_remainder_batch(self):
         data = Dataset(np.arange(10.0))
-        batches = make_batches(data, 3)
-        assert [len(b) for b in batches] == [3, 3, 3, 1]
+        batches = make_batches(self.GAUSSIAN, data.values, 3)
+        assert [len(b.y) for b in batches] == [3, 3, 3, 1]
+        # each of the B = 4 batches stands for B M_b of the N = 10 points
+        assert [(b.count, b.n_total) for b in batches] == [(12, 10)] * 3 + [(4, 10)]
 
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("batch_size", [7, 30, 99])
@@ -308,7 +327,7 @@ class TestMakeBatches:
         monkeypatch.undo()
         batches = seen[: -(-len(data) // batch_size)]  # one step a batch, then the final F
         assert np.concatenate([b.y for b in batches]).tolist() == data.values.tolist()
-        whole = summarize(model, data.values, len(data), len(data))
+        (whole,) = make_batches(model, data.values, len(data))
         for mu, theta2 in ((0.4, 0.3), (-0.7, 1.9), (2.5, -0.6)):
             full = loglik_terms(whole, mu, theta2)
             mean = np.mean([loglik_terms(b, mu, theta2) for b in batches], 0)
@@ -317,9 +336,9 @@ class TestMakeBatches:
     def test_out_of_range_rejected(self):
         data = Dataset(np.arange(5.0))
         with pytest.raises(ValueError):
-            make_batches(data, 0)
+            make_batches(self.GAUSSIAN, data.values, 0)
         with pytest.raises(ValueError):
-            make_batches(data, 6)
+            make_batches(self.GAUSSIAN, data.values, 6)
 
 
 def reference_fit(model, data, prior, config):
@@ -332,11 +351,11 @@ def reference_fit(model, data, prior, config):
     zeta = np.array(PosteriorParams.initial(prior, config.correlation_enabled).zeta)
     m, v = np.zeros_like(zeta), np.zeros_like(zeta)
     batch_size = config.batch_size or len(data)
-    batches = make_batches(data, batch_size)
+    batches = cut(data.values, batch_size)
     trace, t = [], 0
     for _ in range(config.epochs):
         if config.shuffle:
-            batches = make_batches(Dataset(rng.shuffle(data.values)), batch_size)
+            batches = cut(rng.shuffle(data.values), batch_size)
         for batch in batches:
             eps = rng.standard_normals(config.mc_samples * 2).reshape(config.mc_samples, 2)
             fe, mc, kl, grad = free_energy_and_grad(
@@ -411,6 +430,31 @@ class TestFusedLoop:
         assert result.posterior.zeta == default.posterior.zeta
         assert result.final_free_energy == default.final_free_energy
         assert_matches_reference_fit(result, ModelKind.GAUSSIAN, data, config)
+
+
+class TestFinalFreeEnergy:
+    """The fit's final F against the formula written out here, on noise drawn
+    plainly from the seed's stream: the mean and standard error of the whole
+    data's summed log density at theta = m + S eps, minus the full-matrix KL."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("batch_size, n_batches", [(None, 1), (30, 4)], ids=["full", "batch30"])
+    def test_final_free_energy_is_the_whole_data_estimate(self, model, batch_size, n_batches):
+        data = model_data(model)
+        config = TrainConfig(epochs=3, batch_size=batch_size, seed=6, final_fe_samples=50)
+        result = fit(model, data, PRIOR, config)
+        rng = Rng(config.seed)
+        rng.standard_normals(config.epochs * n_batches * 2)  # the steps' noise, one sample each
+        eps = rng.standard_normals(100).reshape(50, 2)
+        zeta = np.array(result.posterior.zeta)
+        s = reference_factor(zeta)
+        kl = reference_kl(zeta, s, PRIOR)
+        values = [
+            float(log_pdf(model, data.values, mu, math.exp(-theta2)).sum()) - kl
+            for mu, theta2 in (zeta[:2] + eps @ s.T).tolist()
+        ]
+        want = [np.mean(values), np.std(values, ddof=1) / math.sqrt(50)]
+        np.testing.assert_allclose(result.final_free_energy, want, rtol=1e-10, atol=0.0)
 
 
 class TestFit:

@@ -4,7 +4,7 @@ Stochastic ascent reaches the optimum only if each step's gradient is
 unbiased (Robbins & Monro 1951; Hoffman, Blei, Wang & Paisley, "Stochastic
 Variational Inference", JMLR 2013).  Each case takes K steps at a fixed
 zeta off the optimum on batches and noise made by `fit`'s own helpers
-(`make_batches`, `_cut`, `_summaries`, `Rng.shuffle` each epoch, `_noise`),
+(`distributions.make_batches`, `Rng.shuffle` each epoch, `engine._noise`),
 so their bugs show.  The mean of the K step gradients is z-tested against
 the exact expected gradient: the full-data step averaged over a
 20 x 20 probabilists' Gauss-Hermite grid of noise pairs.  K is a multiple of
@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
-from svbayes.distributions import ModelKind, sample_data, summarize
-from svbayes.engine import _cut, _noise, _summaries, free_energy_and_grad, make_batches
+from svbayes.distributions import ModelKind, make_batches, sample_data
+from svbayes.engine import _noise, free_energy_and_grad
 from svbayes.posterior import PriorSpec
 from svbayes.rng import Rng
 
@@ -40,7 +40,7 @@ def exact_gradient(model: ModelKind, n_params: int) -> np.ndarray:
     nodes, weights = hermegauss(20)
     weights = weights / weights.sum()  # the sum is sqrt(2 pi)
     data = DATA[model]
-    whole = summarize(model, data.values, len(data), len(data))
+    (whole,) = make_batches(model, data.values, len(data))
     zeta = list(ZETA[:n_params])
     total = np.zeros(n_params)
     for e0, w0 in zip(nodes.tolist(), weights.tolist()):
@@ -55,13 +55,13 @@ def step_gradients(model, batch_size, shuffle, n_samples, n_params, seed):
     as `fit` makes them: each epoch's B batches once, in order or shuffled."""
     zeta, data, rng = list(ZETA[:n_params]), DATA[model], Rng(seed)
     size = len(data) if batch_size is None else batch_size
-    batches = _summaries(model, make_batches(data, size))
+    batches = make_batches(model, data.values, size)
     steps = STEPS[n_samples]
     assert steps % len(batches) == 0
     noise, grads = _noise(rng, steps, n_samples), []
     for _ in range(steps // len(batches)):
         if shuffle:
-            batches = _summaries(model, _cut(rng.shuffle(data.values), size))
+            batches = make_batches(model, rng.shuffle(data.values), size)
             noise = _noise(rng, len(batches), n_samples)
         for batch, eps in zip(batches, noise):
             grads.append(free_energy_and_grad(batch, zeta, eps, PRIOR)[3])

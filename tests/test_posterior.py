@@ -7,7 +7,7 @@ import pytest
 
 from numdiff import central_differences, max_rel_error
 from svbayes import distributions, engine
-from svbayes.distributions import ModelKind, summarize
+from svbayes.distributions import ModelKind, make_batches
 from svbayes import posterior
 from svbayes.posterior import (
     PosteriorParams,
@@ -100,7 +100,7 @@ def fit_step_samples(params, eps):
         return inner(batch, mu, theta2)
 
     noise = np.column_stack((np.ones(len(eps)), eps))
-    batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2, 2)
+    (batch,) = make_batches(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2)
     prior = PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distributions, "loglik_terms", recording)
@@ -123,7 +123,7 @@ class TestReparamSample:
     def test_noise_width_mismatch_rejected(self):
         """Noise rows must be [1 | eps], and a one-sample float noise (e0, e1),
         with one eps per parameter."""
-        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2, 2)
+        (batch,) = make_batches(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2)
         prior = PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
         for noise in (np.ones((1, 2)), np.ones((1, 4)), (1.0,), (1.0, 1.0, 1.0)):
             with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ class TestReparamSample:
             return mu * mu + np.exp(theta2), 2.0 * mu, np.exp(theta2)
 
         monkeypatch.setattr(distributions, "loglik_terms", smooth)
-        batch = summarize(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2, 2)
+        (batch,) = make_batches(ModelKind.GAUSSIAN, np.array([0.5, 1.5]), 2)
         rng = np.random.default_rng(5)
         prior = random_prior(rng)
         for _ in range(10):
