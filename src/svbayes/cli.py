@@ -7,16 +7,18 @@ plot data (every CSV through `_write_rows`, a block of whole rows at a
 time), JSON for structured results, `repr` floats throughout for exact
 round-trips, `\\n` line endings, UTF-8.
 
-A command parses its flags into the library's records (which own every
-default and check), calls the library, writes what it returns and exits
-with the `EXIT_CODES` row of the error class it meets: 0 success, 2 usage
-or invalid argument, 3 unreadable or malformed input file, 4 model domain
-violation, 5 divergence abort, 6 grid underflow.
+`main` builds the parser once a process and runs the command its subcommand
+names.  A command parses its flags into the library's records (which own
+every default and check), calls the library, writes what it returns and
+exits with the `EXIT_CODES` row of the error class it meets: 0 success, 2
+usage or invalid argument, 3 unreadable or malformed input file, 4 model
+domain violation, 5 divergence abort, 6 grid underflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -367,6 +369,7 @@ def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built at the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svbayes",
@@ -382,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=_N_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output base path (writes <out>.csv)")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fit", help="fit the approximate posterior to a dataset")
     p.add_argument("--data", required=True, help="input data CSV")
@@ -397,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shuffle", action="store_true")
     _add_prior_flags(p)
     p.add_argument("--out", required=True, help="output base path")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("grid", help="brute-force grid posterior over a dataset")
     p.add_argument("--data", required=True)
@@ -410,27 +411,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prior", action="store_true")
     _add_prior_flags(p)
     p.add_argument("--out", required=True, help="output base path")
-    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("compare", help="compare a fit result with a grid summary")
     p.add_argument("fit_json")
     p.add_argument("grid_summary")
     p.add_argument("--out", default=None, help="optional output base path")
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure", help="emit plot-ready data for one worked figure")
     p.add_argument("figure_id", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_figure)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"generate": cmd_generate, "fit": cmd_fit, "grid": cmd_grid,
+                "compare": cmd_compare, "figure": cmd_figure}
     try:
-        return args.func(args)
+        return commands[args.subcommand](args)
     except tuple(EXIT_CODES) as err:
         diverged = isinstance(err, DivergenceError)
         print(f"error: {'optimization diverged: ' if diverged else ''}{err}", file=sys.stderr)

@@ -235,7 +235,7 @@ def loglik_terms(batch: Batch, mu, theta2, partials: bool = True):
     a = beta * abs(mu)
     if point:  # -2|z|, exactly; sum_m y_m tanh|z_m| >= 0 and the soft sum made floats
         buf = y * (-2.0 * a)
-        tanh_y = float(np.tanh(-0.5 * buf) @ y) if partials else None
+        tanh_y = float(np.tanh(-0.5 * buf).dot(y)) if partials else None
         soft = float(np.add.reduce(np.log1p(np.exp(buf, out=buf), out=buf)))
     else:  # rows, a chunk at a time (see above); each row sums on its own
         n, rows = len(a), CHUNK_TERMS // m or 1

@@ -43,10 +43,10 @@ class Adam:
         step moves along it: zeta + lr * mhat / (sqrt(vhat) + eps).  `zeta`
         is left as it is, and a length that differs from the optimizer's
         raises ValueError.  One pass over copies of the state computes the
-        moments, the update and their check: a non-finite moment or update
+        moments, the update and their check: a non-finite sqrt(vhat) or update
         raises OverflowError.  That covers a NaN or infinite gradient entry
-        (it makes its moments non-finite) and a finite one whose square
-        overflows (an infinite second moment would freeze its coordinate).
+        (its first moment makes the update non-finite) and a finite one whose
+        square overflows (an infinite vhat would freeze its coordinate).
         The copies replace the state after the pass, so the error leaves it
         as it was.  Identical state and inputs give bitwise-identical outputs.
         """
@@ -63,7 +63,7 @@ class Adam:
             vi = new_v[i] = b2 * new_v[i] + a2 * g * g
             r = sqrt(vi / c2)
             z = updated[i] = updated[i] + lr * (mi / c1) / (r + eps_hat)
-            if not (isfinite(mi) and isfinite(r) and isfinite(z)):
+            if not (isfinite(r) and isfinite(z)):  # a non-finite mi makes z non-finite
                 raise OverflowError("non-finite Adam moment or update")
         self.step_count, self.first_moment, self.second_moment = t, new_m, new_v
         return updated

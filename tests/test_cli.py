@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import svbayes
 from svbayes import cli, engine, grid_oracle, posterior
 from svbayes.distributions import Dataset, DomainError, ModelKind, pdf, sample_data
 from svbayes.posterior import PriorSpec, mvn_log_pdf
@@ -78,6 +83,62 @@ def test_an_error_outside_the_table_propagates(monkeypatch):
     monkeypatch.setattr(cli, "cmd_generate", fail)
     with pytest.raises(KeyError):
         run(["generate", "--out", "unused"])
+
+
+class TestCachedParser:
+    """`main` builds its parser once a process, and a call carries nothing to the next."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(svbayes.__file__).parents[1])}
+
+    def test_import_builds_no_parser(self):
+        code = "import svbayes.cli as cli; print(cli.build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], check=True, env=self.ENV, capture_output=True, text=True
+        )
+        assert done.stdout == "0\n"
+
+    def test_built_once_across_calls(self, dataset, tmp_path):
+        cli.build_parser.cache_clear()
+        assert run(["generate", "--n", "10", "--out", str(tmp_path / "a")]) == 0
+        parser = cli.build_parser()
+        argv = ["fit", "--data", str(dataset), "--epochs", "2", "--final-fe-samples", "10"]
+        assert run([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert cli.build_parser() is parser
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        """Fits, a usage error, a help exit and a grid in one process write
+        the bytes of the same commands each run in a fresh interpreter."""
+        data = tmp_path / "fdata"
+        argv = ["generate", "--model", "folded-normal", "--n", "100", "--seed", "3"]
+        assert run([*argv, "--out", str(data)]) == 0
+        data = f"{data}.csv"
+        runs = {
+            "prior": ["fit", "--data", data, "--prior-mean", "1", "2", "--prior-var", "50"],
+            "default": ["fit", "--data", data],
+            "grid": ["grid", "--data", data, "--model", "folded-normal"],
+            "batch30": ["fit", "--data", data, "--batch-size", "30", "--shuffle"],
+        }
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        assert run([*runs["prior"], "--out", str(here / "prior")]) == 0
+        assert run(["fit", "--data", data, "--batch-size", "2.5", "--out", str(here / "bad")]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            run(["fit", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: svbayes fit")
+        for name in ("default", "grid", "batch30"):
+            assert run([*runs[name], "--out", str(here / name)]) == 0
+        for name, argv in runs.items():
+            subprocess.run(
+                [sys.executable, "-m", "svbayes.cli", *argv, "--out", str(fresh / name)],
+                check=True, env=self.ENV, capture_output=True,
+            )
+        names = sorted(path.name for path in fresh.iterdir())
+        assert len(names) == 12 and sorted(path.name for path in here.iterdir()) == names
+        for name in names:
+            assert read(here / name) == read(fresh / name), name
+        manifest = json.loads((here / "default.manifest.json").read_text())
+        assert manifest["configuration"]["prior_mean"] == [0.0, 0.0]
 
 
 class TestGenerate:

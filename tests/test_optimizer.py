@@ -97,6 +97,19 @@ class TestAdamStep:
                 opt.step([0.0, 0.0], grad)
         assert (opt.step_count, opt.first_moment, opt.second_moment) == before
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_raises_at_zero_learning_rate(self, bad):
+        """At lr 0 the update is 0 * (mhat / ...), NaN for a non-finite first
+        moment, so the check on sqrt(vhat) and the update still raises and
+        nothing is committed."""
+        opt = Adam(2, learning_rate=0.0)
+        opt.step([0.0, 0.0], [1.0, -1.0])
+        before = (opt.step_count, opt.first_moment[:], opt.second_moment[:])
+        for grad in ([1.0, bad], [bad, 0.0]):
+            with pytest.raises(OverflowError):
+                opt.step([0.5, -0.5], grad)
+        assert (opt.step_count, opt.first_moment, opt.second_moment) == before
+
     def test_moment_overflow_raises_and_keeps_state(self):
         """A finite gradient whose square overflows would leave v = inf and
         the coordinate frozen; the step raises instead and changes nothing."""
