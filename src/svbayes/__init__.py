@@ -26,14 +26,12 @@ from .grid_oracle import (
     compare,
     grid_posterior,
 )
-from .optimizer import Adam
 from .posterior import PosteriorParams, PriorSpec, kl_value
 from .rng import Rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam",
     "ComparisonReport",
     "Dataset",
     "DivergenceError",

@@ -107,15 +107,17 @@ def log_pdf(kind: ModelKind, y, mu, beta):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _check_variance(variance: float) -> None:
+def _check_mean_and_variance(mu: float, variance: float) -> None:
+    if not math.isfinite(mu):
+        raise ValueError(f"mean mu must be finite, got {mu}")
     if not (math.isfinite(variance) and variance > 0.0):
         raise ValueError(f"variance must be finite and positive, got {variance}")
 
 
 def pdf(kind: ModelKind, y, mu: float, variance: float):
-    """Density value(s) at `y` of the model with mean `mu` and `variance`;
-    zero outside the support."""
-    _check_variance(variance)
+    """Density value(s) at `y` of the model with mean `mu` (finite) and
+    `variance` (finite and positive); zero outside the support."""
+    _check_mean_and_variance(mu, variance)
     out = np.exp(log_pdf(kind, y, mu, 1.0 / variance))
     return float(out) if np.isscalar(y) else out
 
@@ -124,14 +126,14 @@ def pdf(kind: ModelKind, y, mu: float, variance: float):
 
 
 def sample_data(kind: ModelKind, mu: float, variance: float, n: int, seed: int) -> Dataset:
-    """n i.i.d. draws from the model with mean `mu` and `variance` (finite
-    and positive), deterministic given the seed.
+    """n i.i.d. draws from the model with mean `mu` (finite) and `variance`
+    (finite and positive), deterministic given the seed.
 
     Gaussian draws are mu + sqrt(variance) times standard normals; Folded
     Normal draws are their absolute values.  `n` and `seed` are checked by
     `Rng`, with `rng.check_count`.
     """
-    _check_variance(variance)
+    _check_mean_and_variance(mu, variance)
     values = mu + math.sqrt(variance) * Rng(seed).standard_normals(n)
     if kind is ModelKind.FOLDED_NORMAL:
         values = np.abs(values)

@@ -20,10 +20,13 @@ matmul each.
 `fit` checks the data once and has `distributions.make_batches` make its
 batches once (every epoch when shuffling).  Each step's value is checked once:
 F by `fit`, the gradient by the finiteness check Adam makes after its update
-anyway.  One generator, `_noise`, owns the draw order: `fit` opens one stream
-for the whole fit, or one per epoch right after its shuffle, and the stream
-draws lazily in blocks of up to NOISE_BLOCK_DRAWS normals, in the stream order
-of per-step draws, so everything downstream of the seed is deterministic.
+anyway.  Adam is the function `optimizer.adam_step` over state that `fit`
+keeps as locals, the step count and the two moment lists it updates in place,
+so a step copies nothing but zeta.  One generator, `_noise`, owns the draw
+order: `fit` opens one stream for the whole fit, or one per epoch right after
+its shuffle, and the stream draws lazily in blocks of up to NOISE_BLOCK_DRAWS
+normals, in the stream order of per-step draws, so everything downstream of
+the seed is deterministic.
 A step keeps nothing for the garbage collector to track: its noise pair is
 made as it is taken, and its five trace numbers go onto the `Trace` columns.
 The final free-energy re-estimate runs on `distributions.loglik_at`.
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import distributions, posterior
 from .distributions import Dataset, ModelKind, make_batches
-from .optimizer import Adam, check_learning_rate
+from .optimizer import adam_step, check_learning_rate
 from .posterior import PosteriorParams, PriorSpec
 from .rng import SEED_MAX, Rng, check_count
 
@@ -179,16 +182,17 @@ def fit(
     data are checked once, here.  Each step's F is checked here and its
     gradient by Adam's post-update check; a non-finite value, a numpy fault
     or an Adam overflow raises DivergenceError with the step's index, its
-    pre-step zeta and the last trace steps before it.  The returned final
+    pre-step zeta and the last trace steps before it (Adam's moments, which
+    a failed step may have half updated, are dropped).  The returned final
     free energy re-estimates the objective on the full data with
     `final_fe_samples` fresh draws, since single-sample step values are noisy.
     """
     distributions.check_support(model, data.values)
     rng = Rng(config.seed)
     zeta = PosteriorParams.initial(prior, config.correlation_enabled).zeta
-    optimizer = Adam(len(zeta), learning_rate=config.learning_rate)
+    first, second, t = [0.0] * len(zeta), [0.0] * len(zeta), 0  # Adam's moments and step count
     batch_size = len(data) if config.batch_size is None else config.batch_size
-    n_samples = config.mc_samples
+    n_samples, learning_rate = config.mc_samples, config.learning_rate
 
     trace = epochs, steps, fes, kls, mcs = Trace([], [], [], [], [])  # lists, tuples at the end
     # an overflow or invalid operation anywhere in a step or in the final
@@ -207,7 +211,8 @@ def fit(
                     if not math.isfinite(fe):
                         raise DivergenceError("non-finite objective", trace, zeta)
                     # raises OverflowError on a non-finite gradient, moment or update
-                    zeta = optimizer.step(zeta, grad)
+                    t += 1
+                    zeta = adam_step(zeta, grad, first, second, t, learning_rate)
                     epochs.append(epoch)
                     steps.append(step)
                     fes.append(fe)

@@ -40,8 +40,13 @@ def test_unused_names_and_adam_settings_are_gone():
     assert not hasattr(svbayes.PosteriorParams, "__iter__")
     prior = svbayes.PriorSpec.diagonal([0.0, 0.0], [1.0, 1.0])
     assert not [name for name in ("C0_inv", "log_det_C0") if hasattr(prior, name)]
-    # beta1, beta2 and eps_hat are fixed constants of the optimizer module
-    assert list(inspect.signature(svbayes.Adam).parameters) == ["size", "learning_rate"]
+    # Adam is one function over the fit's own state, with beta1, beta2 and
+    # eps_hat fixed constants of the optimizer module: no optimizer object
+    assert not hasattr(svbayes, "Adam") and not hasattr(optimizer, "Adam")
+    assert not [v for v in vars(optimizer).values() if inspect.isclass(v)]
+    assert list(inspect.signature(optimizer.adam_step).parameters) == [
+        "zeta", "grad", "first", "second", "t", "learning_rate"
+    ]
 
 
 def test_the_step_and_the_likelihood_take_no_input_they_can_derive():
@@ -106,7 +111,7 @@ def test_the_posterior_record_is_its_zeta():
 
 
 def test_train_config_owns_the_default_learning_rate():
-    learning_rate = inspect.signature(svbayes.Adam).parameters["learning_rate"]
+    learning_rate = inspect.signature(optimizer.adam_step).parameters["learning_rate"]
     assert learning_rate.default is inspect.Parameter.empty
     assert svbayes.TrainConfig().learning_rate == 0.1
 
@@ -123,16 +128,16 @@ def test_generating_distribution_is_its_mean_and_variance():
 
 
 def test_learning_rate_rule_has_one_owner():
-    """`TrainConfig` and `Adam` refuse a learning rate through one function,
-    the only place its message is written."""
+    """`TrainConfig` refuses a learning rate through one function, the only
+    place its message is written, and is that function's only caller."""
     sources = [p.read_text(encoding="utf-8") for p in Path(svbayes.__file__).parent.glob("*.py")]
     assert sum(s.count("learning rate must be") for s in sources) == 1
+    assert sum(s.count("check_learning_rate(") for s in sources) == 2  # its def and one call
     for lr in (-0.1, math.nan, math.inf):
         messages = set()
         checks = (
             optimizer.check_learning_rate,
             lambda x: svbayes.TrainConfig(learning_rate=x),
-            lambda x: svbayes.Adam(2, x),
         )
         for check in checks:
             with pytest.raises(ValueError) as err:

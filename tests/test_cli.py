@@ -169,6 +169,14 @@ class TestGenerate:
         assert capsys.readouterr().err == want
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mu", ["inf", "-inf", "nan"])
+    def test_non_finite_mean_is_usage_error(self, tmp_path, capsys, mu):
+        """Exit 2 with a message that names the mean, and no file written."""
+        code = run(["generate", f"--mu={mu}", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: mean mu must be finite, got {float(mu)}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_n_is_usage_error(self, tmp_path):
         code = run(["generate", "--n", "0", "--out", str(tmp_path / "x")])
         assert code == 2

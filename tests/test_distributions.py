@@ -90,6 +90,17 @@ class TestParameterizations:
         with pytest.raises(ValueError, match=message):
             pdf(ModelKind.GAUSSIAN, 1.0, 0.0, variance)
 
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+    def test_generating_mean_must_be_finite(self, mu):
+        """`sample_data` and `pdf` refuse a non-finite mean with a message
+        that names it (not as data or densities that are non-finite)."""
+        message = f"mean mu must be finite, got {mu}"
+        with pytest.raises(ValueError, match=message):
+            sample_data(ModelKind.GAUSSIAN, mu, 4.0, 10, seed=1)
+        for kind in ModelKind:
+            with pytest.raises(ValueError, match=message):
+                pdf(kind, [0.0, 1.0], mu, 4.0)
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.array([]))

@@ -610,10 +610,15 @@ class TestFit:
         assert excinfo.value.step == 0
         assert excinfo.value.zeta.tolist() == list(init.zeta)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_gradient_with_finite_objective_aborts(self, monkeypatch, bad):
+    @pytest.mark.parametrize(
+        "bad, learning_rate",
+        [(b, lr) for lr in (0.1, 0.0) for b in (math.nan, math.inf, -math.inf)],
+        ids=["nan", "inf", "-inf", "nan-lr0", "inf-lr0", "-inf-lr0"],
+    )
+    def test_non_finite_gradient_with_finite_objective_aborts(self, monkeypatch, bad, learning_rate):
         """`fit` checks only F; a step with a finite F and a non-finite partial
-        still aborts at that step, through Adam's check, with the pre-step zeta."""
+        still aborts at that step, through Adam's check, with the pre-step zeta,
+        also at learning rate 0, where the update is 0 * inf or 0 * NaN."""
         step_fn, zetas = engine.free_energy_and_grad, []
 
         def bad_fourth_step(batch, zeta, *rest):
@@ -626,10 +631,11 @@ class TestFit:
 
         monkeypatch.setattr(engine, "free_energy_and_grad", bad_fourth_step)
         with pytest.raises(DivergenceError) as excinfo:
-            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR, TrainConfig(epochs=10))
+            fit(ModelKind.GAUSSIAN, example1_data(), PRIOR,
+                TrainConfig(epochs=10, learning_rate=learning_rate))
         assert excinfo.value.step == 3
         assert excinfo.value.zeta.tolist() == zetas[3]
-        assert zetas[3] != zetas[0]
+        assert (zetas[3] != zetas[0]) == (learning_rate > 0.0)
 
     @pytest.mark.parametrize("failed_step", [3, 8])
     def test_divergence_keeps_the_last_trace_records(self, monkeypatch, failed_step):
