@@ -4,8 +4,8 @@
 # no-correlation Gaussian fits, an in-order batch-30 Gaussian fit (a remainder
 # batch, correlation on), a folded-normal chain (three-, 700- and 100-sample
 # batch-10 fits, a 5,000-sample final F, a one-sample batch-30 fit without
-# correlation), the grids, the comparisons and figures 1, 3, 5 and 6: 66 files
-# in all.
+# correlation), the grids, the comparisons and figures 1, 3, 5 and 6: 66
+# entries in all, 106 files with the four figure directories.
 #
 # Usage: scripts/smoke_set.sh DIR
 #

@@ -2,8 +2,9 @@
 
 Each subcommand writes its outputs plus a JSON manifest carrying the fully
 resolved configuration, so any artifact can be reproduced bit for bit by
-re-running with the recorded settings.  Output conventions: CSV for tabular
-plot data (every CSV through `_write_rows`, a block of whole rows at a
+re-running with the recorded settings.  A run's `_Outputs` names each file
+once and lists it in the manifest; every file is written by `_write_rows`.
+Output conventions: CSV for tabular plot data (a block of whole rows at a
 time), JSON for structured results, `repr` floats throughout for exact
 round-trips, `\\n` line endings, UTF-8.
 
@@ -11,8 +12,9 @@ round-trips, `\\n` line endings, UTF-8.
 names.  A command parses its flags into the library's records (which own
 every default and check), calls the library, writes what it returns and
 exits with the `EXIT_CODES` row of the error class it meets: 0 success, 2
-usage or invalid argument, 3 unreadable or malformed input file, 4 model
-domain violation, 5 divergence abort, 6 grid underflow.
+usage or invalid argument, 3 missing, unreadable or malformed input file or
+an output that cannot be written, 4 model domain violation, 5 divergence
+abort, 6 grid underflow.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from itertools import islice
 from pathlib import Path
@@ -30,8 +33,8 @@ import numpy as np
 
 from . import __version__, engine, grid_oracle
 from .distributions import Dataset, DomainError, ModelKind, pdf, sample_data
-from .engine import DivergenceError, Trace, TrainConfig
-from .grid_oracle import GridSpec, GridUnderflowError, compare_moments
+from .engine import DivergenceError, FitResult, Trace, TrainConfig
+from .grid_oracle import GridResult, GridSpec, GridUnderflowError, compare_moments
 from .posterior import DEFAULT_PRIOR_MEAN, DEFAULT_PRIOR_VAR, PriorSpec, mvn_log_pdf
 
 # Rows per formatted write of a data or trace CSV; a grid CSV writes a mu-line at a time.
@@ -39,7 +42,7 @@ DATA_CHUNK_ROWS = 65_536
 
 
 class DataFileError(RuntimeError):
-    """An input file was missing or failed to parse."""
+    """A missing, unreadable or malformed input file, or an output that cannot be written."""
 
 
 # the exit code of each error class, most specific first: a DomainError is a ValueError
@@ -53,27 +56,32 @@ EXIT_CODES = {
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    """`obj` as JSON; a non-finite number raises ValueError before the file is opened."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    """`obj` as JSON, the text written by `_write_rows` as its header line; a
+    non-finite number raises ValueError before the file is opened."""
+    _write_rows(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False), ())
 
 
-def _artifact(base: Path, suffix: str) -> Path:
-    """`base` with `suffix` appended to its whole name, dots included."""
-    return base.with_name(base.name + suffix)
+class _Outputs:
+    """The files one run writes, each named once: `path` gives an artifact its
+    path and lists it under its role in the manifest's outputs."""
 
+    def __init__(self, out: str, directory: bool = False) -> None:
+        self.out, self.directory, self.names = Path(out), directory, {}
 
-def _write_manifest(
-    path: Path, *, subcommand: str, seed: int | None, configuration: dict, inputs: dict,
-    outputs: dict,
-) -> None:
-    """The reproducibility record of one run: its resolved settings and files."""
-    _write_json(path, {
-        "artifact": "svbayes", "version": __version__, "subcommand": subcommand, "seed": seed,
-        "configuration": configuration, "inputs": inputs, "outputs": outputs,
-    })
+    def path(self, role: str | None, name: str) -> Path:
+        """`<out>/<name>` in a directory of outputs, else `<out><name>`, dots included."""
+        path = self.out / name if self.directory else self.out.with_name(self.out.name + name)
+        if role:
+            self.names[role] = path.name
+        return path
+
+    def write_manifest(self, args, *, configuration: dict, inputs: dict | None = None) -> None:
+        """The reproducibility record of the run `args` asked for: its settings and files."""
+        _write_json(self.path(None, "manifest.json" if self.directory else ".manifest.json"), {
+            "artifact": "svbayes", "version": __version__, "subcommand": args.subcommand,
+            "seed": getattr(args, "seed", None), "configuration": configuration,
+            "inputs": inputs or {}, "outputs": self.names,
+        })
 
 
 def _prior_fields(prior: PriorSpec | None) -> dict:
@@ -90,10 +98,13 @@ def _reprs(values) -> list[str]:
 def _write_rows(path: Path, header: str, blocks) -> None:
     """CSV under `header`: each of `blocks` is a list of `\\n`-ended row
     strings, joined and written in one piece (its list freed before the write)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(map("".join, blocks))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            fh.writelines(map("".join, blocks))
+    except OSError as err:
+        raise DataFileError(f"cannot write {path}: {err}") from err
 
 
 def _grid_rows(mu_axis, logvar_axis, mass, variance: bool) -> Iterator[list[str]]:
@@ -105,6 +116,12 @@ def _grid_rows(mu_axis, logvar_axis, mass, variance: bool) -> Iterator[list[str]
         tails = [f"{lv},{math.exp(x)!r}" for lv, x in zip(tails, logvar_axis.tolist())]
     for mu, line in zip(_reprs(mu_axis), mass):
         yield [f"{mu},{tail},{m}\n" for tail, m in zip(tails, _reprs(line))]
+
+
+def _write_mass(path: Path, grid: GridResult, mass, variance: bool) -> None:
+    """Masses on `grid`'s nodes, its own or another density's: `_grid_rows` under their header."""
+    header = "mu,logvar,variance,mass" if variance else "mu,logvar,mass"
+    _write_rows(path, header, _grid_rows(grid.mu_axis, grid.logvar_axis, mass, variance))
 
 
 def write_data_csv(path: Path, data: Dataset) -> None:
@@ -120,6 +137,12 @@ def write_trace_csv(trace: Trace, path) -> None:
     blocks = ([f"{e},{s},{f!r},{k!r},{m!r}\n" for e, s, f, k, m in islice(rows, DATA_CHUNK_ROWS)]
               for _ in range(0, len(trace.step), DATA_CHUNK_ROWS))
     _write_rows(Path(path), "epoch,step,F,kl,mc_loglik", blocks)
+
+
+def _write_fit(result: FitResult, json_path: Path, trace_path: Path) -> None:
+    """A fit's result JSON and its per-step trace CSV."""
+    _write_json(json_path, result.to_json_dict())
+    write_trace_csv(result.trace, trace_path)
 
 
 def read_data_csv(path: Path) -> Dataset:
@@ -148,18 +171,13 @@ def read_data_csv(path: Path) -> Dataset:
 def cmd_generate(args) -> int:
     model = ModelKind(args.model)
     data = sample_data(model, args.mu, args.variance, args.n, args.seed)
-    base = Path(args.out)
-    out = _artifact(base, ".csv")
-    write_data_csv(out, data)
-    _write_manifest(
-        _artifact(base, ".manifest.json"),
-        subcommand="generate",
-        seed=args.seed,
+    out = _Outputs(args.out)
+    write_data_csv(out.path("data", ".csv"), data)
+    out.write_manifest(
+        args,
         configuration={
             "model": model.value, "mu": args.mu, "variance": args.variance, "n": args.n
         },
-        inputs={},
-        outputs={"data": out.name},
     )
     return 0
 
@@ -178,18 +196,12 @@ def cmd_fit(args) -> int:
         final_fe_samples=args.final_fe_samples, shuffle=args.shuffle,
     )
     result = engine.fit(ModelKind(args.model), data, prior, config)
-    base = Path(args.out)
-    out_json = _artifact(base, ".json")
-    out_trace = _artifact(base, ".trace.csv")
-    _write_json(out_json, result.to_json_dict())
-    write_trace_csv(result.trace, out_trace)
-    _write_manifest(
-        _artifact(base, ".manifest.json"),
-        subcommand="fit",
-        seed=args.seed,
+    out = _Outputs(args.out)
+    _write_fit(result, out.path("result", ".json"), out.path("trace", ".trace.csv"))
+    out.write_manifest(
+        args,
         configuration={"model": args.model, **config.to_json_dict(), **_prior_fields(prior)},
         inputs={"data": str(args.data)},
-        outputs={"result": out_json.name, "trace": out_trace.name},
     )
     return 0
 
@@ -202,16 +214,11 @@ def cmd_grid(args) -> int:
         args.mu_range and tuple(args.mu_range), tuple(args.logvar_range), args.resolution
     )
     grid = grid_oracle.grid_posterior(model, data, prior, spec)
-    base = Path(args.out)
-    out_csv = _artifact(base, ".csv")
-    out_json = _artifact(base, ".summary.json")
-    rows = _grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, False)
-    _write_rows(out_csv, "mu,logvar,mass", rows)
-    _write_json(out_json, grid.summary_dict())
-    _write_manifest(
-        _artifact(base, ".manifest.json"),
-        subcommand="grid",
-        seed=None,
+    out = _Outputs(args.out)
+    _write_mass(out.path("mass", ".csv"), grid, grid.mass, False)
+    _write_json(out.path("summary", ".summary.json"), grid.summary_dict())
+    out.write_manifest(
+        args,
         configuration={
             "model": model.value,
             "mu_range": grid.mu_axis[[0, -1]].tolist(),  # linspace keeps the range's ends exactly
@@ -221,7 +228,6 @@ def cmd_grid(args) -> int:
             **_prior_fields(prior),
         },
         inputs={"data": str(args.data)},
-        outputs={"mass": out_csv.name, "summary": out_json.name},
     )
     return 0
 
@@ -245,16 +251,12 @@ def cmd_compare(args) -> int:
         raise DataFileError(f"incompatible artifacts: {err}") from err
     print(report.table())
     if args.out is not None:
-        base = Path(args.out)
-        out_json = _artifact(base, ".json")
-        _write_json(out_json, report.to_json_dict())
-        _write_manifest(
-            _artifact(base, ".manifest.json"),
-            subcommand="compare",
-            seed=None,
+        out = _Outputs(args.out)
+        _write_json(out.path("report", ".json"), report.to_json_dict())
+        out.write_manifest(
+            args,
             configuration={},
             inputs={"fit": str(args.fit_json), "grid_summary": str(args.grid_summary)},
-            outputs={"report": out_json.name},
         )
     return 0
 
@@ -290,53 +292,37 @@ def cmd_figure(args) -> int:
         )
         fits[label] = engine.fit(model, data, prior, config)
 
-    # the first write (`_write_json`) makes the directory: a refused seed or a
-    # diverged fit leaves nothing behind
-    out_dir, outputs = Path(args.out_dir), {}
+    # the first write makes the directory: a refused seed or a diverged fit leaves nothing behind
+    out = _Outputs(args.out_dir, directory=True)
     for label, result in fits.items():
-        fit_path = out_dir / f"fit_{label}.json"
-        _write_json(fit_path, result.to_json_dict())
-        outputs[f"fit_{label}"] = fit_path.name
-        trace_path = out_dir / f"trace_{label}.csv"
-        write_trace_csv(result.trace, trace_path)
-        outputs[f"trace_{label}"] = trace_path.name
+        fit_path = out.path(f"fit_{label}", f"fit_{label}.json")
+        _write_fit(result, fit_path, out.path(f"trace_{label}", f"trace_{label}.csv"))
 
     if settings["panels"]:
-        data_path = out_dir / "panel_a_data.csv"
-        write_data_csv(data_path, data)
-        outputs["panel_a_data"] = data_path.name
+        write_data_csv(out.path("panel_a_data", "panel_a_data.csv"), data)
 
         sigma = math.sqrt(_TRUE_VARIANCE)
         lo = 1e-6 if model is ModelKind.FOLDED_NORMAL else _TRUE_MU - 4 * sigma
         ys = np.linspace(lo, _TRUE_MU + 4 * sigma, 201)
-        pdf_path = out_dir / "panel_a_true_pdf.csv"
         density = _reprs(pdf(model, ys, _TRUE_MU, _TRUE_VARIANCE))
         rows = [f"{y},{p}\n" for y, p in zip(_reprs(ys), density)]
-        _write_rows(pdf_path, "y,pdf", [rows])
-        outputs["panel_a_true_pdf"] = pdf_path.name
+        _write_rows(out.path("panel_a_true_pdf", "panel_a_true_pdf.csv"), "y,pdf", [rows])
 
         # the reference grid reproduces the likelihood-only evaluation
         grid = grid_oracle.grid_posterior(model, data, None, GridSpec())
-        grid_path = out_dir / "panel_b_grid.csv"
-        header = "mu,logvar,variance,mass"
-        _write_rows(grid_path, header, _grid_rows(grid.mu_axis, grid.logvar_axis, grid.mass, True))
-        _write_json(out_dir / "panel_b_grid.summary.json", grid.summary_dict())
-        outputs["panel_b_grid"] = grid_path.name
-        outputs["panel_b_summary"] = "panel_b_grid.summary.json"
+        _write_mass(out.path("panel_b_grid", "panel_b_grid.csv"), grid, grid.mass, True)
+        _write_json(out.path("panel_b_summary", "panel_b_grid.summary.json"), grid.summary_dict())
 
         nodes = grid_oracle.grid_nodes(grid.mu_axis, grid.logvar_axis)
         for panel, label in (("c", "nocorr"), ("d", "corr")):
             q = fits[label].posterior
             log_q = mvn_log_pdf(nodes, q.mean, q.cov)
             mass = grid_oracle.normalize_log_density(log_q)
-            path = out_dir / f"panel_{panel}_svb_{label}.csv"
-            _write_rows(path, header, _grid_rows(grid.mu_axis, grid.logvar_axis, mass, True))
-            outputs[f"panel_{panel}_svb"] = path.name
+            path = out.path(f"panel_{panel}_svb", f"panel_{panel}_svb_{label}.csv")
+            _write_mass(path, grid, mass, True)
 
-    _write_manifest(
-        out_dir / "manifest.json",
-        subcommand="figure",
-        seed=args.seed,
+    out.write_manifest(
+        args,
         configuration={
             "figure_id": args.figure_id,
             "model": model.value,
@@ -348,8 +334,6 @@ def cmd_figure(args) -> int:
             "learning_rate": fits["corr"].config.learning_rate,
             "mc_samples": fits["corr"].config.mc_samples,
         },
-        inputs={},
-        outputs=outputs,
     )
     return 0
 
@@ -422,6 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
 
+    for p in sub.choices.values():  # argparse's own rule reads -1e3 and -inf as options
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -36,6 +36,18 @@ def dataset(tmp_path):
     return tmp_path / "data.csv"
 
 
+def assert_manifests_list_the_files(directory):
+    """Every file in `directory` is a manifest or is named by exactly one
+    manifest's outputs, and every name a manifest lists is a file there."""
+    files = {path.name for path in directory.iterdir()}
+    manifests = {name for name in files if name.endswith("manifest.json")}
+    listed = [
+        name for manifest in manifests
+        for name in json.loads((directory / manifest).read_text())["outputs"].values()
+    ]
+    assert sorted(listed) == sorted(files - manifests)
+
+
 def test_parsed_defaults_are_the_library_constants(capsys):
     """The flags carry the library's defaults, and the help text states them."""
     parser = cli.build_parser()
@@ -646,6 +658,7 @@ class TestFigure:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["configuration"]["figure_id"] == 2
         assert not (out / "panel_b_grid.csv").exists()
+        assert_manifests_list_the_files(out)
 
     def test_figure1_panel_bundle(self, tmp_path):
         out = tmp_path / "fig1"
@@ -665,6 +678,7 @@ class TestFigure:
         assert len(svb_lines) == len(grid_lines)
         mass = sum(float(line.split(",")[3]) for line in svb_lines[1:])
         assert mass == pytest.approx(1.0, abs=1e-9)
+        assert_manifests_list_the_files(out)
 
 
 class TestSeedRange:
@@ -726,6 +740,106 @@ class TestDottedOutputBases:
                     assert (tmp_path / artifact).is_file(), artifact
             result = json.loads((tmp_path / f"run.seed{seed}.json").read_text())
             assert result["config"]["seed"] == seed
+        assert_manifests_list_the_files(tmp_path)
+
+
+class TestNegativeFloatValues:
+    """Every float flag takes any negative value `float` reads as its own
+    token, not only the `-1` and `-1.5` forms argparse's own rule passes."""
+
+    @pytest.mark.parametrize(
+        "argv, field, want",
+        [
+            (["generate", "--mu", "-1e3", "--n", "5"], "mu", -1000.0),
+            (
+                ["fit", "--prior-mean", "-1e3", "0", "--epochs", "2", "--final-fe-samples", "10"],
+                "prior_mean", [-1000.0, 0.0],
+            ),
+            (["grid", "--mu-range", "-1e-3", "3"], "mu_range", [-0.001, 3.0]),
+            (["grid", "--logvar-range", "-2E0", "2.5"], "logvar_range", [-2.0, 2.5]),
+            (["grid", "--prior-mean", "-.5e1", "1"], "prior_mean", [-5.0, 1.0]),
+        ],
+        ids=["generate-mu", "fit-prior-mean", "grid-mu-range", "grid-logvar-range", "dot-exponent"],
+    )
+    def test_value_is_read(self, dataset, tmp_path, argv, field, want):
+        if argv[0] != "generate":
+            argv = [*argv, "--data", str(dataset)]
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["configuration"][field] == want
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--mu", "-inf"], "mean mu must be finite, got -inf"),
+            (["generate", "--variance", "-1e3"], "variance must be finite and positive"),
+            (["fit", "--lr", "-1e-3"], "learning rate must be finite and >= 0, got -0.001"),
+            (["fit", "--prior-var", "-1e2"], "prior covariance must be positive definite"),
+            (["grid", "--mu-range", "-inf", "3"], "mu_range must be finite with lo < hi"),
+            (["grid", "--prior-mean", "-Infinity"], "prior mean entries must be finite"),
+        ],
+        ids=["mu-inf", "variance", "lr", "prior-var", "mu-range-inf", "prior-mean-infinity"],
+    )
+    def test_refused_value_reaches_the_library(self, dataset, tmp_path, capsys, argv, message):
+        """The library's own check answers, with exit 2, and nothing is written."""
+        if argv[0] != "generate":
+            argv = [*argv, "--data", str(dataset)]
+        before = sorted(tmp_path.iterdir())
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_dash_word_is_still_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["generate", "--mu", "--n", "5", "--out", str(tmp_path / "d")])
+        assert exit_info.value.code == 2
+        assert "argument --mu: expected one argument" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 3 with one `error: cannot
+    write <path>: <reason>` line, whichever command meets it."""
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            ("generate", "sub.csv"),
+            ("fit", "sub.json"),
+            ("grid", "sub.csv"),
+            ("compare", "sub.json"),
+            ("figure", "fit_nocorr.json"),
+        ],
+    )
+    def test_output_under_a_file(self, dataset, tmp_path, capsys, command, blocked):
+        data, file = str(dataset), tmp_path / "file"
+        file.write_text("")
+        if command == "compare":
+            fit = ["fit", "--data", data, "--epochs", "2", "--final-fe-samples", "10"]
+            assert run([*fit, "--out", str(tmp_path / "fit")]) == 0
+            assert run(["grid", "--data", data, "--out", str(tmp_path / "grid")]) == 0
+        argv = {
+            "generate": ["generate", "--n", "5", "--out", str(file / "sub")],
+            "fit": ["fit", "--data", data, "--epochs", "2", "--out", str(file / "sub")],
+            "grid": ["grid", "--data", data, "--out", str(file / "sub")],
+            "compare": [
+                "compare", str(tmp_path / "fit.json"), str(tmp_path / "grid.summary.json"),
+                "--out", str(file / "sub"),
+            ],
+            "figure": ["figure", "2", "--out-dir", str(file)],
+        }[command]
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {file / blocked}: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before and file.read_text() == ""
+
+    def test_output_onto_a_directory(self, tmp_path, capsys):
+        (tmp_path / "d.csv").mkdir()
+        assert run(["generate", "--n", "5", "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'd.csv'}: ")
+        assert not (tmp_path / "d.manifest.json").exists()
 
 
 def row_csv(header, rows):
